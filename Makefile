@@ -1,4 +1,4 @@
-.PHONY: install test conformance golden-verify bench bench-sketches bench-runs bench-obs trace-smoke report sweep-smoke examples all
+.PHONY: install test conformance golden-verify perfbench-smoke bench bench-sketches bench-runs bench-obs trace-smoke report sweep-smoke examples all
 
 install:
 	pip install -e .
@@ -18,6 +18,14 @@ conformance:
 # rewriting anything.
 golden-verify:
 	PYTHONPATH=src python scripts/dump_golden_vectors.py --verify
+
+# The benchmark's own unit tests, then one short untraced pass of every
+# BENCHMARK.json workload at seed 0.  The harness exits 1 when an output
+# digest differs from perfbench/expected.json, so fast paths must stay
+# bit-identical (see perfbench/README.md).
+perfbench-smoke:
+	PYTHONPATH=src python -m pytest perfbench/test_harness.py -q
+	python3 perfbench/harness.py --seed 0 --seconds 1 --trace 0
 
 bench:
 	pytest benchmarks/ --benchmark-only

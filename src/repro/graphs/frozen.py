@@ -32,7 +32,9 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import accumulate, chain
 
 from .graph import Edge, Graph, normalize_edge
 
@@ -68,9 +70,10 @@ class FrozenGraph:
     Exposes the same read API as the mutable builder (``vertices``,
     ``neighbors``, ``edges``, ``has_edge``, ``degree``, ...), so every
     algorithm in :mod:`repro.graphs` runs on either representation.
-    Construct via ``Graph(...).freeze()``, :meth:`from_edges`, or
-    :meth:`from_adjacency`; transformation methods (``induced_subgraph``,
-    ``union``, ``relabel``) return new frozen graphs.
+    Construct via ``Graph(...).freeze()``, :meth:`from_edges`,
+    :meth:`from_adjacency` or :meth:`from_neighbor_lists`;
+    transformation methods (``induced_subgraph``, ``union``,
+    ``relabel``) return new frozen graphs.
     """
 
     __slots__ = (
@@ -140,21 +143,15 @@ class FrozenGraph:
     ) -> "FrozenGraph":
         """Freeze the graph spanned by ``vertices`` plus the edges'
         endpoints.  Duplicate edges collapse; self-loops raise."""
-        lists: dict[int, set[int]] = {v: set() for v in vertices}
+        lists = defaultdict(set, {v: set() for v in vertices})
         for u, v in edges:
             if u == v:
                 raise ValueError(
                     f"self-loop ({u}, {v}) not allowed in a simple graph"
                 )
-            us = lists.get(u)
-            if us is None:
-                us = lists[u] = set()
-            vs = lists.get(v)
-            if vs is None:
-                vs = lists[v] = set()
-            us.add(v)
-            vs.add(u)
-        return cls._from_sorted_lists(lists)
+            lists[u].add(v)
+            lists[v].add(u)
+        return cls.from_neighbor_lists(lists)
 
     @classmethod
     def from_adjacency(
@@ -168,7 +165,7 @@ class FrozenGraph:
                     raise ValueError(f"self-loop at {v} not allowed")
                 if u not in lists:
                     raise ValueError(f"neighbor {u} of {v} is not a vertex")
-        frozen = cls._from_sorted_lists(lists)
+        frozen = cls.from_neighbor_lists(lists)
         # Symmetry check on the finished CSR: every directed entry must
         # have its reverse.
         offsets, nbrs = frozen._offsets, frozen._nbrs
@@ -181,30 +178,37 @@ class FrozenGraph:
         return frozen
 
     @classmethod
-    def _from_sorted_lists(cls, lists: Mapping[int, Iterable[int]]) -> "FrozenGraph":
+    def from_neighbor_lists(
+        cls, lists: Mapping[int, Iterable[int]]
+    ) -> "FrozenGraph":
         """Build canonical CSR buffers from per-vertex neighbor
         collections (unsorted, possibly with duplicates).
 
+        Trusted: unlike :meth:`from_adjacency`, nothing is validated, so
+        the caller guarantees every neighbor is a key, the lists are
+        symmetric and there is no self-loop.  Builders that already hold
+        whole rows (``Graph.freeze``, the Section 4 reduction graph) use
+        it to skip the per-edge work of :meth:`from_edges`.
+
         This is the assembly hot path for every freeze, so all the
-        per-entry work stays at C level (set dedupe, ``sorted``, array
-        ``extend``) — and the shared adjacency view is prefilled from
-        the same sorted lists while they are in hand, which is strictly
-        cheaper than re-boxing the CSR array entries later.
+        per-entry work stays at C level (set dedupe, ``sorted``, one
+        array per buffer) — and the shared adjacency view is prefilled
+        from the same sorted rows while they are in hand, which is
+        strictly cheaper than re-boxing the CSR array entries later.
         """
-        verts = array(_WORD, sorted(lists))
-        offsets = array(_WORD, [0])
-        nbrs = array(_WORD)
-        adjacency: dict[int, frozenset[int]] = {}
-        for v in verts:
-            raw = lists[v]
-            ns = sorted(raw if isinstance(raw, (set, frozenset)) else set(raw))
-            nbrs.extend(ns)
-            offsets.append(len(nbrs))
-            adjacency[v] = frozenset(ns)
+        verts = sorted(lists)
+        rows = [
+            sorted(raw if isinstance(raw, (set, frozenset)) else set(raw))
+            for raw in map(lists.__getitem__, verts)
+        ]
         self = cls.__new__(cls)
-        index = {v: i for i, v in enumerate(verts)}
-        self._adopt(verts, offsets, nbrs, index)
-        self._adjacency = adjacency
+        self._adopt(
+            array(_WORD, verts),
+            array(_WORD, accumulate(map(len, rows), initial=0)),
+            array(_WORD, list(chain.from_iterable(rows))),
+            dict(zip(verts, range(len(verts)))),
+        )
+        self._adjacency = dict(zip(verts, map(frozenset, rows)))
         return self
 
     # ------------------------------------------------------------------
@@ -366,7 +370,7 @@ class FrozenGraph:
         for u, v in other.edges():
             lists[u].append(v)
             lists[v].append(u)
-        return FrozenGraph._from_sorted_lists(lists)
+        return FrozenGraph.from_neighbor_lists(lists)
 
     def relabel(self, mapping: dict[int, int]) -> "FrozenGraph":
         """A frozen copy with every vertex v renamed to mapping[v].
@@ -382,7 +386,7 @@ class FrozenGraph:
             lists[mapping[v]] = [
                 mapping[u] for u in nbrs[offsets[i] : offsets[i + 1]]
             ]
-        return FrozenGraph._from_sorted_lists(lists)
+        return FrozenGraph.from_neighbor_lists(lists)
 
     # ------------------------------------------------------------------
     # Canonical serialization / content address

@@ -167,7 +167,7 @@ class Graph:
 
         # The adjacency sets are read, never kept: freezing is zero-copy
         # on the builder side.
-        return FrozenGraph._from_sorted_lists(self._adj)
+        return FrozenGraph.from_neighbor_lists(self._adj)
 
     def copy(self) -> "Graph":
         g = Graph()

@@ -54,13 +54,15 @@ def is_maximal_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:
 
 
 def greedy_maximal_matching(
-    graph: GraphLike,
+    graph: GraphLike | None,
     order: Iterable[Edge] | None = None,
 ) -> set[Edge]:
     """Greedy maximal matching scanning edges in the given order.
 
     With no order, edges are scanned in canonical sorted order, which makes
-    the result deterministic.  Any scan order yields a maximal matching, so
+    the result deterministic.  An explicit ``order`` is the whole input:
+    the graph is not read, and may be ``None``.  Any scan order yields a
+    maximal matching (of the graph the order lists), so
     randomized orders (see :func:`random_maximal_matching`) explore the
     space of maximal matchings.
     """

@@ -74,28 +74,54 @@ class DMMInstance:
     def _star_slot(self) -> dict[int, int]:
         return {v: slot for slot, v in enumerate(self.v_star)}
 
+    def _check_copy(self, i: int) -> None:
+        if not 0 <= i < self.hard.k:
+            raise ValueError("copy index out of range")
+
     def label_in_copy(self, i: int, rs_vertex: int) -> int:
         """The G-label of RS vertex ``rs_vertex`` as it appears in copy i.
 
         Public vertices share one label across copies (step 4a); V*
         vertices get fresh labels per copy (step 4b).
         """
-        if not 0 <= i < self.hard.k:
-            raise ValueError("copy index out of range")
+        self._check_copy(i)
         if rs_vertex in self._public_slot:
             return self.sigma[self._public_slot[rs_vertex]]
-        base = self.hard.N - 2 * self.hard.r
+        base = self.hard.num_public
         return self.sigma[base + i * 2 * self.hard.r + self._star_slot[rs_vertex]]
+
+    @cached_property
+    def _copy_labels(self) -> tuple[dict[int, int], ...]:
+        public = {
+            v: self.sigma[slot] for slot, v in enumerate(self.public_rs_vertices)
+        }
+        out = []
+        for i in range(self.hard.k):
+            offset = self.hard.num_public + i * 2 * self.hard.r
+            labels = dict(public)
+            for slot, v in enumerate(self.v_star):
+                labels[v] = self.sigma[offset + slot]
+            out.append(labels)
+        return tuple(out)
+
+    def copy_labels(self, i: int) -> dict[int, int]:
+        """Copy i's whole RS-vertex -> G-label map (``label_in_copy`` for
+        every RS vertex at once), built once per instance from sigma.
+
+        Shared across calls: treat it as read-only.
+        """
+        self._check_copy(i)
+        return self._copy_labels[i]
 
     @cached_property
     def public_labels(self) -> frozenset[int]:
         """Labels of the public vertices of G."""
-        base = self.hard.N - 2 * self.hard.r
-        return frozenset(self.sigma[:base])
+        return frozenset(self.sigma[: self.hard.num_public])
 
     def unique_labels(self, i: int) -> frozenset[int]:
         """Labels of the unique vertices of copy i."""
-        base = self.hard.N - 2 * self.hard.r
+        self._check_copy(i)
+        base = self.hard.num_public
         r2 = 2 * self.hard.r
         return frozenset(self.sigma[base + i * r2 : base + (i + 1) * r2])
 
@@ -114,16 +140,12 @@ class DMMInstance:
     # ------------------------------------------------------------------
     def copy_edges(self, i: int) -> list[Edge]:
         """The (labeled) surviving edges of copy G_i."""
+        labels = self.copy_labels(i)
         edges: list[Edge] = []
-        for j, matching in enumerate(self.hard.rs.matchings):
-            mask = self.indicators[i][j]
+        for matching, mask in zip(self.hard.rs.matchings, self.indicators[i]):
             for e, (u, v) in enumerate(matching):
                 if (mask >> e) & 1:
-                    edges.append(
-                        normalize_edge(
-                            self.label_in_copy(i, u), self.label_in_copy(i, v)
-                        )
-                    )
+                    edges.append(normalize_edge(labels[u], labels[v]))
         return edges
 
     @cached_property
@@ -143,16 +165,17 @@ class DMMInstance:
     def special_slot_pairs(self, i: int) -> list[Edge]:
         """M^RS_{i,j*} of Section 4: the labeled pairs of the special
         matching in copy i *before* subsampling (all r slots)."""
+        labels = self.copy_labels(i)
         return [
-            normalize_edge(self.label_in_copy(i, u), self.label_in_copy(i, v))
+            normalize_edge(labels[u], labels[v])
             for (u, v) in self.hard.rs.matchings[self.j_star]
         ]
 
     def special_surviving_edges(self, i: int) -> list[Edge]:
         """The surviving special-matching edges of copy i (the M_i of
         Claim 3.1) — always between unique labels."""
-        mask = self.indicators[i][self.j_star]
         pairs = self.special_slot_pairs(i)
+        mask = self.indicators[i][self.j_star]
         return [pairs[e] for e in range(self.hard.r) if (mask >> e) & 1]
 
     @cached_property

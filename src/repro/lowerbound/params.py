@@ -24,7 +24,12 @@ from ..rsgraphs import RSGraph, best_uniform, sum_class_rs_graph, uniformize
 
 @dataclass(frozen=True)
 class HardDistribution:
-    """A fully specified D_MM: the base RS graph plus the copy count k."""
+    """A fully specified D_MM: the base RS graph plus the copy count k.
+
+    The derived sizes (N, r, t, n and the public/unique counts) are
+    cached on first read, as ``cache_token`` is: every instance sampled
+    from this distribution reads them per copy, matching and mask.
+    """
 
     rs: RSGraph
     k: int
@@ -37,31 +42,31 @@ class HardDistribution:
         if self.rs.r < 1:
             raise ValueError("the RS graph must have nonempty matchings")
 
-    @property
+    @cached_property
     def N(self) -> int:
         """Vertices of the base RS graph."""
         return self.rs.num_vertices
 
-    @property
+    @cached_property
     def r(self) -> int:
         """Size of every induced matching."""
         return self.rs.r
 
-    @property
+    @cached_property
     def t(self) -> int:
         """Number of induced matchings."""
         return self.rs.num_matchings
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Vertices of the glued graph G: N - 2r public + 2rk unique."""
         return self.N - 2 * self.r + 2 * self.r * self.k
 
-    @property
+    @cached_property
     def num_public(self) -> int:
         return self.N - 2 * self.r
 
-    @property
+    @cached_property
     def num_unique(self) -> int:
         return 2 * self.r * self.k
 

@@ -61,13 +61,12 @@ def unique_player_views(instance: DMMInstance) -> dict[UniquePlayerId, VertexVie
                 if (mask >> e) & 1:
                     copy_adjacency[u].add(v)
                     copy_adjacency[v].add(u)
+        labels = instance.copy_labels(i)
         for rs_vertex, rs_neighbors in copy_adjacency.items():
-            label = instance.label_in_copy(i, rs_vertex)
-            neighbors = frozenset(
-                instance.label_in_copy(i, u) for u in rs_neighbors
-            )
             views[(i, rs_vertex)] = VertexView(
-                n=n, vertex=label, neighbors=neighbors
+                n=n,
+                vertex=labels[rs_vertex],
+                neighbors=frozenset(labels[u] for u in rs_neighbors),
             )
     return views
 

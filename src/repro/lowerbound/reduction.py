@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..graphs import Edge, Graph, normalize_edge
+from ..graphs import Edge, FrozenGraph, normalize_edge
 from ..model import PublicCoins, SketchProtocol, run_protocol
 from .distribution import DMMInstance
 
@@ -40,18 +40,29 @@ class SideRule(Enum):
     LARGER = "larger"  # the paper's |M^l| >= |M^r| rule
 
 
-def build_reduction_graph(instance: DMMInstance) -> Graph:
-    """H: two copies of G plus the public cross-biclique."""
+def build_reduction_graph(instance: DMMInstance) -> FrozenGraph:
+    """H: two copies of G plus the public cross-biclique.
+
+    Frozen, so the MIS protocols run on it through the batched sketch
+    path.  Each row is assembled whole: u's left row is G's row of u,
+    its right row the same shifted by n, and a public u additionally
+    sees the other side's whole public block.
+    """
     n = instance.hard.n
-    h = Graph(vertices=range(2 * n))
-    for u, v in instance.graph.edges():
-        h.add_edge(u, v)  # left copy
-        h.add_edge(u + n, v + n)  # right copy
-    public = sorted(instance.public_labels)
-    for u in public:
-        for v in public:
-            h.add_edge(u, v + n)
-    return h
+    g = instance.graph
+    public = instance.public_labels
+    left_block = sorted(public)
+    right_block = [v + n for v in left_block]
+    rows: dict[int, list[int]] = {}
+    for u in range(n):
+        row = list(g.neighbors_sorted(u))
+        shifted = [v + n for v in row]
+        if u in public:
+            row += right_block
+            shifted += left_block
+        rows[u] = row
+        rows[u + n] = shifted
+    return FrozenGraph.from_neighbor_lists(rows)
 
 
 def left_public(instance: DMMInstance) -> frozenset[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, Graph, greedy_maximal_matching
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
 from ..model import (
     BatchSketchProtocol,
     BitWriter,
@@ -85,7 +85,7 @@ class LinearL0Matching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        candidates = Graph(vertices=sketches.keys())
+        candidates: list[Edge] = []
         for v, message in sketches.items():
             family = self._vertex_family(v, n, coins)
             state = L0FamilyState.decode(message.reader(), family)
@@ -100,5 +100,5 @@ class LinearL0Matching(BatchSketchProtocol):
                 except ValueError:
                     continue
                 if u in sketches and w in sketches:
-                    candidates.add_edge(u, w)
-        return greedy_maximal_matching(candidates)
+                    candidates.append((u, w))
+        return greedy_maximal_matching(FrozenGraph.from_edges(sketches, candidates))

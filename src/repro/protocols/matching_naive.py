@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, Graph, greedy_maximal_matching, greedy_mis
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, greedy_mis
 from ..model import (
     BatchSketchProtocol,
     Message,
@@ -36,15 +36,21 @@ def _batch_adjacency_rows(graph: FrozenGraph, n: int) -> dict[int, Message]:
     }
 
 
-def _decode_graph(n: int, sketches: Mapping[int, Message]) -> Graph:
-    graph = Graph(vertices=sketches.keys())
+def _decode_graph(n: int, sketches: Mapping[int, Message]) -> FrozenGraph:
+    """The reported graph: bit u of v's row (MSB first) is the edge (v, u).
+
+    Each row is read as one n-bit word and scanned by its set bits.
+    Each edge is reported by both endpoints; ``from_edges`` dedups.
+    """
+    edges: list[Edge] = []
     for v, message in sketches.items():
-        reader = message.reader()
-        for u in range(n):
-            if reader.read_bit() and u in graph:
-                # Each edge is reported by both endpoints; add_edge dedups.
-                graph.add_edge(v, u)
-    return graph
+        row = f"{message.reader().read_uint(n):0{n}b}"
+        u = row.find("1")
+        while u >= 0:
+            if u in sketches:
+                edges.append((v, u))
+            u = row.find("1", u + 1)
+    return FrozenGraph.from_edges(sketches, edges)
 
 
 class FullNeighborhoodMatching(BatchSketchProtocol):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, Graph, greedy_maximal_matching, greedy_mis
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, greedy_mis
 from ..model import (
     BatchSketchProtocol,
     BitWriter,
@@ -69,14 +69,18 @@ def _batch_sampled_messages(
 
 def _decode_sampled_graph(
     n: int, sketches: Mapping[int, Message]
-) -> Graph:
+) -> FrozenGraph:
+    """The union of the reported edges between players."""
     width = id_width_for(n)
-    graph = Graph(vertices=sketches.keys())
-    for v, message in sketches.items():
-        for u in decode_vertex_set(message.reader(), width):
-            if u in graph:
-                graph.add_edge(v, u)
-    return graph
+    return FrozenGraph.from_edges(
+        sketches,
+        [
+            (v, u)
+            for v, message in sketches.items()
+            for u in decode_vertex_set(message.reader(), width)
+            if u in sketches
+        ],
+    )
 
 
 class SampledEdgesMatching(BatchSketchProtocol):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, Graph, greedy_maximal_matching, normalize_edge
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, normalize_edge
 from ..model import (
     BatchSketchProtocol,
     BitWriter,
@@ -93,8 +93,7 @@ class PriorityEdgeMatching(BatchSketchProtocol):
                 if u in sketches:
                     edges.add(normalize_edge(v, u))
         order = sorted(edges, key=lambda e: edge_priority(coins, e))
-        graph = Graph(vertices=sketches.keys(), edges=edges)
-        return greedy_maximal_matching(graph, order)
+        return greedy_maximal_matching(None, order)
 
 
 class PatchedLocalMinMIS(BatchSketchProtocol):
@@ -146,14 +145,15 @@ class PatchedLocalMinMIS(BatchSketchProtocol):
     ) -> set[int]:
         width = id_width_for(n)
         local_minima: set[int] = set()
-        sampled = Graph(vertices=sketches.keys())
+        edges: list[Edge] = []
         for v, message in sketches.items():
             reader = message.reader()
             if reader.read_bit():
                 local_minima.add(v)
-            for u in decode_vertex_set(reader, width):
-                if u in sketches:
-                    sampled.add_edge(v, u)
+            edges.extend(
+                (v, u) for u in decode_vertex_set(reader, width) if u in sketches
+            )
+        sampled = FrozenGraph.from_edges(sketches, edges)
         # Start from the (always independent) local minima, then extend
         # greedily over the sampled graph only.
         chosen = set(local_minima)

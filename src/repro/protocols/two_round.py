@@ -24,7 +24,7 @@ import math
 from collections.abc import Mapping
 from typing import Any
 
-from ..graphs import Edge, Graph, greedy_maximal_matching, matched_vertices
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, matched_vertices
 from ..model import (
     AdaptiveProtocol,
     BitWriter,
@@ -35,6 +35,7 @@ from ..model import (
     encode_vertex_set,
     id_width_for,
 )
+from .matching_sampled import _decode_sampled_graph
 
 
 class FilteringMatching(AdaptiveProtocol):
@@ -94,13 +95,7 @@ class FilteringMatching(AdaptiveProtocol):
         coins: PublicCoins,
         broadcasts: list[Any],
     ) -> Any:
-        width = id_width_for(n)
-        reported = Graph(vertices=sketches.keys())
-        for v, message in sketches.items():
-            for u in decode_vertex_set(message.reader(), width):
-                if u in reported:
-                    reported.add_edge(v, u)
-
+        reported = _decode_sampled_graph(n, sketches)
         if round_index == 0:
             matching = greedy_maximal_matching(reported)
             self._matching = matching
@@ -108,7 +103,7 @@ class FilteringMatching(AdaptiveProtocol):
             # Augment the standing matching with newly revealed edges.
             matching = set(self._matching)
             used = matched_vertices(matching)
-            for u, v in sorted(reported.edges()):
+            for u, v in reported.edges():  # ascending
                 if u not in used and v not in used:
                     matching.add((u, v))
                     used.add(u)
@@ -195,15 +190,14 @@ class SampleAndPruneMIS(AdaptiveProtocol):
     ) -> Any:
         width = id_width_for(n)
         if round_index == 0:
-            low_graph = Graph(vertices=sketches.keys())
             reporters = set()
+            edges: list[Edge] = []
             for v, message in sketches.items():
                 neighbors = decode_vertex_set(message.reader(), width)
                 if neighbors:
                     reporters.add(v)
-                for u in neighbors:
-                    if u in low_graph:
-                        low_graph.add_edge(v, u)
+                edges.extend((v, u) for u in neighbors if u in sketches)
+            low_graph = FrozenGraph.from_edges(sketches, edges)
             # Restrict to edges both of whose endpoints reported: those
             # are exactly the low-degree/low-degree edges, fully known.
             from ..graphs import greedy_mis
@@ -218,13 +212,17 @@ class SampleAndPruneMIS(AdaptiveProtocol):
             undominated = frozenset(set(sketches) - dominated)
             self._undominated = undominated
             return undominated
-        residual = Graph(vertices=self._undominated)
-        for v, message in sketches.items():
-            if v not in self._undominated:
-                continue
-            for u in decode_vertex_set(message.reader(), width):
-                if u in residual:
-                    residual.add_edge(v, u)
+        undominated = self._undominated
+        residual = FrozenGraph.from_edges(
+            undominated,
+            [
+                (v, u)
+                for v, message in sketches.items()
+                if v in undominated
+                for u in decode_vertex_set(message.reader(), width)
+                if u in undominated
+            ],
+        )
         from ..graphs import greedy_mis
 
         extension = greedy_mis(residual)

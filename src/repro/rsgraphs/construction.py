@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import cached_property
 
 from ..arithmetic import best_ap_free_set, is_three_ap_free
 from ..graphs import Edge, FrozenGraph, Graph, matched_vertices
@@ -53,7 +54,7 @@ class RSGraph:
         """t: the number of induced matchings in the partition."""
         return len(self.matchings)
 
-    @property
+    @cached_property
     def matching_sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.matchings)
 
@@ -62,9 +63,13 @@ class RSGraph:
         sizes = set(self.matching_sizes)
         return len(sizes) <= 1
 
-    @property
+    @cached_property
     def r(self) -> int:
-        """The common matching size; raises if sizes are non-uniform."""
+        """The common matching size; raises if sizes are non-uniform.
+
+        Cached, as ``matching_sizes`` is (the value is frozen): D_MM
+        sampling reads it once per indicator mask.
+        """
         sizes = set(self.matching_sizes)
         if len(sizes) > 1:
             raise ValueError("matching sizes are non-uniform; call uniformize first")

@@ -1,11 +1,13 @@
 """Tests for the hard distribution D_MM (params, sampling, bookkeeping)."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import cache_key
 from repro.lowerbound import (
     DMMInstance,
     HardDistribution,
@@ -157,6 +159,79 @@ class TestSampling:
             if inst.is_unique_label(e[0]) and inst.is_unique_label(e[1])
         }
         assert uu == inst.union_special_matching
+
+
+#: Every accessor that takes a copy index i.
+PER_COPY = [
+    lambda inst, i: inst.label_in_copy(i, inst.v_star[0]),
+    lambda inst, i: inst.copy_labels(i),
+    lambda inst, i: inst.unique_labels(i),
+    lambda inst, i: inst.copy_edges(i),
+    lambda inst, i: inst.special_slot_pairs(i),
+    lambda inst, i: inst.special_surviving_edges(i),
+]
+PER_COPY_IDS = [
+    "label_in_copy",
+    "copy_labels",
+    "unique_labels",
+    "copy_edges",
+    "special_slot_pairs",
+    "special_surviving_edges",
+]
+
+
+class TestCopyBookkeeping:
+    @pytest.mark.parametrize("accessor", PER_COPY, ids=PER_COPY_IDS)
+    @pytest.mark.parametrize("past_end", [False, True], ids=["i=-1", "i=k"])
+    def test_copy_index_out_of_range(self, accessor, past_end):
+        hd = scaled_distribution(m=8, k=2)
+        # All-ones masks: every edge survives, so no accessor can return
+        # early on an empty copy.
+        full = (1 << hd.r) - 1
+        inst = DMMInstance(
+            hd, 0, identity_sigma(hd), indicators=((full,) * hd.t,) * hd.k
+        )
+        with pytest.raises(ValueError, match="copy index out of range"):
+            accessor(inst, hd.k if past_end else -1)
+
+    @given(st.integers(0, 1000))
+    @settings(max_examples=20, deadline=None)
+    def test_copy_labels_match_label_in_copy(self, seed):
+        hd = scaled_distribution(m=10, k=3)
+        inst = sample_dmm(hd, random.Random(seed))
+        for i in range(hd.k):
+            labels = inst.copy_labels(i)
+            assert set(labels) == set(hd.rs.graph.vertices)
+            for v in hd.rs.graph.vertices:
+                assert labels[v] == inst.label_in_copy(i, v)
+
+
+class TestCachedInvariants:
+    def test_hard_distribution_pickles_with_cached_invariants(self):
+        hd = scaled_distribution(m=10, k=3)
+        token = hd.cache_token
+        key = cache_key(("pickle-roundtrip", hd))
+        sizes = (hd.N, hd.r, hd.t, hd.n, hd.num_public, hd.num_unique)
+        assert {"N", "r", "t", "n", "num_public", "num_unique"} <= set(vars(hd))
+        clone = pickle.loads(pickle.dumps(hd))
+        assert clone == hd
+        assert clone.cache_token == token
+        assert cache_key(("pickle-roundtrip", clone)) == key
+        assert (
+            clone.N, clone.r, clone.t, clone.n, clone.num_public, clone.num_unique
+        ) == sizes
+
+    def test_rs_graph_pickles_with_cached_invariants(self):
+        rs = scaled_distribution(m=10, k=3).rs
+        token = rs.cache_token
+        key = cache_key(("pickle-roundtrip", rs))
+        sizes, r = rs.matching_sizes, rs.r
+        assert {"matching_sizes", "r"} <= set(vars(rs))
+        clone = pickle.loads(pickle.dumps(rs))
+        assert clone == rs
+        assert clone.cache_token == token
+        assert cache_key(("pickle-roundtrip", clone)) == key
+        assert (clone.matching_sizes, clone.r) == (sizes, r)
 
 
 class TestInstanceValidation:

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
+    FrozenGraph,
     all_maximal_independent_sets,
     greedy_mis,
     is_maximal_independent_set,
@@ -22,7 +25,8 @@ from repro.lowerbound import (
     sample_dmm,
     scaled_distribution,
 )
-from repro.model import PublicCoins
+from repro.lowerbound import reduction
+from repro.model import PublicCoins, views_of
 from repro.protocols import FullNeighborhoodMIS, SampledEdgesMIS
 
 
@@ -30,7 +34,33 @@ def small_instance(seed=0, m=8, k=2):
     return sample_dmm(scaled_distribution(m=m, k=k), random.Random(seed))
 
 
+def reference_reduction_graph(instance):
+    """H edge by edge, as Section 4 states it: the left copy of G, the
+    right copy shifted by n, and the public biclique across them."""
+    n = instance.hard.n
+    public = sorted(instance.public_labels)
+    edges = [
+        *instance.graph.edges(),
+        *((u + n, v + n) for u, v in instance.graph.edges()),
+        *((u, v + n) for u in public for v in public),
+    ]
+    return FrozenGraph.from_edges(range(2 * n), edges)
+
+
 class TestHConstruction:
+    @given(st.integers(0, 1000), st.sampled_from([(8, 2), (10, 3), (20, 4)]))
+    @settings(max_examples=20, deadline=None)
+    def test_frozen_and_equal_to_reference(self, seed, params):
+        m, k = params
+        inst = small_instance(seed, m=m, k=k)
+        h = build_reduction_graph(inst)
+        assert isinstance(h, FrozenGraph)
+        assert h == reference_reduction_graph(inst)
+
+    def test_frozen_on_micro(self):
+        inst = sample_dmm(micro_distribution(r=1, t=2, k=2), random.Random(3))
+        assert build_reduction_graph(inst) == reference_reduction_graph(inst)
+
     def test_vertex_count(self):
         inst = small_instance()
         h = build_reduction_graph(inst)
@@ -129,6 +159,34 @@ class TestDecode:
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize(
+        "protocol", [FullNeighborhoodMIS(), SampledEdgesMIS(1)], ids=lambda p: p.name
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_transcript_matches_per_view_oracle(self, monkeypatch, protocol, seed):
+        """H is frozen, so the MIS protocol runs batched; its transcript
+        must equal the per-view oracle player by player."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(run_protocol(*args, **kwargs))
+            return runs[-1]
+
+        run_protocol = reduction.run_protocol
+        monkeypatch.setattr(reduction, "run_protocol", spy)
+        inst = small_instance(seed, m=10, k=3)
+        coins = PublicCoins(seed)
+        result = run_reduction(inst, protocol, coins)
+
+        h = build_reduction_graph(inst)
+        oracle = {
+            v: protocol.sketch(view, coins)
+            for v, view in views_of(h, n=2 * inst.hard.n).items()
+        }
+        [run] = runs
+        assert run.transcript.sketches == oracle
+        assert result.mis_output == protocol.decode(2 * inst.hard.n, oracle, coins)
+
     def test_full_neighborhood_mis_drives_reduction(self):
         """A correct MIS protocol + the reduction recovers the entire
         special matching — the constructive content of Theorem 2."""
