@@ -21,6 +21,14 @@ plain numerical statements:
       I(M_{i,J} ; Π(U_i) | J)  <=  H(Π(U_i)) / t
 
 The checkers below compute both sides of each, for any protocol.
+
+The enumeration is split in two.  :func:`exact_outcomes` builds the
+protocol-independent part once per (hard, σ): every outcome's player
+views, special slots and G, with equal values interned.  Each
+:func:`analyze_protocol` call then does only protocol work: one
+``sketch`` per distinct view and one ``decode`` per distinct referee
+transcript.  Views repeat across outcomes because a view depends on only
+a few indicator bits — the locality Lemma 3.5 rests on.
 """
 
 from __future__ import annotations
@@ -29,16 +37,105 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ..graphs import is_maximal_matching, normalize_edge
+from ..engine import construction_cache
+from ..graphs import Edge, FrozenGraph, is_maximal_matching, normalize_edge
 from ..infotheory import JointDistribution, TableBuilder, TableDistribution
-from ..model import PublicCoins, SketchProtocol
+from ..model import Message, PublicCoins, SketchProtocol, VertexView
 from .distribution import (
     DMMInstance,
+    IndicatorTable,
     enumerate_indicator_tables,
     identity_sigma,
 )
 from .params import HardDistribution
-from .players import player_split, vertex_player_views
+from .players import player_split
+
+
+@dataclass(frozen=True)
+class ExactOutcome:
+    """One (j*, indicator table) outcome under a fixed σ: everything the
+    protocol loop reads, nothing protocol-specific.
+
+    Equal views, view groups, slot sets and graphs are shared objects
+    across the outcomes of one :func:`exact_outcomes` table.
+    """
+
+    j_star: int
+    indicators: IndicatorTable
+    public: tuple[VertexView, ...]  # public players, in label order
+    unique: tuple[tuple[VertexView, ...], ...]  # per copy, in RS-vertex order
+    referee: tuple[VertexView, ...]  # the ordinary model's players, label order
+    slots: frozenset[Edge]  # M^RS_{i,j*} of every copy i
+    graph: FrozenGraph
+
+
+def exact_outcomes(
+    hard: HardDistribution, sigma: tuple[int, ...] | None = None
+) -> tuple[ExactOutcome, ...]:
+    """Every (j*, indicator table) outcome of ``hard`` under ``sigma``,
+    j*-major in :func:`enumerate_indicator_tables` order.
+
+    Each outcome's views come from one :func:`player_split`; the referee
+    gets the public players plus the unique players of genuinely unique
+    vertices (what :func:`~repro.lowerbound.players.vertex_player_views`
+    reconstructs).  The table is a pure function of ``(hard, sigma)``,
+    so it lives in the engine's construction cache: every protocol
+    analysed on the same micro instance shares one table.  ``sigma``
+    defaults to the identity permutation.
+    """
+    if sigma is None:
+        sigma = identity_sigma(hard)
+    sigma = tuple(sigma)
+
+    def build() -> tuple[ExactOutcome, ...]:
+        # One pool for every kind of value: views, groups, slot sets and
+        # graphs of different types never compare equal.
+        pool: dict = {}
+
+        def intern(value):
+            return pool.setdefault(value, value)
+
+        def views(by_key: dict) -> tuple[VertexView, ...]:
+            # In key order: label order, or RS-vertex order within a copy.
+            return intern(tuple(intern(by_key[key]) for key in sorted(by_key)))
+
+        tables = list(enumerate_indicator_tables(hard))
+        outcomes = []
+        for j_star in range(hard.t):
+            for table in tables:
+                instance = DMMInstance(
+                    hard=hard, j_star=j_star, sigma=sigma, indicators=table
+                )
+                split = player_split(instance)
+                unique = split.unique.items()
+                referee = dict(split.public)
+                for _, view in unique:
+                    if instance.is_unique_label(view.vertex):
+                        referee[view.vertex] = view
+                slots = frozenset(
+                    pair
+                    for i in range(hard.k)
+                    for pair in instance.special_slot_pairs(i)
+                )
+                outcomes.append(
+                    ExactOutcome(
+                        j_star=j_star,
+                        indicators=table,
+                        public=views(split.public),
+                        unique=tuple(
+                            views({v: u for (c, v), u in unique if c == i})
+                            for i in range(hard.k)
+                        ),
+                        referee=views(referee),
+                        slots=intern(slots),
+                        graph=intern(instance.graph),
+                    )
+                )
+        return tuple(outcomes)
+
+    return construction_cache().get_or_build(
+        ("exact-outcomes", hard.cache_token, sigma), build
+    )
 
 
 @dataclass(frozen=True)
@@ -69,22 +166,37 @@ class ExactAnalysis:
         return ["PiP"] + [f"PiU_{i}" for i in range(self.hard.k)]
 
     # ------------------------------------------------------------------
+    # Conditionals on J, built once
+    # ------------------------------------------------------------------
+    @cached_property
+    def conditionals(self) -> tuple:
+        """``(j, Pr[J = j], dist | J = j)`` for every j of positive mass.
+
+        Every conditional quantity below is an expectation over J, so
+        the t conditionals are built once and shared by all of them.
+        """
+        out = []
+        for j in range(self.hard.t):
+            p_j = self.dist.probability(J=j)
+            if p_j > 0:
+                out.append((j, p_j, self.dist.condition(J=j)))
+        return tuple(out)
+
+    def _information_given_j(self, a_vars, b_vars: list[str]) -> float:
+        """E_j I(a_vars(j) ; b_vars | J = j) over the cached conditionals."""
+        total = 0.0
+        for j, p_j, cond in self.conditionals:
+            total += p_j * cond.mutual_information(a_vars(j), b_vars)
+        return total
+
+    # ------------------------------------------------------------------
     # Lemma 3.3
     # ------------------------------------------------------------------
     @cached_property
     def information_revealed(self) -> float:
         """I(M_{1,J},...,M_{k,J} ; Π | Σ, J), computed as E_j of the
         conditional mutual information given J = j."""
-        total = 0.0
-        for j in range(self.hard.t):
-            p_j = self.dist.probability(J=j)
-            if p_j <= 0:
-                continue
-            cond = self.dist.condition(J=j)
-            total += p_j * cond.mutual_information(
-                self.m_vars(j), self.transcript_vars
-            )
-        return total
+        return self._information_given_j(self.m_vars, self.transcript_vars)
 
     @property
     def lemma33_implied_bound(self) -> float:
@@ -103,16 +215,16 @@ class ExactAnalysis:
         """H(Π(P))."""
         return self.dist.entropy(["PiP"])
 
+    @cached_property
+    def _unique_information(self) -> tuple[float, ...]:
+        return tuple(
+            self._information_given_j(lambda j: [f"M_{i}_{j}"], [f"PiU_{i}"])
+            for i in range(self.hard.k)
+        )
+
     def unique_information(self, i: int) -> float:
-        """I(M_{i,J} ; Π(U_i) | Σ, J)."""
-        total = 0.0
-        for j in range(self.hard.t):
-            p_j = self.dist.probability(J=j)
-            if p_j <= 0:
-                continue
-            cond = self.dist.condition(J=j)
-            total += p_j * cond.mutual_information([f"M_{i}_{j}"], [f"PiU_{i}"])
-        return total
+        """I(M_{i,J} ; Π(U_i) | Σ, J), computed once per copy."""
+        return self._unique_information[i]
 
     @property
     def lemma34_lhs(self) -> float:
@@ -130,9 +242,13 @@ class ExactAnalysis:
     # ------------------------------------------------------------------
     # Lemma 3.5
     # ------------------------------------------------------------------
+    @cached_property
+    def _unique_entropy(self) -> tuple[float, ...]:
+        return tuple(self.dist.entropy([f"PiU_{i}"]) for i in range(self.hard.k))
+
     def unique_entropy(self, i: int) -> float:
-        """H(Π(U_i))."""
-        return self.dist.entropy([f"PiU_{i}"])
+        """H(Π(U_i)), computed once per copy."""
+        return self._unique_entropy[i]
 
     def lemma35_holds(self, i: int) -> bool:
         return (
@@ -166,23 +282,28 @@ def analyze_protocol(
     """Enumerate the joint distribution of one deterministic protocol.
 
     ``coins`` fixes the public randomness (Yao averaging); ``sigma``
-    defaults to the identity permutation.  ``kernel`` selects the
-    distribution implementation — ``"table"`` streams each enumerated
-    outcome straight into columnar :class:`TableBuilder` rows (interned
-    message codes, no tuple pmf is ever materialized), while
-    ``"reference"`` rebuilds the original dict pmf for differential
-    checks.  ``exact`` (table kernel only) keeps every probability a
-    :class:`~fractions.Fraction` — each outcome has exact mass
-    ``1 / (t · 2^(k·t·r))``, so expected values and lemma inputs carry
-    no float rounding.
+    defaults to the identity permutation.  The outcomes come from the
+    shared :func:`exact_outcomes` table; this call only runs the
+    protocol.  A message is a function of the player's view and the
+    coins, and the referee's output of the transcript and the coins
+    (§2.1), so ``protocol.sketch`` runs once per distinct view and
+    ``protocol.decode`` once per distinct referee transcript.
+
+    ``kernel`` selects the distribution implementation — ``"table"``
+    streams each outcome straight into columnar :class:`TableBuilder`
+    rows (interned message codes, no tuple pmf is ever materialized),
+    while ``"reference"`` rebuilds the original dict pmf for
+    differential checks.  ``exact`` (table kernel only) keeps every
+    probability a :class:`~fractions.Fraction` — each outcome has exact
+    mass ``1 / (t · 2^(k·t·r))``, so expected values and lemma inputs
+    carry no float rounding.
     """
     if exact and kernel != "table":
         raise ValueError("exact mode requires the table kernel")
     if kernel not in ("table", "reference"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if sigma is None:
-        sigma = identity_sigma(hard)
-    k, t, r, n = hard.k, hard.t, hard.r, hard.n
+    k, t, n = hard.k, hard.t, hard.n
+    outcomes = exact_outcomes(hard, sigma)
 
     m_names = [f"M_{i}_{j}" for i in range(k) for j in range(t)]
     names = ["J", *m_names, "PiP", *[f"PiU_{i}" for i in range(k)], "O", "MU"]
@@ -192,74 +313,62 @@ def analyze_protocol(
     zero = Fraction(0) if exact else 0.0
     expected_mu = zero
     error_prob = zero
-    worst_bits = 0
-    tables = list(enumerate_indicator_tables(hard))
-    prob = (
-        Fraction(1, t * len(tables)) if exact else 1.0 / (t * len(tables))
-    )
+    prob = Fraction(1, len(outcomes)) if exact else 1.0 / len(outcomes)
 
-    for j_star in range(t):
-        for table in tables:
-            instance = DMMInstance(
-                hard=hard, j_star=j_star, sigma=sigma, indicators=table
+    # Messages are hashable packed bytes, so they key the decode memo
+    # and the pmf directly — no per-bit tuples are ever materialized.
+    sketches: dict[VertexView, Message] = {}
+    outputs: dict[tuple[Message, ...], frozenset[Edge]] = {}
+
+    def send(view: VertexView) -> Message:
+        message = sketches.get(view)
+        if message is None:
+            message = sketches[view] = protocol.sketch(view, coins)
+        return message
+
+    for outcome in outcomes:
+        pi_p = tuple(map(send, outcome.public))
+        pi_u = [tuple(map(send, group)) for group in outcome.unique]
+        # Referee: the ordinary-model players (Remark: extra copies of
+        # public vertices are ignored), plus free (sigma, j*).
+        transcript = tuple(map(send, outcome.referee))
+        output_pairs = outputs.get(transcript)
+        if output_pairs is None:
+            output = protocol.decode(
+                n,
+                {view.vertex: m for view, m in zip(outcome.referee, transcript)},
+                coins,
             )
-            split = player_split(instance)
-            # Messages are hashable packed bytes, so they key the pmf
-            # directly — no per-bit tuples are ever materialized.
-            pi_p = tuple(
-                protocol.sketch(split.public[label], coins)
-                for label in sorted(split.public)
+            output_pairs = outputs[transcript] = frozenset(
+                normalize_edge(u, v) for u, v in output
             )
-            pi_u = []
-            for i in range(k):
-                pi_u.append(
-                    tuple(
-                        protocol.sketch(split.unique[(i, v)], coins)
-                        for v in sorted(
-                            rs_v for (ci, rs_v) in split.unique if ci == i
-                        )
-                    )
-                )
-            worst_bits = max(
-                worst_bits,
-                max((m.num_bits for m in pi_p), default=0),
-                max((m.num_bits for group in pi_u for m in group), default=0),
-            )
+        mu = len(output_pairs & outcome.slots)
+        correct = is_maximal_matching(outcome.graph, output_pairs)
 
-            # Referee: the ordinary-model players (Remark: extra copies of
-            # public vertices are ignored), plus free (sigma, j*).
-            views = vertex_player_views(instance)
-            sketches = {
-                v: protocol.sketch(view, coins) for v, view in views.items()
-            }
-            output = protocol.decode(n, sketches, coins)
-            output_pairs = {normalize_edge(u, v) for u, v in output}
-            slots = set()
-            for i in range(k):
-                slots.update(instance.special_slot_pairs(i))
-            mu = len(output_pairs & slots)
-            correct = is_maximal_matching(instance.graph, output_pairs)
+        expected_mu += prob * mu
+        if not correct:
+            error_prob += prob
 
-            expected_mu += prob * mu
-            if not correct:
-                error_prob += prob
+        table = outcome.indicators
+        row = (
+            outcome.j_star,
+            *(table[i][j] for i in range(k) for j in range(t)),
+            pi_p,
+            *pi_u,
+            1 if correct else 0,
+            mu,
+        )
+        if builder is not None:
+            # Every (j*, indicator table) pair is a distinct row (the
+            # indicators are part of the outcome), so rows stream in
+            # with uniform weight and merge trivially at build().
+            builder.add(row, prob)
+        else:
+            pmf[row] = pmf.get(row, 0.0) + prob
 
-            outcome = (
-                j_star,
-                *(table[i][j] for i in range(k) for j in range(t)),
-                pi_p,
-                *pi_u,
-                1 if correct else 0,
-                mu,
-            )
-            if builder is not None:
-                # Every (j*, indicator table) pair is a distinct row (the
-                # indicators are part of the outcome), so rows stream in
-                # with uniform weight and merge trivially at build().
-                builder.add(outcome, prob)
-            else:
-                pmf[outcome] = pmf.get(outcome, 0.0) + prob
-
+    # Every referee view is also a public or unique player's view, so
+    # the memo holds exactly the messages of the Section 3.1 players.
+    worst_bits = max((m.num_bits for m in sketches.values()), default=0)
     if builder is not None:
         dist = builder.build()
     else:

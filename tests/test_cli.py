@@ -220,7 +220,10 @@ class TestEngineFlags:
         out = capsys.readouterr().out
         assert "backend process-pool(2, fixed)" in out
 
-    def test_run_serial_summary(self, capsys):
+    def test_run_serial_summary(self, capsys, monkeypatch):
+        # The no-flag default is serial; an inherited REPRO_WORKERS
+        # would replace it.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert main(["run", "F1", "--kw", "m=8", "k=2"]) == 0
         out = capsys.readouterr().out
         assert "backend serial" in out

@@ -66,7 +66,10 @@ class TestAttackMatrix:
         for argv, lines in outputs.items():
             assert lines == baseline, f"flags {argv[6:]} changed the output"
 
-    def test_summary_line_reflects_flags(self, capsys):
+    def test_summary_line_reflects_flags(self, capsys, monkeypatch):
+        # The no-flag default is serial; an inherited REPRO_WORKERS
+        # would replace it.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert main(ATTACK + ["--workers", "2"]) == 0
         assert "backend process-pool(2, fixed)" in capsys.readouterr().out
         assert main(ATTACK) == 0

@@ -5,10 +5,27 @@ For each protocol below we enumerate the full joint distribution of
 (up to float tolerance), for correct protocols and for failing ones.
 """
 
+import itertools
+import pickle
+import random
+from fractions import Fraction
+
 import pytest
 
-from repro.lowerbound import analyze_protocol, micro_distribution
-from repro.model import PublicCoins
+from repro.engine import configure_cache, construction_cache
+from repro.graphs import is_maximal_matching, normalize_edge
+from repro.infotheory import JointDistribution, TableBuilder, TableDistribution
+from repro.lowerbound import (
+    DMMInstance,
+    analyze_protocol,
+    enumerate_indicator_tables,
+    exact_outcomes,
+    identity_sigma,
+    micro_distribution,
+    player_split,
+    vertex_player_views,
+)
+from repro.model import Message, PublicCoins, SketchProtocol
 from repro.protocols import (
     FullNeighborhoodMatching,
     SampledEdgesMatching,
@@ -16,6 +33,80 @@ from repro.protocols import (
 
 MICRO = micro_distribution(r=1, t=2, k=2)  # 2^(1*2*2) * 2 = 32 outcomes
 COINS = PublicCoins(seed=1234)
+
+
+class Flipped(SketchProtocol):
+    """Every message bit flipped: same partition of views, other bits."""
+
+    name = "flipped-sampled"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sketch(self, view, coins):
+        m = self.inner.sketch(view, coins)
+        return Message(bits=tuple(1 - b for b in m.bits))
+
+    def decode(self, n, sketches, coins):
+        unflipped = {
+            v: Message(bits=tuple(1 - b for b in m.bits))
+            for v, m in sketches.items()
+        }
+        return self.inner.decode(n, unflipped, coins)
+
+
+class Padded(SketchProtocol):
+    """Every message padded with one constant bit."""
+
+    name = "padded-sampled"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sketch(self, view, coins):
+        m = self.inner.sketch(view, coins)
+        return Message(bits=m.bits + (0,))
+
+    def decode(self, n, sketches, coins):
+        trimmed = {v: Message(bits=m.bits[:-1]) for v, m in sketches.items()}
+        return self.inner.decode(n, trimmed, coins)
+
+
+class LabelPadded(SketchProtocol):
+    """Every message padded with as many zero bits as the player's label."""
+
+    name = "label-padded-sampled"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sketch(self, view, coins):
+        m = self.inner.sketch(view, coins)
+        return Message(bits=m.bits + (0,) * view.vertex)
+
+    def decode(self, n, sketches, coins):
+        trimmed = {
+            v: Message(bits=m.bits[: m.num_bits - v]) for v, m in sketches.items()
+        }
+        return self.inner.decode(n, trimmed, coins)
+
+
+class Counting(SketchProtocol):
+    """Records every sketched view and every decoded transcript."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.sketched = []
+        self.decoded = []
+
+    def sketch(self, view, coins):
+        self.sketched.append(view)
+        return self.inner.sketch(view, coins)
+
+    def decode(self, n, sketches, coins):
+        self.decoded.append(tuple(sorted(sketches.items())))
+        return self.inner.decode(n, sketches, coins)
 
 
 @pytest.fixture(scope="module")
@@ -218,25 +309,6 @@ class TestInformationInvariances:
         """I(M;Π|Σ,J) depends only on the partition a protocol's messages
         induce, not on the bit patterns — flipping every message bit
         changes nothing."""
-        from repro.model import Message, SketchProtocol
-
-        class Flipped(SketchProtocol):
-            name = "flipped-sampled"
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def sketch(self, view, coins):
-                m = self.inner.sketch(view, coins)
-                return Message(bits=tuple(1 - b for b in m.bits))
-
-            def decode(self, n, sketches, coins):
-                unflipped = {
-                    v: Message(bits=tuple(1 - b for b in m.bits))
-                    for v, m in sketches.items()
-                }
-                return self.inner.decode(n, unflipped, coins)
-
         base = SampledEdgesMatching(1)
         a = analyze_protocol(MICRO, base, COINS)
         b = analyze_protocol(MICRO, Flipped(base), COINS)
@@ -250,24 +322,6 @@ class TestInformationInvariances:
         """Appending a constant bit to every message raises the cost but
         not the revealed information — bits and information are distinct
         resources, which is the whole subject of the paper."""
-        from repro.model import Message, SketchProtocol
-
-        class Padded(SketchProtocol):
-            name = "padded-sampled"
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def sketch(self, view, coins):
-                m = self.inner.sketch(view, coins)
-                return Message(bits=m.bits + (0,))
-
-            def decode(self, n, sketches, coins):
-                trimmed = {
-                    v: Message(bits=m.bits[:-1]) for v, m in sketches.items()
-                }
-                return self.inner.decode(n, trimmed, coins)
-
         base = SampledEdgesMatching(1)
         a = analyze_protocol(MICRO, base, COINS)
         b = analyze_protocol(MICRO, Padded(base), COINS)
@@ -281,8 +335,6 @@ class TestPackedTranscriptKeys:
     keying — same groups, same masses."""
 
     def test_transcript_entries_are_packed_messages(self, full_analysis):
-        from repro.model import Message
-
         names = list(full_analysis.dist.variables)
         pi_p_index = names.index("PiP")
         for outcome in full_analysis.dist.pmf:
@@ -297,8 +349,6 @@ class TestPackedTranscriptKeys:
         """Re-keying every Message as its per-bit tuple neither merges nor
         splits any outcome: the packed representation is a bijective
         relabeling, so all Lemma 3.3–3.5 quantities are unchanged."""
-        from repro.model import Message
-
         def unpack(value):
             if isinstance(value, Message):
                 return value.bits
@@ -387,3 +437,309 @@ class TestExactVsMonteCarlo:
                 slots.update(inst.special_slot_pairs(i))
             total_mu += len(output & slots)
         assert total_mu / trials == pytest.approx(exact.expected_mu, abs=0.05)
+
+
+# ----------------------------------------------------------------------
+# The outcome table and the work-once protocol loop
+# ----------------------------------------------------------------------
+def _reference_analysis(hard, protocol, coins, sigma, *, kernel, exact):
+    """The enumeration before the outcome table: every outcome rebuilds
+    its instance, calls ``player_split`` and then ``vertex_player_views``,
+    and sketches every player of both once."""
+    k, t, n = hard.k, hard.t, hard.n
+    names = [
+        "J",
+        *[f"M_{i}_{j}" for i in range(k) for j in range(t)],
+        "PiP",
+        *[f"PiU_{i}" for i in range(k)],
+        "O",
+        "MU",
+    ]
+    pmf = {}
+    builder = TableBuilder(names, exact=exact) if kernel == "table" else None
+    expected_mu = error_prob = Fraction(0) if exact else 0.0
+    worst_bits = 0
+    tables = list(enumerate_indicator_tables(hard))
+    prob = Fraction(1, t * len(tables)) if exact else 1.0 / (t * len(tables))
+    for j_star in range(t):
+        for table in tables:
+            instance = DMMInstance(
+                hard=hard, j_star=j_star, sigma=sigma, indicators=table
+            )
+            split = player_split(instance)
+            pi_p = tuple(
+                protocol.sketch(split.public[label], coins)
+                for label in sorted(split.public)
+            )
+            pi_u = [
+                tuple(
+                    protocol.sketch(split.unique[(i, v)], coins)
+                    for v in sorted(v for (ci, v) in split.unique if ci == i)
+                )
+                for i in range(k)
+            ]
+            worst_bits = max(
+                worst_bits, *(m.num_bits for m in pi_p + sum(pi_u, ()))
+            )
+            views = vertex_player_views(instance)
+            sketches = {v: protocol.sketch(view, coins) for v, view in views.items()}
+            output = protocol.decode(n, sketches, coins)
+            output = {normalize_edge(u, v) for u, v in output}
+            slots = set()
+            for i in range(k):
+                slots.update(instance.special_slot_pairs(i))
+            mu = len(output & slots)
+            correct = is_maximal_matching(instance.graph, output)
+            expected_mu += prob * mu
+            if not correct:
+                error_prob += prob
+            row = (
+                j_star,
+                *(table[i][j] for i in range(k) for j in range(t)),
+                pi_p,
+                *pi_u,
+                1 if correct else 0,
+                mu,
+            )
+            if builder is not None:
+                builder.add(row, prob)
+            else:
+                pmf[row] = pmf.get(row, 0.0) + prob
+    dist = builder.build() if builder is not None else JointDistribution(names, pmf)
+    return dist, expected_mu, error_prob, worst_bits
+
+
+def _sigma(hard, seed):
+    """Identity for ``seed=None``, else a seeded shuffle of [n]."""
+    sigma = list(identity_sigma(hard))
+    if seed is not None:
+        random.Random(seed).shuffle(sigma)
+    return tuple(sigma)
+
+
+def _all_views(outcome):
+    return (*outcome.public, *itertools.chain(*outcome.unique), *outcome.referee)
+
+
+PROTOCOLS = {
+    "full": FullNeighborhoodMatching,
+    "sampled2": lambda: SampledEdgesMatching(2),
+    "sampled1": lambda: SampledEdgesMatching(1),
+    "sampled0": lambda: SampledEdgesMatching(0),
+    "flipped": lambda: Flipped(SampledEdgesMatching(1)),
+    "padded": lambda: Padded(SampledEdgesMatching(1)),
+    "label-padded": lambda: LabelPadded(SampledEdgesMatching(1)),
+}
+MODES = {
+    "table": ("table", False),
+    "reference": ("reference", False),
+    "exact": ("table", True),
+}
+
+
+class TestAgainstReferenceLoop:
+    """The outcome table plus the work-once loop reproduce the old
+    per-outcome loop bit for bit."""
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("sigma_seed", [None, 11])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_identical_to_reference(self, name, t, sigma_seed, mode):
+        kernel, exact = MODES[mode]
+        hard = micro_distribution(r=1, t=t, k=2)
+        sigma = _sigma(hard, sigma_seed)
+        protocol = PROTOCOLS[name]()
+        got = analyze_protocol(hard, protocol, COINS, sigma, kernel=kernel, exact=exact)
+        dist, mu, err, bits = _reference_analysis(
+            hard, protocol, COINS, sigma, kernel=kernel, exact=exact
+        )
+        if kernel == "table":
+            assert got.dist.to_bytes() == dist.to_bytes()
+        else:
+            assert got.dist.pmf == dist.pmf
+        assert got.expected_mu == mu
+        assert got.error_probability == err
+        assert type(got.expected_mu) is type(mu)
+        assert got.worst_case_bits == bits
+
+    @pytest.mark.parametrize("sigma_seed", [None, 11])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_sketch_once_per_view_decode_once_per_transcript(
+        self, name, t, sigma_seed
+    ):
+        hard = micro_distribution(r=1, t=t, k=2)
+        sigma = _sigma(hard, sigma_seed)
+        inner = PROTOCOLS[name]()
+        counting = Counting(inner)
+        analyze_protocol(hard, counting, COINS, sigma)
+        outcomes = exact_outcomes(hard, sigma)
+        views = {view for outcome in outcomes for view in _all_views(outcome)}
+        assert len(counting.sketched) == len(set(counting.sketched))
+        assert set(counting.sketched) == views
+        transcripts = {
+            tuple((v.vertex, inner.sketch(v, COINS)) for v in outcome.referee)
+            for outcome in outcomes
+        }
+        assert len(counting.decoded) == len(set(counting.decoded))
+        assert set(counting.decoded) == transcripts
+        # The point of the table: far fewer views than player slots.
+        assert len(views) < len(outcomes)
+
+
+class TestExactOutcomes:
+    @pytest.mark.parametrize("sigma_seed", [None, 5])
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_records_match_player_split(self, t, sigma_seed):
+        hard = micro_distribution(r=1, t=t, k=2)
+        sigma = _sigma(hard, sigma_seed)
+        outcomes = exact_outcomes(hard, sigma)
+        order = itertools.product(range(t), enumerate_indicator_tables(hard))
+        pairs = list(zip(outcomes, order, strict=True))
+        for outcome, (j_star, table) in pairs:
+            assert (outcome.j_star, outcome.indicators) == (j_star, table)
+            instance = DMMInstance(
+                hard=hard, j_star=j_star, sigma=sigma, indicators=table
+            )
+            split = player_split(instance)
+            views = vertex_player_views(instance)
+            assert outcome.referee == tuple(views[v] for v in sorted(views))
+            assert outcome.public == tuple(
+                split.public[v] for v in sorted(split.public)
+            )
+            assert outcome.unique == tuple(
+                tuple(
+                    split.unique[(i, v)]
+                    for v in sorted(v for (ci, v) in split.unique if ci == i)
+                )
+                for i in range(hard.k)
+            )
+            assert outcome.slots == frozenset(
+                pair for i in range(hard.k) for pair in instance.special_slot_pairs(i)
+            )
+            assert outcome.graph == instance.graph
+
+    def test_equal_values_are_shared(self):
+        outcomes = exact_outcomes(micro_distribution(r=1, t=3, k=2))
+        for values in (
+            [view for outcome in outcomes for view in _all_views(outcome)],
+            [outcome.public for outcome in outcomes],
+            [group for outcome in outcomes for group in outcome.unique],
+            [outcome.referee for outcome in outcomes],
+            [outcome.slots for outcome in outcomes],
+            [outcome.graph for outcome in outcomes],
+        ):
+            assert len({id(v) for v in values}) == len(set(values))
+
+    def test_second_call_is_a_cache_hit(self):
+        hard = micro_distribution(r=1, t=3, k=2)
+        first = exact_outcomes(hard)
+        stats = construction_cache().stats
+        hits = stats.hits
+        assert exact_outcomes(hard, identity_sigma(hard)) is first
+        assert stats.hits == hits + 1
+
+    def test_other_sigma_is_another_table(self):
+        hard = micro_distribution(r=1, t=2, k=2)
+        assert exact_outcomes(hard) != exact_outcomes(hard, _sigma(hard, 3))
+
+    def test_cache_disabled_gives_equal_analyses(self):
+        hard = micro_distribution(r=1, t=3, k=2)
+        cached = analyze_protocol(hard, SampledEdgesMatching(1), COINS, exact=True)
+        configure_cache(enabled=False)
+        try:
+            assert exact_outcomes(hard) is not exact_outcomes(hard)
+            uncached = analyze_protocol(
+                hard, SampledEdgesMatching(1), COINS, exact=True
+            )
+        finally:
+            configure_cache()
+        assert uncached == cached
+
+    def test_pickle_round_trip(self):
+        outcomes = exact_outcomes(micro_distribution(r=1, t=3, k=2))
+        again = pickle.loads(pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL))
+        assert again == outcomes
+        views = [view for outcome in again for view in _all_views(outcome)]
+        assert len({id(v) for v in views}) == len(set(views))
+
+    def test_disk_tier_round_trip(self, tmp_path):
+        hard = micro_distribution(r=1, t=2, k=2)
+        try:
+            configure_cache(directory=tmp_path)
+            stored = exact_outcomes(hard)
+            loaded = configure_cache(directory=tmp_path)
+            assert exact_outcomes(hard) == stored
+            assert loaded.stats.disk_hits == 1
+        finally:
+            configure_cache()
+
+
+class TestLemmaQuantityCache:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_quantities_equal_direct_recomputation(self, exact):
+        hard = micro_distribution(r=1, t=3, k=2)
+        a = analyze_protocol(hard, SampledEdgesMatching(1), COINS, exact=exact)
+        dist = a.dist
+
+        def expectation_over_j(a_vars, b_vars):
+            total = 0.0
+            for j in range(hard.t):
+                p_j = dist.probability(J=j)
+                if p_j > 0:
+                    cond = dist.condition(J=j)
+                    total += p_j * cond.mutual_information(a_vars(j), b_vars)
+            return total
+
+        assert [(j, p) for j, p, _ in a.conditionals] == [
+            (j, dist.probability(J=j)) for j in range(hard.t)
+        ]
+        for j, _, cond in a.conditionals:
+            assert cond.to_bytes() == dist.condition(J=j).to_bytes()
+        assert a.information_revealed == expectation_over_j(
+            a.m_vars, a.transcript_vars
+        )
+        assert a.public_entropy == dist.entropy(["PiP"])
+        for i in range(hard.k):
+            assert a.unique_information(i) == expectation_over_j(
+                lambda j: [f"M_{i}_{j}"], [f"PiU_{i}"]
+            )
+            assert a.unique_entropy(i) == dist.entropy([f"PiU_{i}"])
+        assert a.lemma34_rhs == a.public_entropy + sum(
+            a.unique_information(i) for i in range(hard.k)
+        )
+
+    def test_l35_accessors_condition_at_most_t_times(self, monkeypatch):
+        hard = micro_distribution(r=1, t=3, k=2)
+        a = analyze_protocol(hard, SampledEdgesMatching(1), COINS, exact=True)
+        calls = {"condition": 0, "entropy": 0, "mutual_information": 0}
+
+        def counting(name):
+            method = getattr(TableDistribution, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(TableDistribution, name, counting(name))
+
+        def read_l35():
+            for i in range(hard.k):
+                a.unique_information(i)
+                a.unique_entropy(i)
+                a.lemma35_holds(i)
+            a.lemma35_all_hold()
+
+        read_l35()
+        first = dict(calls)
+        read_l35()
+        assert calls == first
+        assert 0 < calls["condition"] <= hard.t
+        # Lemmas 3.3 and 3.4 reuse the same conditionals.
+        a.lemma33_holds()
+        a.lemma34_holds()
+        assert calls["condition"] == first["condition"]
