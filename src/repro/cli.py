@@ -130,11 +130,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the construction cache entirely",
     )
-    parser.add_argument(
-        "--no-batch-sketch",
-        action="store_true",
-        help="force per-view sketch construction (disable the batched runtime)",
-    )
 
 
 def _add_store_flag(parser: argparse.ArgumentParser) -> None:
@@ -184,7 +179,6 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         workers=getattr(args, "workers", None),
         cache_dir=getattr(args, "cache_dir", None),
         no_cache=getattr(args, "no_cache", False),
-        batch_sketch=not getattr(args, "no_batch_sketch", False),
     )
 
 

@@ -49,7 +49,8 @@ class CheckContext:
 
     Layer-specific attributes (set via plain attribute assignment):
 
-    * codec: ``fast_message``, ``legacy_message``, ``ops``;
+    * codec: ``fast_message``, ``legacy_message``, ``ops``,
+      ``writer_bits``;
     * graphs: ``builder`` (mutable Graph), ``frozen`` (FrozenGraph);
     * infotheory: ``table`` (TableDistribution), ``ref``
       (JointDistribution), ``variables``;
@@ -129,8 +130,11 @@ def _law_relabel(ctx: CheckContext) -> str | None:
         if not labels:
             return None
         shuffled = list(labels)
-        ctx.case.rng("relabel").shuffle(shuffled)
-        mapping = dict(zip(labels, shuffled))
+        rng = ctx.case.rng("relabel")
+        rng.shuffle(shuffled)
+        # A permutation of the labels, or a map onto fresh ones.
+        offset = rng.choice((0, 100))
+        mapping = {v: w + offset for v, w in zip(labels, shuffled)}
         fast = frozen.relabel(mapping)
         oracle = ctx.builder.relabel(mapping).freeze()
         if fast.to_bytes() != oracle.to_bytes():
@@ -167,7 +171,7 @@ def _law_relabel(ctx: CheckContext) -> str | None:
 
 
 def _variable_subsets(variables: tuple[str, ...]) -> list[list[str]]:
-    """All nonempty variable subsets (the domains are tiny: <= 3 vars)."""
+    """All nonempty variable subsets (the domains are tiny: <= 4 vars)."""
     out: list[list[str]] = []
     n = len(variables)
     for mask in range(1, 1 << n):

@@ -20,7 +20,8 @@ seed, *build* the artifacts both implementations produce on it, and run
 the *differential* comparison.  ``check(case)`` is the uniform entry
 point: it returns one :class:`Verdict` for the differential plus one per
 applicable metamorphic law (see :mod:`repro.conformance.laws`).  The
-fuzz driver, the CLI, and the fault-injection tests all go through it.
+fuzz driver, the CLI, the test suite's registry-driven test and the
+fault-injection tests all go through it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..model import (
     PublicCoins,
     run_protocol,
     run_protocol_batch,
-    set_batch_sketching,
     views_of,
 )
 from ..model.reference import LegacyBitReader, LegacyBitWriter, LegacyMessage
@@ -57,6 +57,7 @@ PROTOCOL_SPECS = (
     "full",
     "sampled:2",
     "degree-adaptive:2",
+    "low-degree:3",
     "low-degree:4",
     "hybrid:3,2",
     "priority:1",
@@ -163,12 +164,12 @@ def _codec_generate(seed: int) -> Case:
             atoms.append(("uint", rng.randrange(1 << width) if width else 0, width))
         elif kind == "uintarr":
             width = rng.randint(1, 16)
-            values = [rng.randrange(1 << width) for _ in range(rng.randint(0, 6))]
+            values = [rng.randrange(1 << width) for _ in range(rng.randint(0, 8))]
             atoms.append(("uintarr", width, *values))
         elif kind == "varint":
             # Bias toward the 7/14/21-bit continuation edges.
             edge = rng.choice((0, 1, 127, 128, 16383, 16384, 2097151, 2097152))
-            atoms.append(("varint", rng.choice((edge, rng.randrange(1 << 24)))))
+            atoms.append(("varint", rng.choice((edge, rng.randrange(1 << 41)))))
         else:
             width = rng.randint(1, _MAX_INT_WIDTH)
             lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
@@ -208,6 +209,7 @@ def _codec_build(case: Case) -> CheckContext:
     fast = fast_writer.to_message()
     legacy = legacy_writer.to_message()
     ctx.ops = case.atoms
+    ctx.writer_bits = fast_writer.num_bits
     ctx.fast_message = fast
     ctx.legacy_message = legacy
     ctx.messages.append(fast)
@@ -248,6 +250,18 @@ def _codec_read(reader, atom):
     raise ValueError(f"unknown codec op {kind!r}")
 
 
+def _codec_atom_bits(atom) -> int:
+    """The bits one op atom is charged, from the wire format alone."""
+    kind = atom[0]
+    if kind == "bit":
+        return 1
+    if kind == "uintarr":
+        return atom[1] * (len(atom) - 2)
+    if kind == "varint":
+        return 8 * max(1, -(-atom[1].bit_length() // 7))
+    return atom[2]
+
+
 def _codec_written_value(atom):
     kind = atom[0]
     if kind == "uintarr":
@@ -257,11 +271,14 @@ def _codec_written_value(atom):
 
 def _codec_differential(ctx: CheckContext) -> "str | None":
     fast, legacy = ctx.fast_message, ctx.legacy_message
-    if fast.num_bits != legacy.num_bits:
-        return (
-            f"charged bits differ: packed {fast.num_bits} vs legacy "
-            f"{legacy.num_bits}"
-        )
+    expected = sum(map(_codec_atom_bits, ctx.ops))
+    for label, bits in (
+        ("packed writer", ctx.writer_bits),
+        ("packed message", fast.num_bits),
+        ("legacy message", legacy.num_bits),
+    ):
+        if bits != expected:
+            return f"{label} charged {bits} bits, the ops encode {expected}"
     if fast.bits != tuple(legacy.bits):
         return "bit strings differ between packed and legacy writers"
     # Read-back: the packed reader over the packed message, the legacy
@@ -339,20 +356,24 @@ def _graphs_build(case: Case) -> CheckContext:
 
 def _graphs_differential(ctx: CheckContext) -> "str | None":
     g, f = ctx.builder, ctx.frozen
+    if not (f == g and g == f):
+        return "frozen graph and builder compare unequal"
     if f.vertices != g.vertices:
         return f"vertex sets differ: {sorted(f.vertices)} vs {sorted(g.vertices)}"
+    if len(f) != len(g) or f.num_vertices() != g.num_vertices():
+        return f"vertex counts differ: {len(f)} vs {len(g)}"
     if f.num_edges() != g.num_edges():
         return f"edge counts differ: {f.num_edges()} vs {g.num_edges()}"
     if f.edge_set() != g.edge_set():
         return "edge sets differ"
     if f.max_degree() != g.max_degree():
         return f"max degree differs: {f.max_degree()} vs {g.max_degree()}"
-    if sorted(f.edges()) != sorted(g.edges()):
-        return "edges() streams differ"
+    if list(f.edges()) != sorted(g.edge_set()):
+        return "edges() is not the edge set in ascending (u < v) order"
     if f.adjacency() != g.adjacency():
         return "adjacency views differ"
     for v in g.vertices:
-        if not f.has_vertex(v):
+        if not (f.has_vertex(v) and v in f):
             return f"frozen graph lost vertex {v}"
         if f.neighbors(v) != g.neighbors(v):
             return f"neighbors of {v} differ"
@@ -360,21 +381,58 @@ def _graphs_differential(ctx: CheckContext) -> "str | None":
             return f"degree of {v} differs"
         if f.neighbors_sorted(v) != tuple(sorted(g.neighbors(v))):
             return f"sorted neighbors of {v} differ"
+        if sorted(f.incident_edges(v)) != sorted(g.incident_edges(v)):
+            return f"incident edges of {v} differ"
     for u, v in g.edges():
         if not (f.has_edge(u, v) and f.has_edge(v, u)):
             return f"frozen graph lost edge ({u}, {v})"
     absent = (_GRAPH_LABELS + 1, _GRAPH_LABELS + 2)
     if f.has_edge(*absent):
         return f"frozen graph invented edge {absent}"
-    # Induced subgraph on a derived half of the vertices must commute
-    # with freezing.
-    keep = sorted(ctx.case.rng("induced").sample(
-        sorted(g.vertices), k=len(g.vertices) // 2
-    )) if g.vertices else []
-    fast_sub = f.induced_subgraph(keep)
+    if f.to_builder() != g:
+        return "to_builder() does not invert freeze()"
+    for label, direct in (
+        ("from_edges", FrozenGraph.from_edges(g.vertices, g.edges())),
+        (
+            "from_adjacency",
+            FrozenGraph.from_adjacency({v: set(g.neighbors(v)) for v in g.vertices}),
+        ),
+    ):
+        if direct.to_bytes() != f.to_bytes() or direct.digest != f.digest:
+            return f"{label} disagrees with freeze()"
+    labels = range(_GRAPH_LABELS)
+    rng = ctx.case.rng("independent")
+    for _ in range(4):
+        candidate = rng.sample(labels, rng.randint(0, 6))
+        if f.is_independent_set(candidate) != g.is_independent_set(candidate):
+            return f"is_independent_set({candidate}) differs"
+    # Induced subgraph and union must commute with freezing; the kept
+    # labels may include ones the graph does not have.
+    rng = ctx.case.rng("induced")
+    keep = sorted(rng.sample(labels, rng.randint(0, 8)))
     oracle_sub = g.induced_subgraph(keep).freeze()
-    if fast_sub.to_bytes() != oracle_sub.to_bytes():
+    if f.induced_subgraph(keep).to_bytes() != oracle_sub.to_bytes():
         return f"induced_subgraph({keep}) differs between implementations"
+    left = _graph_from_atoms(ctx.case.atoms[0::2])
+    right = _graph_from_atoms(ctx.case.atoms[1::2])
+    expected = left.union(right).freeze().to_bytes()
+    for label, other in (("frozen", right.freeze()), ("mutable", right)):
+        if left.freeze().union(other).to_bytes() != expected:
+            return f"union with a {label} right operand differs from the builder's"
+    # The CSR form is a function of the graph, not of how it was built:
+    # shuffled atoms with flipped edge endpoints freeze identically.
+    rng = ctx.case.rng("insertion-order")
+    atoms = list(ctx.case.atoms)
+    rng.shuffle(atoms)
+    flipped = [
+        ("e", atom[2], atom[1]) if atom[0] == "e" and rng.random() < 0.5 else atom
+        for atom in atoms
+    ]
+    again = _graph_from_atoms(flipped).freeze()
+    if (again.to_bytes(), again.digest, hash(again), list(again.edges())) != (
+        f.to_bytes(), f.digest, hash(f), list(f.edges())
+    ):
+        return "freezing depends on insertion order"
     return None
 
 
@@ -385,9 +443,14 @@ _VALUE_DOMAIN = 4
 _PROB_TOLERANCE = 1e-9
 
 
+def _differ(a, b: float, tol: float = _PROB_TOLERANCE) -> bool:
+    """Whether a table value (float or Fraction) and a dict value differ."""
+    return not math.isclose(float(a), b, abs_tol=tol)
+
+
 def _infotheory_generate(seed: int) -> Case:
     rng = case_rng(seed)
-    k = rng.randint(1, 3)
+    k = rng.randint(1, 4)
     exact = rng.random() < 0.25
     atoms = []
     for _ in range(rng.randint(1, 12)):
@@ -442,40 +505,72 @@ def _infotheory_differential(ctx: CheckContext) -> "str | None":
     table, ref = ctx.table, ctx.ref
     if table is None:
         return None
-    if table.support() != ref.support():
+    if set(table.pmf) != set(ref.pmf) or table.support() != ref.support():
         return "supports differ between table and dict kernels"
     for outcome, prob in ref.items():
         got = float(table.get(outcome))
-        if not math.isclose(got, prob, abs_tol=_PROB_TOLERANCE):
+        if _differ(got, prob):
             return f"P[{outcome!r}] differs: table {got} vs dict {prob}"
     variables = list(table.variables)
+    first = variables[0]
+    rng = ctx.case.rng("given")
     for mask in range(1, 1 << len(variables)):
         subset = [v for i, v in enumerate(variables) if mask >> i & 1]
-        a, b = table.entropy(subset), ref.entropy(subset)
-        if not math.isclose(a, b, abs_tol=_PROB_TOLERANCE):
-            return f"H({subset}) differs: table {a} vs dict {b}"
-    if len(variables) >= 2:
-        first, rest = [variables[0]], variables[1:]
-        a = table.entropy(rest, given=first)
-        b = ref.entropy(rest, given=first)
-        if not math.isclose(a, b, abs_tol=_PROB_TOLERANCE):
-            return f"H(rest|{first[0]}) differs: table {a} vs dict {b}"
-        a = table.mutual_information(first, rest)
-        b = ref.mutual_information(first, rest)
-        if not math.isclose(a, b, abs_tol=_PROB_TOLERANCE):
-            return f"I({first[0]};rest) differs: table {a} vs dict {b}"
-        value = next(iter(table.marginal(first).support()))[0]
-        cond_a = table.condition(**{variables[0]: value})
-        cond_b = ref.condition(**{variables[0]: value})
-        if cond_a.support() != cond_b.support():
-            return f"conditional supports differ given {variables[0]}={value!r}"
-        for outcome, prob in cond_b.items():
-            got = float(cond_a.get(outcome))
-            if not math.isclose(got, prob, abs_tol=1e-7):
-                return (
-                    f"P[{outcome!r} | {variables[0]}={value!r}] differs: "
-                    f"table {got} vs dict {prob}"
-                )
+        if table.support(subset) != ref.support(subset):
+            return f"support({subset}) differs between table and dict kernels"
+        # Marginals keep the order the variables were asked in.
+        backwards = subset[::-1]
+        m_table, m_ref = table.marginal(backwards), ref.marginal(backwards)
+        if tuple(m_table.variables) != tuple(m_ref.variables):
+            return f"marginal({backwards}) variable orders differ"
+        for outcome, prob in m_ref.items():
+            if _differ(m_table.get(outcome), prob):
+                return f"marginal({backwards}) differs at {outcome!r}"
+        given = [v for v in variables if rng.random() < 0.5]
+        for cond in ([], [first], given):
+            a, b = table.entropy(subset, given=cond), ref.entropy(subset, given=cond)
+            if _differ(a, b):
+                return f"H({subset}|{cond}) differs: table {a} vs dict {b}"
+    for value in sorted(o[0] for o in ref.support([first])):
+        a, b = table.probability(**{first: value}), ref.probability(**{first: value})
+        if _differ(a, b):
+            return f"P[{first}={value!r}] differs: table {a} vs dict {b}"
+    if len(variables) < 2:
+        return None
+    # I(x0; rest) and I(x0; x1 | x2..), with the independence test.
+    for xs, ys, zs in (
+        ([first], variables[1:], []),
+        ([first], variables[1:2], variables[2:]),
+    ):
+        a = table.mutual_information(xs, ys, given=zs)
+        b = ref.mutual_information(xs, ys, given=zs)
+        if _differ(a, b):
+            return f"I({xs};{ys}|{zs}) differs: table {a} vs dict {b}"
+        if table.is_independent(xs, ys, given=zs) != ref.is_independent(
+            xs, ys, given=zs
+        ):
+            return f"is_independent({xs};{ys}|{zs}) differs"
+    last = variables[-1]
+    for outcome in sorted(ref.support([first, last])):
+        fixed = dict(zip((first, last), outcome))
+        if _differ(table.probability(**fixed), ref.probability(**fixed)):
+            return f"P[{fixed}] differs between table and dict kernels"
+    # Conditioning on every value of every variable.
+    for name in variables:
+        for value in sorted(o[0] for o in ref.support([name])):
+            cond_a = table.condition(**{name: value})
+            cond_b = ref.condition(**{name: value})
+            if tuple(cond_a.variables) != tuple(cond_b.variables):
+                return f"conditional variables differ given {name}={value!r}"
+            if cond_a.support() != cond_b.support():
+                return f"conditional supports differ given {name}={value!r}"
+            for outcome, prob in cond_b.items():
+                got = float(cond_a.get(outcome))
+                if _differ(got, prob, tol=1e-7):
+                    return (
+                        f"P[{outcome!r} | {name}={value!r}] differs: "
+                        f"table {got} vs dict {prob}"
+                    )
     return None
 
 
@@ -499,14 +594,6 @@ def _sketches_generate(seed: int) -> Case:
     )
 
 
-def _sketch_batch_transcript(frozen, protocol, coins):
-    previous = set_batch_sketching(True)
-    try:
-        return run_protocol(frozen, protocol, coins)
-    finally:
-        set_batch_sketching(previous)
-
-
 def _sketches_build(case: Case) -> CheckContext:
     ctx = CheckContext(case)
     n = case.params["n"]
@@ -517,7 +604,7 @@ def _sketches_build(case: Case) -> CheckContext:
     frozen = g.freeze()
     coins = PublicCoins(seed=case.seed)
     protocol = make_protocol(case.params["spec"])
-    batch = _sketch_batch_transcript(frozen, protocol, coins)
+    batch = run_protocol(frozen, protocol, coins)
     perview = run_protocol(
         frozen, protocol, coins, views=views_of(frozen, n=n)
     )
@@ -529,9 +616,7 @@ def _sketches_build(case: Case) -> CheckContext:
     ctx.perview_run = perview
     ctx.messages.extend(batch.transcript.sketches.values())
     ctx.rerun_baseline = batch.transcript.sketches
-    ctx.rerun = lambda: _sketch_batch_transcript(
-        frozen, protocol, coins
-    ).transcript.sketches
+    ctx.rerun = lambda: run_protocol(frozen, protocol, coins).transcript.sketches
     family = SketchFamily.incidence(
         L0Config.for_universe(n * n), coins, ("conformance/0",), magnitude=n
     )

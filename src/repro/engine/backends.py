@@ -25,6 +25,7 @@ import pickle
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 #: True only inside a pool worker process (set by the pool initializer).
@@ -69,7 +70,10 @@ class ProcessPoolBackend(ExecutionBackend):
     """Fan tasks out over a process pool, preserving order.
 
     The executor is created lazily and reused across ``map`` calls; call
-    :meth:`close` (or let interpreter exit do it) to shut it down.
+    :meth:`close` (or let interpreter exit do it) to shut it down.  A
+    worker that dies breaks the executor: that ``map`` raises
+    ``BrokenProcessPool`` and the executor is dropped, so the next
+    ``map`` starts a fresh pool.
     """
 
     name = "process-pool"
@@ -104,7 +108,11 @@ class ProcessPoolBackend(ExecutionBackend):
             return [fn(item) for item in items]
         chunksize = max(1, len(items) // (self.workers * 4))
         executor = self._ensure_executor()
-        return list(executor.map(fn, items, chunksize=chunksize))
+        try:
+            return list(executor.map(fn, items, chunksize=chunksize))
+        except BrokenProcessPool:
+            self.close()
+            raise
 
     def close(self) -> None:
         if self._executor is not None:

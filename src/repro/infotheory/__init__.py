@@ -4,9 +4,10 @@ Two interchangeable distribution implementations live here: the
 columnar log-space :class:`TableDistribution` kernel (``table.py``, the
 default on all hot paths) and the original dict-of-tuples
 :class:`JointDistribution` oracle (``reference.py``), kept for the
-differential suite.  Both share the same observable API — marginal /
-condition / support / probability / entropy / mutual_information plus
-the ``items()`` / ``get()`` accessors the divergence helpers run on.
+oracle registry's ``infotheory`` pair and the differential suite.  Both
+share the same observable API — marginal / condition / support /
+probability / entropy / mutual_information plus the ``items()`` /
+``get()`` accessors the divergence helpers run on.
 """
 
 from .reference import NORMALIZATION_TOLERANCE, JointDistribution, Outcome

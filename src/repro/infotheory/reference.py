@@ -4,11 +4,13 @@ This is the original implementation of the exact finite joint
 distribution the lemma checkers were built on: a dict mapping full
 outcome tuples to float probabilities.  The columnar kernel in
 :mod:`repro.infotheory.table` replaced it on the hot paths, but this
-module is kept verbatim-in-spirit as the *oracle*: the differential
-suite (``tests/test_infotheory_differential.py``) proves the two
-implementations observationally equivalent on marginals, conditionals,
-entropies, mutual informations, and divergences, exactly as
-``tests/test_frozen_differential.py`` does for the graph core.
+module is kept verbatim-in-spirit as the *oracle*: the oracle
+registry's ``infotheory`` pair (``repro.conformance.oracles``) and the
+differential suite (``tests/test_infotheory_differential.py``) prove
+the two implementations observationally equivalent on supports,
+marginals, conditionals, entropies and mutual informations, exactly as
+the ``graphs`` pair and ``tests/test_frozen_differential.py`` do for
+the graph core; the suite also covers divergences.
 
 Probabilities are floats.  Construction validates normalization within
 :data:`NORMALIZATION_TOLERANCE` and drops zero-probability outcomes, so

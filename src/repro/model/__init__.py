@@ -17,12 +17,10 @@ from .runner import (
     AdaptiveRun,
     ProtocolRun,
     Transcript,
-    batch_sketching_enabled,
     estimate_success_probability,
     run_adaptive_protocol,
     run_protocol,
     run_protocol_batch,
-    set_batch_sketching,
 )
 from .views import VertexView, restricted_view, views_of
 
@@ -43,7 +41,6 @@ __all__ = [
     "VertexView",
     "as_one_round_bcc",
     "assert_packed_accounting",
-    "batch_sketching_enabled",
     "decode_vertex_set",
     "encode_vertex_set",
     "estimate_success_probability",
@@ -52,6 +49,5 @@ __all__ = [
     "run_adaptive_protocol",
     "run_protocol",
     "run_protocol_batch",
-    "set_batch_sketching",
     "views_of",
 ]

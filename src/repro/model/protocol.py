@@ -58,8 +58,8 @@ class BatchSketchProtocol(SketchProtocol):
         ``sketch_batch(graph, n, coins)[v] == sketch(views_of(graph, n)[v], coins)``
 
     for all players v.  The per-view path is the differential oracle
-    (tests/test_sketch_core.py fuzzes the equality; the golden vectors
-    pin it on fixed instances), and the runner silently falls back to it
+    (the oracle registry's ``sketches`` pair and tests/test_sketch_core.py
+    fuzz the equality; the golden vectors pin it on fixed instances), and the runner takes it
     for mutable builders or caller-supplied views.
     """
 

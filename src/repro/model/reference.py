@@ -4,9 +4,10 @@ This is the original implementation of ``repro.model.messages``: every
 bit is one Python ``int`` in a ``list``/``tuple``.  It is *not* part of
 the public API and no protocol uses it — it exists so that
 
-* the cross-representation property tests in ``tests/test_codec_fuzz.py``
-  can fuzz arbitrary op sequences against an independent implementation
-  of the same bit format, and
+* the oracle registry's ``codec`` pair (``repro.conformance.oracles``)
+  and the property tests in ``tests/test_codec_fuzz.py`` can fuzz
+  arbitrary op sequences against an independent implementation of the
+  same bit format, and
 * ``benchmarks/bench_messages.py`` can measure the packed codec's
   speedup against the per-bit baseline it replaced.
 

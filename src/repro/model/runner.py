@@ -23,30 +23,6 @@ from .messages import Message, assert_packed_accounting
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
 from .views import VertexView, views_of
 
-#: Process-global switch for the batched sketch fast path.  On by
-#: default; the CLI's ``--no-batch-sketch`` and the differential tests
-#: flip it to force the per-view oracle.
-_BATCH_SKETCHING = True
-
-
-def set_batch_sketching(enabled: bool) -> bool:
-    """Enable/disable the batched fast path; returns the previous value.
-
-    Batch and per-view construction are bit-identical by contract, so
-    the switch can only ever change timings — it exists for A/B
-    benchmarking and for pinning the oracle in differential tests.
-    """
-    global _BATCH_SKETCHING
-    previous = _BATCH_SKETCHING
-    _BATCH_SKETCHING = bool(enabled)
-    return previous
-
-
-def batch_sketching_enabled() -> bool:
-    """Whether ``run_protocol`` may take the batched fast path."""
-    return _BATCH_SKETCHING
-
-
 def charge_transcript(
     transcript: "Transcript", protocol_name: str, round_index: int | None = None
 ) -> None:
@@ -131,19 +107,22 @@ def run_protocol(
     (e.g. the public/unique player split of Section 3.1); by default each
     vertex of the graph is one player with its full neighborhood.
 
-    Fast path: when the graph is frozen, the protocol implements
-    :class:`~repro.model.protocol.BatchSketchProtocol`, and no custom
-    views are supplied, all players' messages are built in one batched
-    pass over the CSR buffers.  Batch and per-view messages are
-    bit-identical by contract, so the transcript (and therefore every
-    downstream cost or lemma computation) is unchanged.
+    The path is picked from the inputs alone.  When the graph is
+    frozen, the protocol implements
+    :class:`~repro.model.protocol.BatchSketchProtocol`, and no ``views``
+    are supplied, all players' messages are built in one batched pass
+    over the CSR buffers.  Otherwise each player's message is one
+    ``sketch(view, coins)`` call — the model's definition, and the
+    reference the batch path is checked against: pass
+    ``views=views_of(graph, n)`` to force it.  Batch and per-view
+    messages are bit-identical by contract, so the transcript (and
+    therefore every downstream cost or lemma computation) is unchanged.
     """
     if n is None:
         n = graph.num_vertices()
     with obs.span("protocol.sketch", protocol=protocol.name, players=n):
         if (
             views is None
-            and _BATCH_SKETCHING
             and isinstance(graph, FrozenGraph)
             and isinstance(protocol, BatchSketchProtocol)
         ):

@@ -62,13 +62,9 @@ def build_engine(
     workers: int | str | None = None,
     cache_dir: str | None = None,
     no_cache: bool = False,
-    batch_sketch: bool = True,
 ) -> ExecutionEngine:
     """Build an engine from the shared CLI flags and install it as default."""
-    from ..model import set_batch_sketching
-
     cache = configure_cache(directory=cache_dir, enabled=not no_cache)
-    set_batch_sketching(batch_sketch)
     if workers is None:
         workers = workers_from_env()
     return set_default_engine(ExecutionEngine(workers=workers, cache=cache))

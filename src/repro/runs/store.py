@@ -242,12 +242,18 @@ class RunStore:
             "record": payload,
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(frame, sort_keys=True) + "\n"
-        with self.path_for(record.experiment_id).open("a") as fh:
+        line = (json.dumps(frame, sort_keys=True) + "\n").encode()
+        with self.path_for(record.experiment_id).open("ab+") as fh:
+            # A write killed mid-line leaves no trailing newline; start a
+            # fresh line so this record is not glued onto the torn one.
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
             fh.write(line)
         recorder = obs.active()
         if recorder is not None:
             recorder.count(STORE_RECORDS)
-            recorder.count(STORE_BYTES, len(line.encode()))
+            recorder.count(STORE_BYTES, len(line))
         self._load()[record.key] = record
         return record.key

@@ -28,9 +28,9 @@ Bit identity is the contract, not an aspiration: ``encode`` emits the
 exact bit stream of the historical per-label ``L0Sampler.encode`` loop
 (concatenated MSB-first fixed-width writes are associative), the batch
 update order is irrelevant because every cell is a sum in Z or Z_q, and
-the golden vectors in ``tests/data/golden_messages.json`` plus the
-hypothesis suite in ``tests/test_sketch_core.py`` pin the equality
-against the per-view oracle.
+the golden vectors in ``tests/data/golden_messages.json``, the oracle
+registry's ``sketches`` pair and ``tests/test_sketch_core.py`` pin the
+equality against the per-view oracle.
 """
 
 from __future__ import annotations

@@ -1,16 +1,20 @@
 """Conformance subsystem: registry, laws, fuzz driver, shrinker, bundles.
 
-The conformance sweep itself (``repro conformance run``) is the
-acceptance test of the oracle pairs; this file tests the *machinery* —
-that case generation is deterministic and replayable, that the budget
-splitter and law registry are complete, and (the load-bearing part) that
-an injected fault in a fast implementation is caught, shrunk to a
-1-minimal counterexample, and survives a bundle round-trip.
+``test_registry_cases_conform`` is the one place the test suite compares
+fast paths with their references: every oracle pair's own generator,
+differential and laws, on Hypothesis-drawn seeds.  The rest of this file
+tests the *machinery* — that case generation is deterministic and
+replayable, that the budget splitter and law registry are complete, and
+(the load-bearing part) that an injected fault in a fast implementation
+is caught, shrunk to a 1-minimal counterexample, and survives a bundle
+round-trip.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conformance import (
     LAWS,
@@ -29,6 +33,17 @@ from repro.conformance import (
     shrink_case,
 )
 from repro.graphs import FrozenGraph
+
+
+@pytest.mark.parametrize("pair", all_pairs(), ids=lambda pair: pair.name)
+@given(seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=200, deadline=None)
+def test_registry_cases_conform(pair, seed):
+    case = pair.generate(seed)
+    bad = [verdict for verdict in pair.check(case) if not verdict.ok]
+    assert not bad, "\n".join(
+        [*(verdict.describe() for verdict in bad), json.dumps(case.to_json())]
+    )
 
 
 class TestRegistry:

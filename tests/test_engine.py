@@ -8,7 +8,9 @@ plus the seed-derivation scheme that replaced the colliding
 ``base_seed * 1_000_003 + trial`` arithmetic.
 """
 
+import os
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,12 @@ def _rng_task(trial: int, seed: int) -> float:
 
 def _item_double(item: int) -> int:
     return item * 2
+
+
+def _die_in_worker(item: int) -> int:
+    if in_worker_process():
+        os._exit(1)
+    return item
 
 
 def _make_graph(trial: int):
@@ -175,6 +183,15 @@ class TestBackends:
             backend.close()
         assert result == [2, 3, 4]
         assert backend.serial_fallbacks == 1
+
+    def test_pool_recovers_after_a_worker_dies(self):
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                backend.map(_die_in_worker, [1, 2, 3])
+            assert backend.map(_item_double, [1, 2, 3]) == [2, 4, 6]
+        finally:
+            backend.close()
 
     def test_not_in_worker_in_main_process(self):
         assert not in_worker_process()

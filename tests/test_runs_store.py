@@ -107,6 +107,27 @@ class TestRunStore:
         assert len(reopened) == 1
         assert reopened.corrupt_entries == 1
 
+    def test_put_after_torn_write_keeps_both_records(self, tmp_path):
+        # A kill mid-append can cut the manifest anywhere inside the last
+        # record.  At every cut, the record before it and a record put
+        # afterwards must both read back.
+        root = tmp_path / "runs"
+        first = make_record()
+        second = make_record(seed=1, params={"m": 8, "k": 2, "seed": 1})
+        third = make_record(seed=2, params={"m": 10, "k": 2, "seed": 2})
+        store = RunStore(root)
+        store.put(first)
+        manifest = store.path_for("F1")
+        intact = manifest.read_bytes()
+        store.put(second)
+        full = manifest.read_bytes()
+        for cut in range(len(intact), len(full)):
+            manifest.write_bytes(full[:cut])
+            RunStore(root).put(third)
+            reopened = RunStore(root)
+            assert reopened.get(first.key) == first, cut
+            assert reopened.get(third.key) == third, cut
+
     def test_checksum_covers_payload(self):
         payload = make_record().to_payload()
         checksum = payload_checksum(payload)

@@ -12,6 +12,9 @@ Three layers of guarantees, all against executable oracles:
   ``sketch_batch`` on a frozen graph is bit-identical to the per-view
   ``sketch`` oracle, player by player — the wire contract of
   :class:`repro.model.BatchSketchProtocol`.
+
+``run_protocol`` picks the batched or the per-view path from its inputs
+alone; the counting-wrapper test pins that rule.
 """
 
 import random
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
-from repro.model import PublicCoins, run_protocol, set_batch_sketching, views_of
+from repro.model import BatchSketchProtocol, PublicCoins, run_protocol, views_of
 from repro.protocols.registry import make_protocol
 from repro.sketches import (
     AGMConnectivity,
@@ -260,11 +263,7 @@ def test_run_protocol_fast_path_matches_slow_path(spec, seed):
     coins = PublicCoins(seed=seed)
     protocol = AGMSpanningForest()
     fast = run_protocol(graph, protocol, coins, n=n)
-    previous = set_batch_sketching(False)
-    try:
-        slow = run_protocol(graph, protocol, coins, n=n)
-    finally:
-        set_batch_sketching(previous)
+    slow = run_protocol(graph, protocol, coins, n=n, views=views_of(graph, n))
     assert fast.output == slow.output
     assert fast.max_bits == slow.max_bits
     for v in graph.sorted_vertices():
@@ -272,6 +271,44 @@ def test_run_protocol_fast_path_matches_slow_path(spec, seed):
             fast.transcript.sketches[v].to_bytes()
             == slow.transcript.sketches[v].to_bytes()
         )
+
+
+class CountingProtocol(BatchSketchProtocol):
+    """Delegates to a batch protocol, counting calls to each path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.sketch_calls = 0
+        self.batch_calls = 0
+
+    def sketch(self, view, coins):
+        self.sketch_calls += 1
+        return self.inner.sketch(view, coins)
+
+    def sketch_batch(self, graph, n, coins):
+        self.batch_calls += 1
+        return self.inner.sketch_batch(graph, n, coins)
+
+    def decode(self, n, sketches, coins):
+        return self.inner.decode(n, sketches, coins)
+
+
+def test_run_protocol_picks_its_path_from_its_inputs():
+    builder = Graph(vertices=range(6))
+    for u, v in ((0, 1), (1, 2), (3, 4)):
+        builder.add_edge(u, v)
+    frozen = builder.freeze()
+    coins = PublicCoins(seed=7)
+    # (batch calls, per-view calls) for each way of calling run_protocol.
+    for graph, views, expected in (
+        (frozen, None, (1, 0)),
+        (frozen, views_of(frozen, 6), (0, 6)),
+        (builder, None, (0, 6)),
+    ):
+        protocol = CountingProtocol(AGMSpanningForest())
+        run_protocol(graph, protocol, coins, n=6, views=views)
+        assert (protocol.batch_calls, protocol.sketch_calls) == expected
 
 
 # ----------------------------------------------------------------------
