@@ -3,9 +3,10 @@
 Times the ``repro.runs`` layer's hot paths:
 
 * store write throughput: ``RunStore.put`` of realistic records
-  (checksum framing + JSONL append);
-* store lookup throughput: warm in-memory ``get`` and cold
-  reopen-then-get (index rebuild from the manifests);
+  (checksum framing + atomic rename, one file per record);
+* store lookup throughput: ``get`` on an open store and on a freshly
+  opened one (each reads and verifies one record file; the store keeps
+  no index, so the two cost the same);
 * sweep-dispatch overhead: ``run_sweep`` over an already-stored grid
   (pure skip path) and ``execute_run`` reuse vs a bare
   ``run_experiment`` call — the per-run tax of content addressing;
@@ -109,7 +110,7 @@ def _skip_only_sweep(store: RunStore):
 
 
 def test_bench_store_writes(benchmark, tmp_path):
-    """Append _N_RECORDS checksum-framed records to fresh manifests."""
+    """Write _N_RECORDS checksum-framed record files into a fresh root."""
     counter = {"i": 0}
 
     def setup():

@@ -18,7 +18,6 @@ from .fuzz import (
     failed_laws,
     load_bundle,
     replay_bundle,
-    replay_case,
     run_conformance,
     shrink_case,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "load_bundle",
     "pairs_for_layers",
     "replay_bundle",
-    "replay_case",
     "run_conformance",
     "shrink_case",
 ]

@@ -304,11 +304,6 @@ def load_bundle(path) -> dict:
     return bundle
 
 
-def replay_case(case: Case) -> list[Verdict]:
-    """Re-check one recorded case against the live registry."""
-    return get_pair(case.pair).check(case)
-
-
 def replay_bundle(bundle: dict, reshrink: bool = True) -> list[Failure]:
     """Re-run every failure of a bundle; returns those that still fail.
 

@@ -13,8 +13,9 @@ Two tiers:
   scale are small), always on unless the cache is disabled;
 * an optional on-disk pickle tier under a directory such as
   ``.repro_cache/``, for reuse across processes and runs.  Disk entries
-  are framed with a magic tag and a SHA-256 checksum of the pickled
-  payload: a truncated, bit-flipped, or otherwise corrupt file can never
+  are written and read through :mod:`repro.engine.framing` (a magic tag
+  and a SHA-256 checksum of the pickled payload, renamed into place): a
+  truncated, bit-flipped, or otherwise corrupt file can never
   deserialize into a wrong value — it reads as a miss, the construction
   reruns, and the bad entry is overwritten with a good one.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -45,6 +45,7 @@ from ..obs import (
     CACHE_MISSES,
     CACHE_STORES,
 )
+from .framing import read_framed, write_framed
 
 T = TypeVar("T")
 
@@ -54,11 +55,10 @@ T = TypeVar("T")
 #: with stale pickle/repr-keyed v1 entries on disk.
 CACHE_SCHEMA_VERSION = 2
 
-#: On-disk entry framing: magic + SHA-256(payload) + pickled payload.
-#: Unframed (pre-checksum) files fail the magic check and read as
-#: misses, so the format change needs no schema bump.
+#: Magic of the on-disk frame (see :mod:`repro.engine.framing`) around
+#: each pickled entry.  Unframed (pre-checksum) files fail the magic
+#: check and read as misses, so the format change needs no schema bump.
 _DISK_MAGIC = b"RPROCACHE1\n"
-_DISK_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def _render(part: Any) -> str:
@@ -197,21 +197,15 @@ class ConstructionCache:
 
     def _load_from_disk(self, key: str) -> Any | None:
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
-            blob = path.read_bytes()
+            payload = read_framed(path, _DISK_MAGIC)
         except OSError:
             return None
-        header = len(_DISK_MAGIC) + _DISK_DIGEST_SIZE
-        if len(blob) < header or not blob.startswith(_DISK_MAGIC):
-            # Unframed, truncated, or foreign file: a miss, not an error.
-            return None
-        checksum = blob[len(_DISK_MAGIC) : header]
-        payload = blob[header:]
-        if hashlib.sha256(payload).digest() != checksum:
-            # Truncation or bit rot after the header: the payload can no
-            # longer be trusted to unpickle into the stored value.
+        if payload is None:
+            # Unframed, truncated, bit-rotted or foreign file: a miss,
+            # not an error.
             return None
         try:
             return pickle.loads(payload)
@@ -226,21 +220,9 @@ class ConstructionCache:
             return
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(_DISK_MAGIC)
-                    fh.write(hashlib.sha256(payload).digest())
-                    fh.write(payload)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError:
+            write_framed(path, _DISK_MAGIC, payload)
+        except (OSError, pickle.PicklingError):
             # Disk tier is best-effort; memory tier already holds the value.
-            pass
-        except pickle.PicklingError:
             pass
 
 

@@ -69,7 +69,3 @@ def konig_cover(graph: GraphLike) -> set[int]:
 
     return (left - reachable) | (right & reachable)
 
-
-def cover_lower_bound(matching: Iterable[Edge]) -> int:
-    """Any matching's size lower-bounds every vertex cover (weak duality)."""
-    return len(list(matching))

@@ -145,25 +145,6 @@ def run_edge_partition_protocol(
     )
 
 
-def partition_entropy(views: list[EdgePartitionView]) -> float:
-    """Entropy (bits) of the realized edge → player assignment.
-
-    Treat the partition as the empirical distribution of a random
-    edge's owner (a columnar
-    :class:`~repro.infotheory.table.TableDistribution` over one
-    "player" variable).  A uniform random partition converges to
-    ``log2 p``; the EPART experiment reports the realized value so the
-    [14]-model comparison can show its input assumption actually held.
-    """
-    from ..infotheory import TableDistribution
-
-    samples = [(view.player,) for view in views for _ in view.edges]
-    if not samples:
-        return 0.0
-    dist = TableDistribution.from_samples(("player",), samples)
-    return dist.entropy(["player"])
-
-
 def reported_edges_expected(
     graph: GraphLike, budget: int, num_players: int
 ) -> float:

@@ -45,7 +45,7 @@ CACHE_MISSES = "cache.misses"
 CACHE_DISK_HITS = "cache.disk_hits"
 CACHE_STORES = "cache.stores"
 CACHE_BYPASSES = "cache.bypasses"
-#: Bytes appended to run-store manifests, and records written.
+#: Bytes written to run-store record files, and records written.
 STORE_BYTES = "store.bytes_serialized"
 STORE_RECORDS = "store.records"
 
@@ -124,7 +124,7 @@ COUNTERS: dict[str, CounterDef] = {
         CounterDef(
             STORE_BYTES,
             "bytes",
-            "bytes appended to run-store manifests (wall-clock digits vary)",
+            "bytes written to run-store record files (wall-clock digits vary)",
             stable=False,
         ),
         CounterDef(

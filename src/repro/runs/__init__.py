@@ -6,8 +6,8 @@ durable pipeline:
 
 * :mod:`~repro.runs.spec` — :class:`ParamSpec` / :class:`ExperimentSpec`
   parameter declarations and the :func:`run_key` content address;
-* :mod:`~repro.runs.store` — the append-only, checksum-framed JSONL
-  :class:`RunStore` of :class:`RunRecord` s;
+* :mod:`~repro.runs.store` — the :class:`RunStore` of
+  :class:`RunRecord` s, one checksum-framed file per run key;
 * :mod:`~repro.runs.api` — the public dispatch surface
   (:func:`execute_run`, :func:`run_with_engine`, engine-flag helpers);
 * :mod:`~repro.runs.sweep` — grid expansion and the resumable
@@ -43,7 +43,7 @@ from .spec import (
     parse_value,
     run_key,
 )
-from .store import RunRecord, RunStore, default_store_root, payload_checksum
+from .store import RunRecord, RunStore, default_store_root
 from .sweep import SweepPoint, SweepResult, expand_grid, plan_sweep, run_sweep
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "generate_report",
     "parse_value",
     "parse_workers",
-    "payload_checksum",
     "plan_sweep",
     "run_key",
     "run_sweep",

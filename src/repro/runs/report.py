@@ -6,7 +6,7 @@ walks the registry in id order, serves each section from the store when
 the default-parameter record exists (bit-for-bit the lines the live run
 produced, with the recorded wall clock), and executes+stores only the
 missing ones.  Regenerating the report is therefore free once the store
-is warm, and the document is reproducible from the manifests alone.
+is warm, and the document is reproducible from the record files alone.
 
 The module also renders the ``repro runs`` inspection views: ``list``
 (one line per stored record), ``show`` (the full record), and ``diff``

@@ -1,35 +1,36 @@
-"""Content-addressed, append-only store of experiment run records.
+"""Content-addressed store of experiment run records, one file per run.
 
 Every run the pipeline executes is durable: a :class:`RunRecord`
 captures what ran (experiment id, canonical params, seed, exact mode),
 how (engine backend, package version), what it cost (wall clock, cache
 hits/misses), and what it produced (the rendered report lines and the
-full JSON data dict).  Records live in per-experiment JSONL manifests
-under one store root:
+full JSON data dict).  Each record lives in its own file, named by its
+run key, under one store root:
 
 .. code-block:: text
 
     .repro_runs/
-        F1.jsonl        one line per record:
-        T1b.jsonl       {"key": <sha256 of id+params+seed+exact>,
-        ...              "sha256": <checksum of the record payload>,
-                         "record": {...}}
+        <run_key>.run     b"RPRORUN1\\n" + SHA-256(body) + body, where
+        ...               body = "<run_key>\\n" + canonical JSON payload
 
-The framing reuses the engine cache's checksum discipline: each line
-carries the SHA-256 of its canonically-serialized payload, so a
-truncated or bit-flipped line can never load as a wrong record — it is
-skipped (and counted in ``corrupt_entries``), the run reads as missing,
-and the next execution appends a good line.  Appending is the only
-write operation; on load, the *last* intact line per key wins, so
-re-recording a run supersedes rather than mutates.
+Files go through :mod:`repro.engine.framing`, the frame the engine
+cache's disk tier uses: ``put`` writes a temp file and renames it onto
+the record path, so a killed writer leaves at most a ``*.tmp`` file and
+the last ``put`` for a key wins.  A file that fails its magic (which
+carries :data:`STORE_SCHEMA_VERSION`), its checksum, or its key line —
+truncated, bit-flipped, copied under another key's name, or written by
+another schema — reads as missing, counts in ``corrupt_entries``, and
+is replaced by the next ``put``.
 
-Resume falls out of the addressing: a sweep asks ``store.has(key)``
-per grid point and dispatches only the missing ones.
+The store keeps no index: every query reads the files it needs, so a
+store object sees the records other processes finished after it was
+opened.  Resume falls out of the addressing: a sweep asks
+``store.has(key)`` once per grid point and dispatches only the missing
+ones.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import obs
+from ..engine.framing import read_framed, write_framed
 from ..obs import STORE_BYTES, STORE_RECORDS
 from .spec import canonical_json
 
@@ -46,7 +48,14 @@ STORE_SCHEMA_VERSION = 1
 #: Environment override for the default store root.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
 
-_SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
+#: Suffix of a record file; its stem is the run key.
+RECORD_SUFFIX = ".run"
+
+#: Magic of a record file's frame.  It carries the schema version, so a
+#: record written under another schema reads as corrupt.
+_MAGIC = b"RPRORUN%d\n" % STORE_SCHEMA_VERSION
+#: A run key: the only file stem the store reads or writes.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ class RunRecord:
     telemetry: dict | None = None
 
     def to_payload(self) -> dict:
-        """The JSON payload one manifest line carries."""
+        """The JSON payload one record file carries."""
         return {
             "schema": STORE_SCHEMA_VERSION,
             "key": self.key,
@@ -99,7 +108,7 @@ class RunRecord:
 
     @classmethod
     def from_payload(cls, payload: dict) -> RunRecord:
-        """Rebuild a record from a manifest payload."""
+        """Rebuild a record from a stored payload."""
         return cls(
             key=payload["key"],
             experiment_id=payload["experiment_id"],
@@ -124,100 +133,101 @@ class RunRecord:
         return "\n".join([header, "=" * len(header), *self.lines])
 
 
-def payload_checksum(payload: dict) -> str:
-    """SHA-256 of the canonical JSON rendering of a record payload."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
 def default_store_root() -> Path:
     """The store root: ``$REPRO_RUNS_DIR`` or ``.repro_runs``."""
     return Path(os.environ.get(RUNS_DIR_ENV, "") or ".repro_runs")
 
 
 class RunStore:
-    """Append-only JSONL store of :class:`RunRecord`\\ s under one root.
+    """One checksum-framed file per :class:`RunRecord`, under one root.
 
-    The full index (key -> record) is built lazily on first read by
-    scanning every manifest; records are small (a report's lines plus
-    its data dict), so the whole store stays resident once loaded.
+    Nothing stays resident: ``has`` and ``get`` read one file, and
+    ``keys``, ``records``, ``resolve_key`` and ``len`` list the root and
+    verify what they find.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
         """Open (creating on first write) the store under ``root``."""
         self.root = Path(root) if root is not None else default_store_root()
-        self._index: dict[str, RunRecord] | None = None
+        #: Corrupt record files this object's reads have met so far.
         self.corrupt_entries = 0
 
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def _load(self) -> dict[str, RunRecord]:
-        """Scan every manifest, skipping lines that fail their checksum."""
-        if self._index is not None:
-            return self._index
-        index: dict[str, RunRecord] = {}
-        self.corrupt_entries = 0
-        if self.root.is_dir():
-            for manifest in sorted(self.root.glob("*.jsonl")):
-                for line in manifest.read_text().splitlines():
-                    if not line.strip():
-                        continue
-                    record = self._parse_line(line)
-                    if record is None:
-                        self.corrupt_entries += 1
-                    else:
-                        index[record.key] = record
-        self._index = index
-        return index
+    def path_for(self, key: str) -> Path:
+        """The file holding the record at this run key."""
+        return self.root / f"{key}{RECORD_SUFFIX}"
 
-    @staticmethod
-    def _parse_line(line: str) -> RunRecord | None:
-        """One framed manifest line -> record, or None if corrupt."""
-        try:
-            frame = json.loads(line)
-            payload = frame["record"]
-            if frame["sha256"] != payload_checksum(payload):
-                return None
-            if payload.get("schema") != STORE_SCHEMA_VERSION:
-                return None
-            record = RunRecord.from_payload(payload)
-            if record.key != frame["key"]:
-                return None
-            return record
-        except (json.JSONDecodeError, KeyError, TypeError):
+    # ------------------------------------------------------------------
+    # Reading
+    # ------------------------------------------------------------------
+    def _read(self, key: str) -> bytes | None:
+        """The verified JSON payload stored at ``key``, or None.
+
+        A key that is not a run key builds no path.  A record file whose
+        frame or key line fails reads as missing and counts in
+        ``corrupt_entries``.
+        """
+        if not _KEY.fullmatch(key):
             return None
+        try:
+            body = read_framed(self.path_for(key), _MAGIC)
+        except FileNotFoundError:
+            return None
+        key_line = f"{key}\n".encode()
+        if body is None or not body.startswith(key_line):
+            self.corrupt_entries += 1
+            return None
+        return body[len(key_line) :]
 
-    def path_for(self, experiment_id: str) -> Path:
-        """The manifest file holding one experiment's records."""
-        return self.root / f"{_SAFE_ID.sub('_', experiment_id)}.jsonl"
+    def _stored_keys(self) -> list[str]:
+        """The run keys that name a record file, unverified, sorted."""
+        return sorted(
+            path.stem
+            for path in self.root.glob(f"*{RECORD_SUFFIX}")
+            if _KEY.fullmatch(path.stem)
+        )
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def has(self, key: str) -> bool:
-        """True when a record with this content address is stored."""
-        return key in self._load()
+        """True when an intact record with this content address is stored."""
+        return self._read(key) is not None
 
     def get(self, key: str) -> RunRecord | None:
         """The record at this content address, or None."""
-        return self._load().get(key)
+        payload = self._read(key)
+        if payload is None:
+            return None
+        try:
+            record = RunRecord.from_payload(json.loads(payload))
+        except (ValueError, KeyError, TypeError):
+            record = None
+        if record is None or record.key != key:
+            self.corrupt_entries += 1
+            return None
+        return record
 
     def keys(self) -> list[str]:
         """Every stored content address."""
-        return sorted(self._load())
+        return [key for key in self._stored_keys() if self.has(key)]
 
     def records(self, experiment_id: str | None = None) -> list[RunRecord]:
         """Stored records (optionally one experiment's), oldest first."""
         records = [
             r
-            for r in self._load().values()
-            if experiment_id is None or r.experiment_id == experiment_id
+            for r in map(self.get, self._stored_keys())
+            if r is not None
+            and (experiment_id is None or r.experiment_id == experiment_id)
         ]
         return sorted(records, key=lambda r: (r.experiment_id, r.created, r.key))
 
     def resolve_key(self, prefix: str) -> str:
         """Expand a unique key prefix (as shown by ``repro runs list``)."""
-        matches = [k for k in self._load() if k.startswith(prefix)]
+        matches = [
+            key
+            for key in self._stored_keys()
+            if key.startswith(prefix) and self.has(key)
+        ]
         if not matches:
             raise KeyError(f"no stored run matches key prefix {prefix!r}")
         if len(matches) > 1:
@@ -228,32 +238,25 @@ class RunStore:
 
     def __len__(self) -> int:
         """Number of distinct stored runs."""
-        return len(self._load())
+        return len(self.keys())
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
     def put(self, record: RunRecord) -> str:
-        """Append one record (superseding any prior record at its key)."""
-        payload = record.to_payload()
-        frame = {
-            "key": record.key,
-            "sha256": payload_checksum(payload),
-            "record": payload,
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = (json.dumps(frame, sort_keys=True) + "\n").encode()
-        with self.path_for(record.experiment_id).open("ab+") as fh:
-            # A write killed mid-line leaves no trailing newline; start a
-            # fresh line so this record is not glued onto the torn one.
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
+        """Write one record, replacing any record at its key.
+
+        Raises ``ValueError`` for a key that is not a run key, and lets
+        write errors propagate.
+        """
+        if not _KEY.fullmatch(record.key):
+            raise ValueError(
+                f"run key must be 64 lowercase hex digits, got {record.key!r}"
+            )
+        body = f"{record.key}\n{canonical_json(record.to_payload())}".encode()
+        written = write_framed(self.path_for(record.key), _MAGIC, body)
         recorder = obs.active()
         if recorder is not None:
             recorder.count(STORE_RECORDS)
-            recorder.count(STORE_BYTES, len(line))
-        self._load()[record.key] = record
+            recorder.count(STORE_BYTES, written)
         return record.key

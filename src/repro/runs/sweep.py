@@ -7,16 +7,17 @@ content-addressed run.  The orchestrator:
 * validates every axis against the experiment's spec (only declared,
   sweepable parameters; every value coerced through its
   :class:`~repro.runs.spec.ParamSpec`);
-* asks the store which points already exist and dispatches **only the
-  missing ones** — a killed sweep relaunched with the same grid
-  restarts exactly where it died, because finished points resolve to
-  the same SHA-256 keys;
+* asks the store once per point whether it already exists and
+  dispatches **only the missing ones** — a killed sweep relaunched with
+  the same grid restarts exactly where it died, because finished points
+  resolve to the same SHA-256 keys;
 * fans the pending points out through the
   :class:`~repro.engine.ExecutionEngine` (process-pool parallel across
   points when configured; inside a worker each point runs serially, so
   pools never nest);
-* appends each finished point's record from the orchestrating process,
-  keeping the store single-writer.
+* puts each finished point's record from the orchestrating process
+  (workers write nothing; concurrent sweeps on one store each see the
+  points the others finished, and the last write of a point wins).
 
 Point order is deterministic: axes sort by name, values keep their
 declared order, so ``--max-points`` (the checkpoint/CI knob) always
@@ -154,8 +155,11 @@ def run_sweep(
     tests use to stop a sweep mid-flight deterministically.
     """
     points = plan_sweep(experiment_id, grid, base, exact=exact)
-    skipped = tuple(p.key for p in points if store.has(p.key))
-    pending = [p for p in points if not store.has(p.key)]
+    # One answer per point: another writer may store a point between two
+    # asks, and the point must land in exactly one of the partitions.
+    stored = [store.has(p.key) for p in points]
+    skipped = tuple(p.key for p, s in zip(points, stored) if s)
+    pending = [p for p, s in zip(points, stored) if not s]
     if max_points is not None and max_points >= 0:
         todo, deferred = pending[:max_points], pending[max_points:]
     else:

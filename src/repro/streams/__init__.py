@@ -10,12 +10,10 @@ from .stream import (
     Op,
     StreamEvent,
     churn_stream,
-    edges_of,
     final_graph,
     insertion_stream,
     legalize,
     random_order_stream,
-    stream_length,
     validate_stream,
 )
 
@@ -27,12 +25,10 @@ __all__ = [
     "StreamingSpanningForest",
     "churn_stream",
     "decode_stream_as_referee",
-    "edges_of",
     "final_graph",
     "insertion_stream",
     "legalize",
     "random_order_stream",
-    "stream_length",
     "stream_to_distributed_sketches",
     "validate_stream",
 ]

@@ -13,7 +13,7 @@ use), and replay utilities.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,12 +149,3 @@ def validate_stream(events: Iterable[StreamEvent]) -> bool:
     return True
 
 
-def stream_length(events: list[StreamEvent]) -> int:
-    """Number of events in the stream."""
-    return len(events)
-
-
-def edges_of(events: Iterable[StreamEvent]) -> Iterator[tuple[Op, Edge]]:
-    """Iterate (op, edge) pairs of a stream."""
-    for ev in events:
-        yield ev.op, ev.edge

@@ -113,6 +113,43 @@ class TestResume:
         assert len(result.skipped) == 2
         assert counter["executed"] == 4
 
+    def test_corrupt_point_is_re_executed(self, tmp_path, monkeypatch):
+        counter = self._counting(monkeypatch)
+        root = tmp_path / "runs"
+        first = run_sweep(
+            "F1", self.GRID, store=RunStore(root), engine=self._serial()
+        )
+        assert counter["executed"] == 4
+        victim = first.executed[2]
+        path = RunStore(root).path_for(victim)
+        path.write_bytes(path.read_bytes()[:-1])
+        again = run_sweep(
+            "F1", self.GRID, store=RunStore(root), engine=self._serial()
+        )
+        assert again.executed == (victim,)
+        assert set(again.skipped) == set(first.executed) - {victim}
+        assert counter["executed"] == 5
+        assert RunStore(root).has(victim)
+
+    def test_each_point_asked_once(self, tmp_path, monkeypatch):
+        # As if another writer stored every point right after this sweep
+        # first asked for it: a second ask would say "stored".
+        store = RunStore(tmp_path / "runs")
+        asked = set()
+
+        def has(key):
+            seen = key in asked
+            asked.add(key)
+            return seen
+
+        monkeypatch.setattr(store, "has", has)
+        result = run_sweep(
+            "F1", self.GRID, store=store, engine=self._serial(), max_points=1
+        )
+        parts = result.executed + result.skipped + result.remaining
+        assert sorted(parts) == sorted(p.key for p in result.points)
+        assert len(result.executed) == 1 and len(result.remaining) == 3
+
     def test_summary_line(self, tmp_path):
         result = run_sweep(
             "F1", {"m": [8]}, store=RunStore(tmp_path / "runs"),
