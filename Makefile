@@ -1,4 +1,4 @@
-.PHONY: install test conformance golden-verify perfbench-smoke bench bench-sketches bench-runs bench-obs trace-smoke report sweep-smoke examples all
+.PHONY: install test conformance golden-verify perfbench-smoke bench trace-smoke report sweep-smoke examples all
 
 install:
 	pip install -e .
@@ -30,17 +30,6 @@ perfbench-smoke:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-bench-sketches:
-	python benchmarks/bench_sketches.py --out BENCH_sketches.json
-
-bench-runs:
-	python benchmarks/bench_runs.py --out BENCH_runs.json
-
-# Telemetry overhead numbers: disabled/enabled probe costs, traced vs
-# untraced workload ratio, exporter throughput (docs/observability.md).
-bench-obs:
-	PYTHONPATH=src python benchmarks/bench_obs.py --out BENCH_obs.json
-
 # Traced smoke run: span tree + bits-per-player table on stdout, Chrome
 # trace to trace_smoke.json (open in Perfetto / chrome://tracing).
 trace-smoke:
@@ -48,10 +37,10 @@ trace-smoke:
 
 # REPORT.md is rendered from the content-addressed run store
 # (.repro_runs by default): warm records are served bit-for-bit,
-# missing ones are executed and stored (see docs/runs.md).
+# missing ones are executed and stored, so each experiment runs at most
+# once (see docs/runs.md).
 report:
-	python scripts/run_experiments.py
-	python scripts/generate_report.py REPORT.md
+	PYTHONPATH=src python -m repro report --out REPORT.md
 
 # The resume-by-addressing smoke from CI: sweep, kill after one point,
 # relaunch — the second launch must skip the stored point.

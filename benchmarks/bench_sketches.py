@@ -1,39 +1,27 @@
-"""Sketch-runtime micro-bench: batched family construction vs per-view.
+"""Speed gate: batched AGM construction stays >= 3x the per-view path.
 
-Times the sketch layer's hot paths on AGM spanning-forest workloads —
-the heaviest sketch family in the repo (tens of labels, n^2-coordinate
-universe, a modular exponentiation per update on the historical path):
+Batched construction of the AGM spanning-forest sketch (UB-SF's
+O(log^3 n) upper bound, the paper's contrast side) builds every
+player's state in one ``SketchFamily`` CSR pass; the per-view path is
+the oracle, one ``sketch(view, coins)`` call per player.  The gate first
+requires the two message dicts to be byte-identical on all three
+graphs, then times both paths on the largest one and fails if the
+batched path is less than 3x faster.
 
-* whole-graph construction: one ``SketchFamily`` CSR pass building every
-  player's state (shared level hashes, factored fingerprint powers)
-  vs the per-view oracle building n ``L0Sampler`` stacks;
-* warm engine-cache access of the finished message dict;
-* referee-side accumulation: ``L0Block`` column adds over decoded
-  states vs the historical per-level ``L0Sampler.add`` object chain.
+The test takes no ``benchmark`` fixture, so ``pytest benchmarks/
+--benchmark-only`` (``make bench``) skips it.  Run it on its own:
 
-Two entry points:
-
-* ``pytest benchmarks/bench_sketches.py --benchmark-only`` — the usual
-  pytest-benchmark harness (part of ``make bench``);
-* ``python benchmarks/bench_sketches.py [--out BENCH_sketches.json]`` —
-  the CI smoke job: runs every section with ``time.perf_counter``,
-  prints a table, and emits a JSON artifact seeding the perf trajectory.
+    PYTHONPATH=src pytest benchmarks/bench_sketches.py -q -s
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.engine import ConstructionCache
 from repro.graphs.builders import erdos_renyi
 from repro.model import PublicCoins, views_of
-from repro.sketches import AGMParameters, AGMSpanningForest, L0Sampler
+from repro.sketches import AGMSpanningForest
 from repro.sketches.core import SketchFamily
 
 _COINS = PublicCoins(seed=17)
@@ -62,93 +50,6 @@ def _build_per_view(n: int):
     return {v: _PROTOCOL.sketch(view, _COINS) for v, view in views.items()}
 
 
-_WARM_CACHE = ConstructionCache()
-
-
-def _build_cached(n: int):
-    """Warm engine-cache access of the finished message dict."""
-    family = _family(n)
-    return _WARM_CACHE.get_or_build(
-        ("bench-sketch", family.params, n, _GRAPHS[n]),
-        lambda: family.fresh_messages(_GRAPHS[n], n),
-    )
-
-
-# Referee-side workload: accumulate every player's first-label column.
-_REF_N = _LARGEST
-_REF_FAMILY = _family(_REF_N)
-_REF_STATES = _REF_FAMILY.build_states(_GRAPHS[_REF_N], _REF_N)
-_REF_MESSAGES = _REF_FAMILY.encode_states(_REF_STATES)
-_REF_PARAMS = AGMParameters.for_n(_REF_N)
-
-
-def _referee_block_accumulate():
-    decoded = _REF_FAMILY.decode_states(_REF_MESSAGES)
-    block = _REF_FAMILY.block(0)
-    for state in decoded.values():
-        block.accumulate(state)
-    return block.recover()
-
-
-def _referee_sampler_chain_baseline():
-    """The historical referee: decode every label of every message into
-    L0Sampler objects, then chain ``add`` over the first label."""
-    labels = _REF_FAMILY.params.labels
-    config = _REF_FAMILY.params.config()
-    magnitude = _REF_FAMILY.params.magnitude
-    total = None
-    for message in _REF_MESSAGES.values():
-        reader = message.reader()
-        samplers = [
-            L0Sampler.decode(reader, config, _COINS, label, magnitude)
-            for label in labels
-        ]
-        total = samplers[0] if total is None else total.add(samplers[0])
-    return total.recover()
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points
-# ----------------------------------------------------------------------
-
-
-def test_bench_batch_construction(benchmark):
-    messages = benchmark(_build_batch, _LARGEST)
-    assert len(messages) == _LARGEST
-
-
-def test_bench_per_view_construction_baseline(benchmark):
-    messages = benchmark(_build_per_view, _LARGEST)
-    assert len(messages) == _LARGEST
-
-
-def test_bench_cached_construction(benchmark):
-    _build_cached(_LARGEST)  # warm
-    messages = benchmark(_build_cached, _LARGEST)
-    assert len(messages) == _LARGEST
-
-
-def test_bench_referee_block(benchmark):
-    benchmark(_referee_block_accumulate)
-
-
-def test_bench_referee_sampler_chain_baseline(benchmark):
-    benchmark(_referee_sampler_chain_baseline)
-
-
-def test_batch_equals_per_view():
-    for n, _ in _SIZES:
-        batch = _build_batch(n)
-        oracle = _build_per_view(n)
-        assert set(batch) == set(oracle)
-        assert all(batch[v].to_bytes() == oracle[v].to_bytes() for v in batch)
-
-
-# ----------------------------------------------------------------------
-# Smoke-mode runner (CI artifact)
-# ----------------------------------------------------------------------
-
-
 def _time_ops(fn, *args, min_seconds: float = 0.3) -> float:
     """Run ``fn`` repeatedly for >= min_seconds; return seconds/call."""
     fn(*args)  # warm up
@@ -162,70 +63,18 @@ def _time_ops(fn, *args, min_seconds: float = 0.3) -> float:
             return elapsed / calls
 
 
-def run_smoke() -> dict:
-    # Correctness cross-checks before timing anything: the two
-    # construction paths must be bit-identical, and both referee
-    # reductions must recover the same edge.
-    test_batch_equals_per_view()
-    assert _referee_block_accumulate() == _referee_sampler_chain_baseline()
-
-    sections: dict = {}
+def test_batched_agm_construction_at_least_3x_per_view():
     for n, _ in _SIZES:
-        graph = _GRAPHS[n]
-        batch = 1 / _time_ops(_build_batch, n)
-        per_view = 1 / _time_ops(_build_per_view, n)
-        sections[f"agm_construction_n{n}"] = {
-            "n": n,
-            "edges": graph.num_edges(),
-            "batch": batch,
-            "per_view": per_view,
-            "speedup": batch / per_view,
-        }
-    sections["agm_construction_cached"] = {
-        "n": _LARGEST,
-        "batch": 1 / _time_ops(_build_cached, _LARGEST),
-    }
-    block = 1 / _time_ops(_referee_block_accumulate)
-    chain = 1 / _time_ops(_referee_sampler_chain_baseline)
-    sections["referee_accumulate"] = {
-        "n": _REF_N,
-        "batch": block,
-        "per_view": chain,
-        "speedup": block / chain,
-    }
-    return {
-        "unit": "constructions (or referee reductions) per second",
-        "largest_graph": {
-            "n": _LARGEST,
-            "edges": _GRAPHS[_LARGEST].num_edges(),
-        },
-        "sections": sections,
-    }
+        batch = _build_batch(n)
+        oracle = _build_per_view(n)
+        assert set(batch) == set(oracle)
+        assert all(batch[v].to_bytes() == oracle[v].to_bytes() for v in batch)
 
-
-def main(argv: list[str]) -> int:
-    out = None
-    if "--out" in argv:
-        out = Path(argv[argv.index("--out") + 1])
-    report = run_smoke()
-    for name, section in report["sections"].items():
-        line = f"{name:28s} batch {section['batch']:>10.2f} ops/s"
-        if "per_view" in section:
-            line += (
-                f"   per-view {section['per_view']:>10.2f} ops/s"
-                f"   speedup {section['speedup']:.1f}x"
-            )
-        print(line)
-    largest = report["sections"][f"agm_construction_n{_LARGEST}"]
-    assert largest["speedup"] >= 3.0, (
-        f"batched AGM construction only {largest['speedup']:.1f}x "
+    batch_s = _time_ops(_build_batch, _LARGEST)
+    per_view_s = _time_ops(_build_per_view, _LARGEST)
+    speedup = per_view_s / batch_s
+    print(f"batched AGM construction at n={_LARGEST}: {speedup:.2f}x per-view")
+    assert speedup >= 3.0, (
+        f"batched AGM construction only {speedup:.1f}x "
         f"the per-view path on the largest bench graph"
     )
-    if out is not None:
-        out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -79,11 +79,6 @@ from .runs.report import (
     generate_report,
 )
 
-#: Backwards-compatible aliases (the public homes are in ``repro.runs``).
-_parse_value = parse_value
-_parse_workers = parse_workers
-_engine_summary = engine_summary
-
 
 def _parse_kwargs(pairs: list[str]) -> dict:
     """Parse ``key=value`` override pairs into a dict of typed values."""

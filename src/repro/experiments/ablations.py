@@ -107,8 +107,7 @@ def _kernel_ablation() -> tuple[list, list[dict]]:
 
     Times ``analyze_protocol`` + the full Lemma 3.3–3.5 evaluation under
     both kernels on one micro instance — the in-repo justification for
-    the columnar default (the CI benchmark tracks the same ratio on the
-    larger instance).
+    the columnar default.
     """
     import time
 

@@ -44,23 +44,10 @@ def miller_madow_entropy(samples: Sequence[Hashable]) -> float:
 
 
 def empirical_distribution(
-    variables: Sequence[str],
-    samples: Sequence[Outcome],
-    *,
-    kernel: str = "table",
-):
-    """The plug-in joint distribution of sampled outcome tuples.
-
-    ``kernel`` selects the implementation: ``"table"`` (columnar
-    default) or ``"reference"`` (dict oracle).
-    """
-    if kernel == "table":
-        return TableDistribution.from_samples(variables, samples)
-    if kernel == "reference":
-        from .reference import JointDistribution
-
-        return JointDistribution.from_samples(variables, samples)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    variables: Sequence[str], samples: Sequence[Outcome]
+) -> TableDistribution:
+    """The plug-in joint distribution of sampled outcome tuples."""
+    return TableDistribution.from_samples(variables, samples)
 
 
 def plugin_mutual_information(

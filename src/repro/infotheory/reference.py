@@ -33,9 +33,6 @@ Outcome = tuple[Hashable, ...]
 #: ``repro.infotheory`` for the lemma checkers and the columnar kernel.
 NORMALIZATION_TOLERANCE = 1e-9
 
-# Backwards-compatible alias used by older call sites.
-_TOLERANCE = NORMALIZATION_TOLERANCE
-
 
 class JointDistribution:
     """A probability distribution over tuples of named random variables."""

@@ -36,9 +36,7 @@ class BitWriter:
 
     #: Spill the accumulator once this many bits are pending.  Small
     #: enough that every shift touches a few cache lines at most, large
-    #: enough to amortize the to_bytes call across ~25 field writes
-    #: (empirically the sweet spot on the 20-bit hot loop; see
-    #: benchmarks/bench_messages.py).
+    #: enough to amortize the to_bytes call across ~25 field writes.
     _FLUSH_BITS = 512
 
     __slots__ = ("_buf", "_acc", "_nacc")

@@ -56,8 +56,7 @@ def generate_report(
     lines: list[str] = [
         "# Reproduction report (auto-generated)",
         "",
-        f"Package version {__version__}; regenerate with "
-        "`python scripts/generate_report.py`.",
+        f"Package version {__version__}; regenerate with `make report`.",
         "",
         "## Contents",
         "",

@@ -328,6 +328,7 @@ class TestExperimentDeterminism:
         hard = scaled_distribution(m=8, k=2)
         cold = sample_dmm_family(hard, trials=4, base_seed=1)
         warm = sample_dmm_family(hard, trials=4, base_seed=1)
+        assert len(cold) == 4
         assert warm is cold  # cached family object
         rebuilt = scaled_distribution(m=8, k=2)
         assert rebuilt.cache_token == hard.cache_token

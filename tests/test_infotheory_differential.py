@@ -192,14 +192,14 @@ class TestExactModeBitIdentical:
 
 
 class TestLemmaPipelineEquivalence:
-    """analyze_protocol under both kernels on a micro instance."""
+    """analyze_protocol under both kernels on micro instances."""
 
-    def _analyses(self):
+    def _analyses(self, t: int):
         from repro.lowerbound import analyze_protocol, micro_distribution
         from repro.model import PublicCoins
         from repro.protocols import SampledEdgesMatching
 
-        hard = micro_distribution(r=1, t=2, k=2)
+        hard = micro_distribution(r=1, t=t, k=2)
         coins = PublicCoins(seed=2020)
         protocol = SampledEdgesMatching(1)
         return (
@@ -208,9 +208,16 @@ class TestLemmaPipelineEquivalence:
             analyze_protocol(hard, protocol, coins, exact=True),
         )
 
-    def test_lemma_quantities_agree(self):
-        table, reference, exact = self._analyses()
+    def _assert_agree(self, t: int):
+        table, reference, exact = self._analyses(t)
         assert table.dist.pmf.keys() == reference.dist.pmf.keys()
+        for query in (
+            lambda d: d.entropy(["PiU_0", "PiU_1"], given=["J"]),
+            lambda d: d.mutual_information(["J"], ["PiP"], given=["M_0_0"]),
+        ):
+            assert query(table.dist) == pytest.approx(
+                query(reference.dist), abs=1e-9
+            )
         for name in ("information_revealed", "public_entropy", "lemma34_rhs"):
             assert getattr(table, name) == pytest.approx(
                 getattr(reference, name), abs=1e-9
@@ -220,10 +227,21 @@ class TestLemmaPipelineEquivalence:
             )
         assert table.expected_mu == reference.expected_mu
         assert table.error_probability == reference.error_probability
+        assert float(exact.expected_mu) == pytest.approx(table.expected_mu, abs=1e-9)
+        for analysis in (table, reference):
+            assert analysis.lemma33_holds() and analysis.lemma34_holds()
+            assert analysis.lemma35_all_hold()
+        return table, reference, exact
+
+    def test_lemma_quantities_agree(self):
+        table, _, exact = self._assert_agree(t=2)
+        # At t = 2 every probability is dyadic, so float mode is exact.
         assert Fraction(exact.expected_mu) == Fraction(table.expected_mu)
-        assert table.lemma33_holds() == reference.lemma33_holds()
-        assert table.lemma34_holds() == reference.lemma34_holds()
-        assert table.lemma35_all_hold() == reference.lemma35_all_hold()
+
+    def test_lemma_quantities_agree_at_t3(self):
+        """The largest micro instance the lemma experiments enumerate:
+        r=1, t=3, k=2, 192 transcript rows."""
+        self._assert_agree(t=3)
 
     def test_exact_mode_rejects_reference_kernel(self):
         from repro.lowerbound import analyze_protocol, micro_distribution

@@ -194,6 +194,7 @@ class TestExporters:
         events = [json.loads(line) for line in lines]
         assert events[0]["type"] == "meta"
         assert events[0]["spans"] == len(rec.spans)
+        assert sum(e["type"] == "span" for e in events) == len(rec.spans)
         kinds = {e["type"] for e in events}
         assert kinds == {"meta", "span", "counter"}
         counter = next(e for e in events if e["type"] == "counter")

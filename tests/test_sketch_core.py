@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
+from repro.graphs.builders import erdos_renyi
 from repro.model import BatchSketchProtocol, PublicCoins, run_protocol, views_of
 from repro.protocols.registry import make_protocol
 from repro.sketches import (
@@ -251,6 +252,16 @@ FAMILY_PROTOCOLS = [
 def test_family_batch_bit_identical(make, graph_spec_value, seed):
     graph = build_frozen(graph_spec_value)
     assert_batch_matches_oracle(make(graph), graph, PublicCoins(seed=seed))
+
+
+def test_agm_batch_bit_identical_on_speed_gate_graphs():
+    """The graphs ``benchmarks/bench_sketches.py`` times: G(n, p) up to
+    n = 96 with hundreds of edges, far beyond the generators above."""
+    for n, p in [(32, 0.2), (64, 0.12), (96, 0.1)]:
+        graph = erdos_renyi(n, p, random.Random(100 + n)).freeze()
+        assert_batch_matches_oracle(
+            AGMSpanningForest(), graph, PublicCoins(seed=17)
+        )
 
 
 @given(graph_spec, seeds)
