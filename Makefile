@@ -1,4 +1,4 @@
-.PHONY: install test conformance golden-verify perfbench-smoke bench trace-smoke report sweep-smoke examples all
+.PHONY: install test conformance golden-verify perfbench-smoke trace-smoke report sweep-smoke examples all
 
 install:
 	pip install -e .
@@ -27,9 +27,6 @@ perfbench-smoke:
 	PYTHONPATH=src python -m pytest perfbench/test_harness.py -q
 	python3 perfbench/harness.py --seed 0 --seconds 1 --trace 0
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
 # Traced smoke run: span tree + bits-per-player table on stdout, Chrome
 # trace to trace_smoke.json (open in Perfetto / chrome://tracing).
 trace-smoke:
@@ -51,4 +48,4 @@ sweep-smoke:
 examples:
 	for f in examples/*.py; do python $$f; done
 
-all: test conformance bench report
+all: test conformance report

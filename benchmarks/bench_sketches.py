@@ -8,8 +8,8 @@ requires the two message dicts to be byte-identical on all three
 graphs, then times both paths on the largest one and fails if the
 batched path is less than 3x faster.
 
-The test takes no ``benchmark`` fixture, so ``pytest benchmarks/
---benchmark-only`` (``make bench``) skips it.  Run it on its own:
+It is the only test under ``benchmarks/``, outside tier 1; CI runs it
+in the ``sketch-gate`` job.  Run it on its own, printing the ratio:
 
     PYTHONPATH=src pytest benchmarks/bench_sketches.py -q -s
 """

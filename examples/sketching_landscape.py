@@ -118,7 +118,7 @@ def main() -> None:
     print(
         "(AGM's absolute bits are dominated by constants — 61-bit "
         "fingerprints x levels x rounds; its polylog growth is what "
-        "matters and is measured by bench UB-SF.)"
+        "matters and is checked by experiment UB-SF.)"
     )
 
 

@@ -8,9 +8,10 @@ serial and parallel execution of the same plan are bit-identical.
 ``SerialBackend`` runs in-process.  ``ProcessPoolBackend`` fans out over
 ``concurrent.futures.ProcessPoolExecutor``; tasks and their arguments
 must be picklable (module-level functions, dataclass instances).  A
-non-picklable workload silently degrades to serial execution — recorded
-in ``serial_fallbacks`` — so callers can always route through the
-backend without branching on their payload.
+batch with a non-picklable function or item (any item, not just the
+first) silently degrades to serial execution — recorded in
+``serial_fallbacks`` — so callers can always route through the backend
+without branching on their payload.
 
 Worker processes are marked via a pool initializer: code running inside
 a worker that asks for a backend gets the serial one, so nested batch
@@ -26,6 +27,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Any
 
 #: True only inside a pool worker process (set by the pool initializer).
@@ -40,6 +42,11 @@ def _mark_worker() -> None:
 def in_worker_process() -> bool:
     """True when running inside a ProcessPoolBackend worker."""
     return _IN_WORKER
+
+
+def _map_pickled_chunk(fn: Callable[[Any], Any], chunk: bytes) -> list[Any]:
+    """Apply ``fn`` to a chunk of items the parent pickled (for pools)."""
+    return [fn(item) for item in pickle.loads(chunk)]
 
 
 class ExecutionBackend(ABC):
@@ -92,24 +99,26 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._executor
 
-    @staticmethod
-    def _picklable(fn: Callable, sample: Any) -> bool:
-        try:
-            pickle.dumps((fn, sample))
-            return True
-        except Exception:
-            return False
-
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         items = list(items)
-        if len(items) <= 1 or in_worker_process() or not self._picklable(fn, items[0]):
-            if items and not in_worker_process() and len(items) > 1:
-                self.serial_fallbacks += 1
+        if len(items) <= 1 or in_worker_process():
             return [fn(item) for item in items]
-        chunksize = max(1, len(items) // (self.workers * 4))
+        # Each chunk is pickled once, here, before dispatch: an unpicklable
+        # item anywhere in the batch falls back to serial up front, and is
+        # never confused with an error ``fn`` raises in a worker.
+        size = max(1, len(items) // (self.workers * 4))
+        try:
+            pickle.dumps(fn)
+            chunks = [
+                pickle.dumps(items[i : i + size]) for i in range(0, len(items), size)
+            ]
+        except Exception:
+            self.serial_fallbacks += 1
+            return [fn(item) for item in items]
         executor = self._ensure_executor()
         try:
-            return list(executor.map(fn, items, chunksize=chunksize))
+            done = executor.map(partial(_map_pickled_chunk, fn), chunks)
+            return [result for chunk in done for result in chunk]
         except BrokenProcessPool:
             self.close()
             raise

@@ -185,6 +185,19 @@ def _uniformization_ablation() -> tuple[list, list[dict]]:
     return rows, data
 
 
+def _knob_rows(data: dict, knob: str) -> list[dict]:
+    """One ablation's rows, by increasing knob value."""
+    rows = [r for r in data["rows"] if r["knob"] == knob]
+    return sorted(rows, key=lambda r: r["value"])
+
+
+def _default_uniformization_maximizes_edges(data: dict, params: dict) -> bool:
+    """The default uniformization keeps the most surviving edge mass r*t."""
+    variants = _knob_rows(data, "uniformization")
+    default = next(r for r in variants if "default" in r["value"])
+    return all(default["edges"] >= r["edges"] for r in variants)
+
+
 @register(
     "ABL",
     "Design-choice ablations",
@@ -194,6 +207,24 @@ def _uniformization_ablation() -> tuple[list, list[dict]]:
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"trials": 2, "seed": 0},
+    checks={
+        "agm_repetitions_reach_full_success": lambda d, p: (
+            _knob_rows(d, "agm_repetitions")[-1]["success"] == 1.0
+        ),
+        "agm_bits_grow_with_repetitions": lambda d, p: (
+            _knob_rows(d, "agm_repetitions")[-1]["bits"]
+            > _knob_rows(d, "agm_repetitions")[0]["bits"]
+        ),
+        "one_color_lists_fail": lambda d, p: (
+            _knob_rows(d, "coloring_list_size")[0]["success"] < 0.5
+        ),
+        "log_n_lists_color": lambda d, p: (
+            _knob_rows(d, "coloring_list_size")[-1]["success"] == 1.0
+        ),
+        "default_uniformization_maximizes_edges": (
+            _default_uniformization_maximizes_edges
+        ),
+    },
 )
 def run_ablations(trials: int = 6, seed: int = 0) -> ExperimentReport:
     """Run every ablation sweep and tabulate the knees."""

@@ -46,6 +46,19 @@ from .tables import render_kv, render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"m": 8, "k": 2, "trials": 4, "seed": 0},
+    checks={
+        # The lower bound is never violated: an attack that succeeds
+        # pays at least the proof chain's required bits.
+        "successful_attacks_pay_required_bits": lambda d, p: all(
+            r["max_bits"] >= d["required_bits"]
+            for r in d["rows"] if r["strict_rate"] > 0.99
+        ),
+        # Only the sparse players talk, so average bits sit below max.
+        "low_degree_only_mean_at_most_max": lambda d, p: next(
+            r["mean_bits"] <= r["max_bits"]
+            for r in d["rows"] if r["protocol"].startswith("low-degree-only")
+        ),
+    },
 )
 def run_attacks(
     m: int = 12, k: int = 4, trials: int = 20, seed: int = 0

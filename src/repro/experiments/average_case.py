@@ -33,6 +33,14 @@ from .registry import ExperimentReport, register
 from .tables import render_table
 
 
+def _profiles_flatten(data: dict, params: dict) -> bool:
+    """Per-player expected costs flatten with more sigma draws."""
+    spreads: dict[str, list[float]] = {}
+    for row in sorted(data["profiles"], key=lambda r: r["trials"]):
+        spreads.setdefault(row["protocol"], []).append(row["relative_spread"])
+    return all(s[-1] <= s[0] + 0.15 for s in spreads.values())
+
+
 @register(
     "AVG",
     "Average-case symmetrization + Chernoff constants",
@@ -44,6 +52,12 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"m": 8, "k": 2, "trials": (4, 8), "seed": 0},
+    checks={
+        "paper_tail_bounds_exact_binomial": lambda d, p: all(
+            row["valid"] for row in d["chernoff"]
+        ),
+        "cost_profiles_flatten": _profiles_flatten,
+    },
 )
 def run_average_case(
     m: int = 10,

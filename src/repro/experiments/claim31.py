@@ -63,6 +63,20 @@ def default_configurations() -> list[tuple[str, HardDistribution]]:
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"trials": 6, "seed": 0},
+    checks={
+        "both_regimes_sampled": lambda d, p: (
+            {row["in_regime"] for row in d["rows"]} == {True, False}
+        ),
+        # Up to Monte-Carlo slack of 0.2 below the paper's 1 - 2^(-kr/10).
+        "holds_in_regime": lambda d, p: all(
+            r["holds_rate"] >= r["paper_probability_bound"] - 0.2
+            for r in d["rows"] if r["in_regime"]
+        ),
+        # The regime hypothesis does real work: below it the claim fails.
+        "fails_below_regime": lambda d, p: any(
+            row["holds_rate"] < 0.5 for row in d["rows"] if not row["in_regime"]
+        ),
+    },
 )
 def run_claim31(
     configs: list[tuple[str, HardDistribution]] | None = None,

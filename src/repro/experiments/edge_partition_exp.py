@@ -39,6 +39,17 @@ from .tables import render_kv, render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"m": 8, "k": 2, "budgets": [1], "trials": 4, "seed": 0},
+    checks={
+        "vertex_model_competitive": lambda d, p: all(
+            r["vertex_unique_unique"] >= r["edge_unique_unique"] - 0.5
+            for r in d["rows"] if isinstance(r["budget"], int)
+        ),
+        # The degree-threshold attack has no edge-partition counterpart.
+        "degree_threshold_attack_vertex_only": lambda d, p: [
+            r["edge_unique_unique"]
+            for r in d["rows"] if not isinstance(r["budget"], int)
+        ][0] is None,
+    },
 )
 def run_edge_partition(
     m: int = 12,

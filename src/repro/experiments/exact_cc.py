@@ -49,6 +49,16 @@ def _c4_distribution():
         ParamSpec("max_strategies", "int", 2_000_000,
                   help="strategy-space cap before an instance is skipped"),
     ),
+    # Exhaustive over every protocol, not sampled: zero bits never
+    # suffice, and at micro scale some one-bit protocol always does.
+    checks={
+        "zero_bit_protocols_fail": lambda d, p: all(
+            row["optimal"] < 0.6 for row in d["rows"] if row["bits"] == 0
+        ),
+        "one_bit_protocol_succeeds": lambda d, p: all(
+            abs(r["optimal"] - 1.0) < 1e-9 for r in d["rows"] if r["bits"] == 1
+        ),
+    },
 )
 def run_exact_cc(
     include_c4: bool = False, max_strategies: int = 2_000_000

@@ -21,6 +21,15 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="instance sample seed"),
     ),
     smoke={"m": 8, "k": 2, "seed": 0},
+    checks={
+        "n_is_N_minus_2r_plus_2rk": lambda d, p: (
+            d["n"] == d["N"] - 2 * d["r"] + 2 * d["r"] * d["k"]
+        ),
+        "special_union_at_most_kr": lambda d, p: (
+            d["union_special_size"] <= d["k"] * d["r"]
+        ),
+        "2rk_unique_vertices": lambda d, p: d["num_unique"] == 2 * d["r"] * p["k"],
+    },
 )
 def run_figure1(m: int = 10, k: int = 2, seed: int = 0) -> ExperimentReport:
     """Sample one instance at the requested scale and report the structure

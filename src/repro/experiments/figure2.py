@@ -30,6 +30,11 @@ from .tables import render_kv
         ParamSpec("side_trials", "int", 8, help="samples for the side stats"),
     ),
     smoke={"m": 8, "k": 2, "seed": 0, "side_trials": 4},
+    checks={
+        "h_has_2n_vertices": lambda d, p: d["h_vertices"] == 2 * d["n"],
+        "lemma41_iff": lambda d, p: d["lemma41_iff"],
+        "matching_recovered_exactly": lambda d, p: d["recovered_exactly"],
+    },
 )
 def run_figure2(
     m: int = 10, k: int = 2, seed: int = 0, side_trials: int = 8

@@ -67,6 +67,21 @@ def minimal_budget_for_success(
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"ms": [8, 12], "k": 3, "trials": 4, "seed": 0},
+    # Every measured point sits inside the open gap, and the cost tracks
+    # the special-matching scale: across the sweep it grows by far less
+    # than n does.
+    checks={
+        "above_proof_chain_bound": lambda d, p: all(
+            row["measured_bits"] >= row["proof_chain_bits"] for row in d["rows"]
+        ),
+        "below_trivial_n": lambda d, p: all(
+            row["measured_bits"] < row["trivial_bits"] for row in d["rows"]
+        ),
+        "grows_slower_than_n": lambda d, p: (
+            d["rows"][-1]["measured_bits"] / d["rows"][0]["measured_bits"]
+            <= 2 * d["rows"][-1]["trivial_bits"] / d["rows"][0]["trivial_bits"]
+        ),
+    },
 )
 def run_gap(
     ms: list[int] | None = None,

@@ -29,6 +29,18 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"monte_carlo_trials": 4, "seed": 0},
+    # Per pass: the iff held on every clean side, and the easy direction
+    # on both sides of every MIS.
+    checks={
+        "iff_on_every_clean_side": lambda d, p: all(
+            d[name]["iff_holds"] == d[name]["clean_sides"]
+            for name in ("exhaustive", "monte_carlo")
+        ),
+        "easy_direction_on_every_side": lambda d, p: all(
+            d[name]["easy_direction_checks"] == 2 * d[name]["mis_count"]
+            for name in ("exhaustive", "monte_carlo")
+        ),
+    },
 )
 def run_lemma41(
     monte_carlo_trials: int = 20, seed: int = 0

@@ -33,6 +33,11 @@ def _analyze_one(item: tuple):
     return analyze_protocol(hard, protocol, _COINS, exact=exact)
 
 
+def _full_rows(data: dict) -> list[dict]:
+    """The full-neighborhood protocol's rows of a lemma table."""
+    return [r for r in data["rows"] if r["protocol"] == "full-neighborhood-matching"]
+
+
 def _analyses(
     r: int,
     t: int,
@@ -63,6 +68,15 @@ def _analyses(
         ParamSpec("t", "int", 2, help="edges per induced matching"),
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
+    checks={
+        # For every protocol in the suite, as for L34 and L35.
+        "lemma33_holds": lambda d, p: all(r["holds"] for r in d["rows"]),
+        # Claim 3.2: a protocol with error <= 0.01 has E|M^U| >= kr/5.
+        "claim32_low_error_mu_at_least_kr_over_5": lambda d, p: all(
+            r["expected_mu"] >= p["k"] * p["r"] / 5
+            for r in d["rows"] if r["error"] <= 0.01
+        ),
+    },
 )
 def run_lemma33(
     r: int = 1,
@@ -136,6 +150,9 @@ def run_lemma33(
         ParamSpec("t", "int", 2, help="edges per induced matching"),
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
+    checks={
+        "lemma34_holds": lambda d, p: all(r["holds"] for r in d["rows"]),
+    },
 )
 def run_lemma34(
     r: int = 1,
@@ -192,6 +209,19 @@ def run_lemma34(
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
     smoke={"r": 1, "t": 2, "k": 2},
+    checks={
+        "lemma35_holds": lambda d, p: all(r["holds"] for r in d["rows"]),
+        # The 1/t factor leaves slack for the full protocol, whose unique
+        # players describe all t matchings, not just the special one ...
+        "full_protocol_within_entropy_over_t": lambda d, p: all(
+            row["entropy_over_t"] >= row["information"] - 1e-6
+            for row in _full_rows(d)
+        ),
+        # ... while its per-copy information stays r bits at every t.
+        "full_protocol_reveals_r_bits_per_copy": lambda d, p: all(
+            abs(row["information"] - p["r"]) < 1e-6 for row in _full_rows(d)
+        ),
+    },
 )
 def run_lemma35(
     r: int = 1,

@@ -1,9 +1,13 @@
 """Experiment registry: one entry per paper figure / claim / theorem.
 
 Each experiment is a named callable producing an :class:`ExperimentReport`
-— a text rendering (what the bench prints) plus a data dict (what tests
+— a text rendering (what REPORT.md shows) plus a data dict (what tests
 assert on and EXPERIMENTS.md records).  The registry maps the experiment
 ids of DESIGN.md's per-experiment index to their runners.
+
+Every experiment also declares the paper claims its output must show
+as ``checks``: named predicates over a run's data and resolved params,
+judged by :meth:`Experiment.verdicts` whenever a run is rendered.
 
 Every experiment *declares* its parameters as
 :class:`~repro.runs.spec.ParamSpec` entries — names, kinds, defaults,
@@ -21,7 +25,7 @@ resolved parameter dict is what content-addresses each stored
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from ..engine import ExecutionEngine
@@ -29,6 +33,14 @@ from ..runs.spec import ExperimentSpec, ParamSpec
 
 #: Keywords injected by the dispatcher, never declared as params.
 RESERVED_PARAMS = ("engine", "exact")
+
+#: A declared paper claim: a predicate over a run's data and resolved params.
+Check = Callable[[dict, dict], bool]
+
+#: What a check raises on data without the keys, rows or types it reads.
+_DATA_SHAPE_ERRORS = (
+    LookupError, TypeError, ValueError, AttributeError, ArithmeticError, StopIteration,
+)
 
 
 @dataclass(frozen=True)
@@ -48,13 +60,27 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment: metadata, declared spec, and its runner."""
+    """A registered experiment: metadata, declared spec, runner, and checks."""
 
     experiment_id: str
     title: str
     paper_reference: str
     runner: Callable[..., ExperimentReport]
     spec: ExperimentSpec = field(default_factory=ExperimentSpec)
+    checks: Mapping[str, Check] = field(default_factory=dict)
+
+    def verdicts(self, data: dict, params: dict) -> dict[str, bool]:
+        """Judge every declared check on one run's (JSON) data and params.
+
+        A check that cannot read the data, say data an older version
+        shaped differently, did not hold."""
+        verdicts = {}
+        for name, check in self.checks.items():
+            try:
+                verdicts[name] = bool(check(data, params))
+            except _DATA_SHAPE_ERRORS:
+                verdicts[name] = False
+        return verdicts
 
     def run(
         self,
@@ -130,12 +156,15 @@ def register(
     paper_reference: str,
     params: tuple[ParamSpec, ...] = (),
     smoke: dict | None = None,
+    checks: Mapping[str, Check] | None = None,
 ):
     """Decorator registering an experiment runner under an id.
 
     ``params`` declares the runner's full parameter surface (checked
     against its signature at import time); ``smoke`` is the small
-    sub-second override set used by smoke tests and benchmarks.
+    sub-second override set used by smoke tests and ``repro trace``;
+    ``checks`` maps a short name to a paper-claim predicate
+    ``check(data, params)`` (see :meth:`Experiment.verdicts`).
     """
 
     def deco(fn: Callable[..., ExperimentReport]) -> Callable[..., ExperimentReport]:
@@ -155,6 +184,7 @@ def register(
             paper_reference=paper_reference,
             runner=fn,
             spec=spec,
+            checks=dict(checks or {}),
         )
         return fn
 

@@ -34,6 +34,12 @@ from .tables import render_table
         ParamSpec("k", "int", 3, help="number of copies"),
         ParamSpec("seed", "int", 0, help="instance sample seed"),
     ),
+    checks={
+        "rs_shared": lambda d, p: d["rs_shared"],
+        "referee_slots": lambda d, p: d["referee_slots"],
+        "biclique_public_only": lambda d, p: d["biclique_public_only"],
+        "relaxed_output_ok": lambda d, p: d["relaxed_output_ok"],
+    },
 )
 def run_remark36(m: int = 10, k: int = 3, seed: int = 0) -> ExperimentReport:
     """Demonstrate each of Remark 3.6's four relaxations in code."""

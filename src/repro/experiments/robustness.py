@@ -87,6 +87,20 @@ def _robustness_cell(item: tuple) -> tuple[bool, bool, bool, bool]:
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"n": 16, "trials": 3, "seed": 0},
+    # AGM and coloring carry w.h.p. guarantees; the adaptive MM/MIS are
+    # heuristically capped, so they need solid-but-not-perfect rates.
+    checks={
+        "agm_at_least_80pct": lambda d, p: all(r["agm"] >= 0.8 for r in d["rows"]),
+        "coloring_at_least_80pct": lambda d, p: all(
+            row["coloring"] >= 0.8 for row in d["rows"]
+        ),
+        "filtering_mm_at_least_60pct": lambda d, p: all(
+            row["filtering-mm"] >= 0.6 for row in d["rows"]
+        ),
+        "sap_mis_at_least_60pct": lambda d, p: all(
+            row["sap-mis"] >= 0.6 for row in d["rows"]
+        ),
+    },
 )
 def run_robustness(
     n: int = 25,

@@ -14,6 +14,11 @@ from .registry import ExperimentReport, register
 from .tables import render_table
 
 
+def _sum_class(data: dict) -> list[dict]:
+    """The sum-class construction's rows, by increasing m."""
+    return [row for row in data["rows"] if "construction" not in row]
+
+
 @register(
     "P21",
     "RS graph parameters (Proposition 2.1)",
@@ -22,6 +27,18 @@ from .tables import render_table
         ParamSpec("ms", "int_list", None, help="Behrend scales to tabulate"),
     ),
     smoke={"ms": [4, 8]},
+    checks={
+        # The t = Θ(N) half of Proposition 2.1, on the sum-class rows.
+        "sum_class_t_grows_with_N": lambda d, p: (
+            _sum_class(d)[-1]["t"] > _sum_class(d)[0]["t"]
+        ),
+        "sum_class_t_at_least_N_over_10": lambda d, p: (
+            _sum_class(d)[-1]["t"] >= _sum_class(d)[-1]["n"] / 10
+        ),
+        "uniform_partition_edges_r_times_t": lambda d, p: all(
+            row["edges"] == row["r"] * row["t"] for row in d["rows"]
+        ),
+    },
 )
 def run_rs_params(ms: list[int] | None = None) -> ExperimentReport:
     """Tabulate achieved (r, t) of the sum-class construction against the

@@ -102,6 +102,24 @@ def _stability_cell(item: tuple) -> dict:
         ParamSpec("trials", "int", 10, help="trials per seed"),
     ),
     smoke={"seeds": [1, 2], "trials": 4},
+    # Each headline conclusion holds at every seed.
+    checks={
+        "t1b_zero_budget_fails": lambda d, p: all(
+            row["t1b_zero_budget"] <= 0.2 for row in d["rows"]
+        ),
+        "t1b_full_budget_succeeds": lambda d, p: all(
+            row["t1b_full_budget"] == 1.0 for row in d["rows"]
+        ),
+        "c31_holds_in_regime": lambda d, p: all(
+            row["c31_in_rate"] >= 0.8 for row in d["rows"]
+        ),
+        "c31_regime_gap": lambda d, p: all(
+            row["c31_below_rate"] <= row["c31_in_rate"] - 0.5 for row in d["rows"]
+        ),
+        "t2_full_mis_recovers": lambda d, p: all(
+            row["t2_recovery"] == 1.0 for row in d["rows"]
+        ),
+    },
 )
 def run_stability(
     seeds: list[int] | None = None,

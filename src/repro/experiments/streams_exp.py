@@ -44,6 +44,12 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"n": 10, "trials": 2, "seed": 0},
+    # Every trial, not most: these are exact equivalences.
+    checks={
+        "churn_stream_forest_correct": lambda d, p: d["forest_ok"] == d["trials"],
+        "stream_sketch_bit_identical": lambda d, p: d["identical"] == d["trials"],
+        "insertion_greedy_maximal": lambda d, p: d["greedy_ok"] == d["trials"],
+    },
 )
 def run_streams(
     n: int = 14, trials: int = 5, seed: int = 0

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment reports.
 
 Every experiment renders its results as an aligned text table (the same
-rows a paper table would carry), so benchmark output and EXPERIMENTS.md
+rows a paper table would carry), so REPORT.md, the CLI and EXPERIMENTS.md
 show identical numbers.
 """
 

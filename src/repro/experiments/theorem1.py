@@ -35,6 +35,18 @@ from .tables import render_kv, render_table
         ParamSpec("ns", "int_list", None, help="graph sizes to tabulate"),
     ),
     smoke={"ns": [10**3, 10**6]},
+    # The separation the paper proves, at the largest tabulated n.
+    checks={
+        "agm_polylog_below_theorem1": lambda d, p: (
+            d["rows"][-1]["agm_log3"] < d["rows"][-1]["theorem1_epsilon_form"]
+        ),
+        "theorem1_below_two_round_sqrt": lambda d, p: (
+            d["rows"][-1]["theorem1_epsilon_form"] < d["rows"][-1]["two_round_sqrt"]
+        ),
+        "two_round_sqrt_below_trivial": lambda d, p: (
+            d["rows"][-1]["two_round_sqrt"] < d["rows"][-1]["trivial"]
+        ),
+    },
 )
 def run_theorem1_landscape(ns: list[int] | None = None) -> ExperimentReport:
     """Tabulate the analytic bound landscape across n."""
@@ -104,6 +116,13 @@ def run_theorem1_landscape(ns: list[int] | None = None) -> ExperimentReport:
                   help="add the plug-in I(J;Π) column (reruns per knob)"),
     ),
     smoke={"m": 10, "k": 3, "trials": 6, "knobs": [0, 2], "seed": 0},
+    checks={
+        "full_budget_succeeds": lambda d, p: d["rows"][-1]["strict_rate"] == 1.0,
+        "starved_budget_fails": lambda d, p: d["rows"][0]["strict_rate"] < 0.5,
+        "success_improves_with_budget": lambda d, p: (
+            d["rows"][0]["strict_rate"] <= d["rows"][-1]["strict_rate"]
+        ),
+    },
 )
 def run_theorem1_sweep(
     m: int = 12,

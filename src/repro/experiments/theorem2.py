@@ -28,6 +28,12 @@ def _reduction_trial(item: tuple) -> tuple[bool, bool, int]:
     )
 
 
+def _recovery_rate(data: dict, protocol: str) -> float:
+    """One MIS protocol's exact matching-recovery rate."""
+    rows = [r for r in data["rows"] if r["protocol"] == protocol]
+    return rows[0]["exact_recovery_rate"]
+
+
 @register(
     "T2",
     "MIS lower bound via reduction (Theorem 2)",
@@ -40,6 +46,16 @@ def _reduction_trial(item: tuple) -> tuple[bool, bool, int]:
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"m": 8, "k": 2, "trials": 4, "budgets": [0], "seed": 0},
+    checks={
+        # A correct MIS protocol recovers the special matching every time;
+        # a budgeted one fails the recovery, Theorem 2's empirical face.
+        "full_mis_recovers_matching": lambda d, p: (
+            _recovery_rate(d, "full-neighborhood-mis") == 1.0
+        ),
+        "zero_budget_mis_fails": lambda d, p: (
+            _recovery_rate(d, "sampled-edges-mis(0)") < 0.5
+        ),
+    },
 )
 def run_theorem2(
     m: int = 10,

@@ -8,6 +8,7 @@ rates so the separation is visible in one set of tables.
 
 from __future__ import annotations
 
+import math
 import random
 
 from ..engine import derive_seed
@@ -32,6 +33,11 @@ from .registry import ExperimentReport, register
 from .tables import render_table
 
 
+def _maximal_rates(data: dict, protocol: str) -> list[float]:
+    """One adaptive protocol's maximality rates, in table (round) order."""
+    return [r["maximal_rate"] for r in data["rows"] if r["protocol"] == protocol]
+
+
 @register(
     "UB-SF",
     "AGM spanning forest sketches O(log^3 n)",
@@ -42,6 +48,25 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"ns": [16], "trials": 2, "seed": 0},
+    checks={
+        "agm_success_at_least_2_3": lambda d, p: all(
+            row["agm_success"] >= 2 / 3 for row in d["rows"]
+        ),
+        # Polylog growth: bits grow far slower than n ...
+        "agm_bits_sublinear_in_n": lambda d, p: (
+            d["rows"][-1]["agm_bits"] / d["rows"][0]["agm_bits"]
+            < d["rows"][-1]["n"] / d["rows"][0]["n"]
+        ),
+        # ... and bits / log^3 n does not grow: the O(log^3 n) envelope,
+        # which Yu's Omega(log^3 n) connectivity bound shows is tight.
+        "agm_bits_within_log3_envelope": lambda d, p: (
+            d["rows"][-1]["agm_bits"] / math.log2(d["rows"][-1]["n"]) ** 3
+            <= d["rows"][0]["agm_bits"] / math.log2(d["rows"][0]["n"]) ** 3
+        ),
+        "footnote1_finds_the_bridge": lambda d, p: all(
+            row["bridge_found"] for row in d["rows"]
+        ),
+    },
 )
 def run_agm_contrast(
     ns: list[int] | None = None, trials: int = 5, seed: int = 0
@@ -96,6 +121,16 @@ def run_agm_contrast(
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"ns": [16], "trials": 2, "seed": 0},
+    checks={
+        "coloring_success_at_least_3_4": lambda d, p: all(
+            row["success"] >= 3 / 4 for row in d["rows"]
+        ),
+        # The symmetry-breaking foil stays near the trivial n-bit
+        # neighborhood even at these small n.
+        "below_30x_trivial_at_largest_n": lambda d, p: (
+            d["rows"][-1]["coloring_bits"] < 30 * d["rows"][-1]["trivial_bits"]
+        ),
+    },
 )
 def run_coloring_contrast(
     ns: list[int] | None = None, trials: int = 5, seed: int = 0
@@ -151,6 +186,18 @@ def run_coloring_contrast(
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"n": 25, "trials": 3, "seed": 0},
+    # One round rarely reaches maximality; two or three usually do, and
+    # enough Luby phases always reach a true MIS.
+    checks={
+        "filtering_more_rounds_no_worse": lambda d, p: (
+            _maximal_rates(d, "filtering-mm")[-1]
+            >= _maximal_rates(d, "filtering-mm")[0]
+        ),
+        "filtering_reaches_maximal": lambda d, p: (
+            _maximal_rates(d, "filtering-mm")[-1] >= 0.5
+        ),
+        "luby_reaches_mis": lambda d, p: _maximal_rates(d, "luby-mis")[-1] == 1.0,
+    },
 )
 def run_two_round_contrast(
     n: int = 36, trials: int = 8, seed: int = 0

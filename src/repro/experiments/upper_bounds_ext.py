@@ -42,6 +42,21 @@ from .tables import render_table
         ParamSpec("seed", "int", 0, help="base RNG seed"),
     ),
     smoke={"trials": 2, "seed": 0},
+    checks={
+        "connectivity_at_least_2_3": lambda d, p: all(
+            row["rate"] >= 2 / 3 for row in d["connectivity"]
+        ),
+        "densest_recovered_at_least_2_3": lambda d, p: (
+            d["densest"][0]["recovery_rate"] >= 2 / 3
+        ),
+        "densest_density_error_below_half": lambda d, p: (
+            d["densest"][0]["mean_rel_density_error"] < 0.5
+        ),
+        "triangle_estimate_within_30pct": lambda d, p: (
+            abs(d["triangles"]["mean_estimate"] - d["triangles"]["truth"])
+            < 0.3 * d["triangles"]["truth"]
+        ),
+    },
 )
 def run_upper_bounds_ext(trials: int = 4, seed: int = 0) -> ExperimentReport:
     """Measure edge connectivity, densest subgraph, and triangle sketches."""

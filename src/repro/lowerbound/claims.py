@@ -1,4 +1,4 @@
-"""Executable versions of Claim 3.1 / Claim 3.2 (experiment C31).
+"""Executable version of Claim 3.1 (experiment C31).
 
 Claim 3.1: w.p. >= 1 - 2^(-kr/10) over G ~ D_MM, *every* maximal
 matching of G has at least k*r/4 unique-unique edges.  The proof has two
@@ -94,38 +94,6 @@ def min_unique_unique_edges(
     return best if best is not None else 0
 
 
-def union_size_distribution(hard, *, exact: bool = False, max_bits: int = 20):
-    """The exact distribution of |∪_i M_i| as a ``TableDistribution``.
-
-    Each of the k·r special slots survives the subsampling coin
-    independently with probability 1/2, so the union size is
-    Binomial(k·r, 1/2) — but rather than assert that, this *derives* it
-    with the columnar kernels: enumerate the k·r survival bits as a
-    uniform table (streamed through ``TableBuilder``) and push it
-    forward through the popcount map.  The result drives the exact
-    Chernoff half of Claim 3.1 and cross-checks
-    :func:`~repro.lowerbound.concentration.binomial_distribution`.
-    """
-    import itertools
-
-    from fractions import Fraction
-
-    from ..infotheory import TableBuilder
-
-    kr = hard.k * hard.r
-    if kr > max_bits:
-        raise ValueError(
-            f"k*r = {kr} survival bits exceed the enumeration guard "
-            f"({max_bits}); use concentration.binomial_distribution instead"
-        )
-    names = tuple(f"B_{s}" for s in range(kr))
-    builder = TableBuilder(names, exact=exact)
-    weight = Fraction(1, 2**kr) if exact else 1.0 / 2**kr
-    for bits in itertools.product((0, 1), repeat=kr):
-        builder.add(bits, weight)
-    return builder.build().push_forward(("S",), lambda *bits: sum(bits))
-
-
 def claim31_holds(instance: DMMInstance, **kwargs) -> bool:
     """Does every (found) maximal matching meet the k*r/4 threshold?"""
     return (
@@ -133,7 +101,3 @@ def claim31_holds(instance: DMMInstance, **kwargs) -> bool:
         >= instance.hard.claim31_threshold
     )
 
-
-def claim32_expected_bound(hard) -> float:
-    """Claim 3.2's bound on E|M^U_pi| for a 0.99-correct protocol: k*r/5."""
-    return hard.k * hard.r / 5.0

@@ -38,28 +38,6 @@ def binomial_tail_below(n: int, p: float, threshold: float) -> float:
     return sum(binomial_pmf(n, p, k) for k in range(0, min(upper, n) + 1))
 
 
-def binomial_distribution(n: int, p, *, exact: bool = False):
-    """Bin(n, p) as a columnar ``TableDistribution`` over variable "S".
-
-    With ``exact=True``, ``p`` is interpreted as a rational (e.g.
-    ``Fraction(1, 2)`` for Claim 3.1's survival coin) and every pmf
-    value is an exact ``Fraction`` — the binomial identity
-    Σ_k C(n,k) p^k (1-p)^(n-k) = 1 then holds with zero slack, which is
-    what the exact Claim 3.1 tail is summed from.
-    """
-    from ..infotheory import TableDistribution
-
-    if exact:
-        pq = Fraction(p)
-        pmf = {
-            (k,): math.comb(n, k) * pq**k * (1 - pq) ** (n - k)
-            for k in range(n + 1)
-        }
-        return TableDistribution(("S",), pmf, exact=True)
-    pmf = {(k,): binomial_pmf(n, p, k) for k in range(n + 1)}
-    return TableDistribution(("S",), pmf, normalize=True)
-
-
 def binomial_tail_below_exact(n: int, p, threshold: float) -> Fraction:
     """P[Bin(n, p) < threshold] as an exact rational."""
     upper = math.ceil(threshold) - 1

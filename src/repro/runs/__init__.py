@@ -13,7 +13,8 @@ durable pipeline:
 * :mod:`~repro.runs.sweep` — grid expansion and the resumable
   :func:`run_sweep` orchestrator;
 * :mod:`~repro.runs.report` — REPORT.md generation and record
-  inspection (``list`` / ``show`` / ``diff``) from stored records.
+  inspection (``list`` / ``show`` / ``diff``) from stored records, with
+  each experiment's paper-claim checks judged on the stored data.
 
 See ``docs/runs.md`` for the spec schema, store layout, and resume
 semantics.
@@ -33,6 +34,7 @@ from .report import (
     format_record,
     format_records_table,
     generate_report,
+    record_verdicts,
 )
 from .spec import (
     PARAM_KINDS,
@@ -70,6 +72,7 @@ __all__ = [
     "parse_value",
     "parse_workers",
     "plan_sweep",
+    "record_verdicts",
     "run_key",
     "run_sweep",
     "run_with_engine",

@@ -8,10 +8,15 @@ produced, with the recorded wall clock), and executes+stores only the
 missing ones.  Regenerating the report is therefore free once the store
 is warm, and the document is reproducible from the record files alone.
 
+Each section ends with the verdict of every paper-claim check its
+experiment declares, judged on the stored data at render time
+(:func:`record_verdicts`): verdicts are never stored, so editing a
+check re-judges old records.
+
 The module also renders the ``repro runs`` inspection views: ``list``
-(one line per stored record), ``show`` (the full record), and ``diff``
-(params / data / provenance drift between two records — the tool for
-comparing runs across code versions).
+(one line per stored record), ``show`` (the full record, verdicts
+included), and ``diff`` (params / data / provenance drift between two
+records — the tool for comparing runs across code versions).
 """
 
 from __future__ import annotations
@@ -53,10 +58,14 @@ def generate_report(
         )
         for exp in experiments
     ]
+    verdicts = [record_verdicts(outcome.record) for outcome in outcomes]
+    every = [held for v in verdicts for held in v.values()]
     lines: list[str] = [
         "# Reproduction report (auto-generated)",
         "",
         f"Package version {__version__}; regenerate with `make report`.",
+        "",
+        f"Paper-claim checks: {sum(every)} of {len(every)} held.",
         "",
         "## Contents",
         "",
@@ -65,7 +74,7 @@ def generate_report(
         anchor = exp.experiment_id.lower().replace(" ", "-")
         lines.append(f"* [{exp.experiment_id} — {exp.title}](#{anchor})")
     lines.append("")
-    for exp, outcome in zip(experiments, outcomes):
+    for exp, outcome, checks in zip(experiments, outcomes, verdicts):
         record = outcome.record
         lines.append(f"## {exp.experiment_id}")
         lines.append("")
@@ -77,12 +86,31 @@ def generate_report(
         lines.extend(record.lines)
         lines.append("```")
         lines.append("")
+        lines.append(f"Checks: {_tally(checks)}.")
+        lines.append("")
+        lines.extend(f"* `{name}`: {_VERDICT[ok]}" for name, ok in checks.items())
+        lines.append("")
         lines.append(f"_(ran in {record.wall_time:.2f}s)_")
         lines.append("")
     text = "\n".join(lines)
     if path is not None:
         Path(path).write_text(text)
     return text, outcomes
+
+
+def record_verdicts(record: RunRecord) -> dict[str, bool]:
+    """Judge the record's declared checks on its stored data and params."""
+    from ..experiments import get_experiment
+
+    experiment = get_experiment(record.experiment_id)
+    return experiment.verdicts(record.data, record.params)
+
+
+_VERDICT = {True: "held", False: "FAILED"}
+
+
+def _tally(verdicts: dict[str, bool]) -> str:
+    return f"{sum(verdicts.values())} of {len(verdicts)} held"
 
 
 def format_records_table(records: Sequence[RunRecord]) -> list[str]:
@@ -126,6 +154,9 @@ def format_record(record: RunRecord) -> list[str]:
         f"cache      : {record.cache_hits} hits / {record.cache_misses} misses",
         f"data       : {canonical_json(record.data)}",
     ]
+    verdicts = record_verdicts(record)
+    out.append(f"checks     : {_tally(verdicts)}")
+    out.extend(f"  {name} = {_VERDICT[ok]}" for name, ok in verdicts.items())
     out.extend(format_telemetry_block(record.telemetry))
     out.append("")
     out.append(record.render())

@@ -151,7 +151,7 @@ class ExperimentSpec:
     (derived once at registration — dispatch never introspects).
     ``smoke`` is a small override dict that finishes in well under a
     second: the parameterization CI smoke jobs, round-trip tests, and
-    benchmarks use.
+    ``repro trace`` use.
     """
 
     params: tuple[ParamSpec, ...] = ()

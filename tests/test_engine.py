@@ -10,6 +10,7 @@ plus the seed-derivation scheme that replaced the colliding
 
 import os
 import random
+import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -184,6 +185,27 @@ class TestBackends:
         assert result == [2, 3, 4]
         assert backend.serial_fallbacks == 1
 
+    def test_unpicklable_later_item_falls_back_to_serial(self):
+        backend = ProcessPoolBackend(workers=2)
+        lock = threading.Lock()
+        try:
+            assert backend.map(type, [1, 2, lock, 4]) == [int, int, type(lock), int]
+            assert backend.serial_fallbacks == 1
+            # The pool itself is untouched: the next batch runs on it.
+            assert backend.map(_item_double, [1, 2, 3]) == [2, 4, 6]
+            assert backend.serial_fallbacks == 1
+        finally:
+            backend.close()
+
+    def test_task_errors_propagate_from_the_pool(self):
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            with pytest.raises(ValueError):
+                backend.map(int, ["1", "2", "x", "4"])
+            assert backend.serial_fallbacks == 0
+        finally:
+            backend.close()
+
     def test_pool_recovers_after_a_worker_dies(self):
         backend = ProcessPoolBackend(workers=2)
         try:
@@ -319,6 +341,7 @@ class TestExperimentDeterminism:
             hard, SampledEdgesMatching(1), trials=5, seed=3, engine=pool_engine
         )
         assert serial == parallel
+        assert serial.trials == 5
 
     def test_warm_cache_changes_timings_not_outputs(self):
         """A warm cache returns the identical object, so downstream

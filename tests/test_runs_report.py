@@ -4,12 +4,17 @@ The acceptance property lives here: ``repro report`` regenerated from a
 warm store reproduces each experiment section *bit for bit* from the
 stored records — checked for T1a, T1b, and C31 against both a live run
 and a from-scratch report.
+
+Every section and ``runs show`` also name each declared paper-claim
+check with its verdict, judged on the stored data.
 """
 
+import dataclasses
 import re
 
 import pytest
 
+from repro.experiments import get_experiment
 from repro.runs import (
     RunStore,
     diff_records,
@@ -97,6 +102,17 @@ class TestGenerateReport:
                 line.startswith(f"* [{exp_id} — ") for line in lines
             ), exp_id
 
+    def test_sections_name_every_check_with_its_verdict(self, warm):
+        _, text, _ = warm
+        sections = _sections(text)
+        checks = {e: get_experiment(e).checks for e in ACCEPTANCE_IDS}
+        for exp_id, names in checks.items():
+            assert f"Checks: {len(names)} of {len(names)} held." in sections[exp_id]
+            for name in names:
+                assert f"* `{name}`: held" in sections[exp_id], (exp_id, name)
+        total = sum(map(len, checks.values()))
+        assert f"Paper-claim checks: {total} of {total} held." in text
+
     def test_fresh_supersedes_stored_records(self, warm):
         store, _, _ = warm
         text, outcomes = generate_report(
@@ -131,6 +147,27 @@ class TestInspectionViews:
         assert a.key in text
         assert '"m":8' in text
         assert a.lines[0] in text
+
+    def test_broken_stored_data_renders_the_check_failed(self, tmp_path):
+        """Verdicts are judged on the stored data at render time: a record
+        whose data breaks one claim shows that check, and only that one,
+        as failed in REPORT.md and in ``runs show``."""
+        store = RunStore(tmp_path / "runs")
+        record = execute_run("F1", store=store).record
+        kr = record.data["k"] * record.data["r"]
+        broken = dict(record.data, union_special_size=kr + 1)
+        store.put(dataclasses.replace(record, data=broken))
+        text, outcomes = generate_report(store, experiment_ids=["F1"])
+        assert outcomes[0].cached
+        body = _sections(text)["F1"]
+        shown = format_record(store.get(record.key))
+        names = get_experiment("F1").checks
+        assert f"Checks: {len(names) - 1} of {len(names)} held." in body
+        assert f"checks     : {len(names) - 1} of {len(names)} held" in shown
+        for name in names:
+            verdict = "FAILED" if name == "special_union_at_most_kr" else "held"
+            assert f"* `{name}`: {verdict}" in body
+            assert f"  {name} = {verdict}" in shown
 
     def test_diff_reports_param_and_data_drift(self, tmp_path):
         _, a, b = self._two_records(tmp_path)
