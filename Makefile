@@ -45,7 +45,9 @@ sweep-smoke:
 	PYTHONPATH=src python -m repro sweep F1 --grid m=8,10 --store .repro_runs --max-points 1
 	PYTHONPATH=src python -m repro sweep F1 --grid m=8,10 --store .repro_runs
 
+# Runs every example from the source tree (no install needed) and stops
+# at the first one that fails, so any failing example fails the target.
 examples:
-	for f in examples/*.py; do python $$f; done
+	for f in examples/*.py; do PYTHONPATH=src python $$f || exit 1; done
 
 all: test conformance report

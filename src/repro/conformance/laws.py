@@ -50,7 +50,8 @@ class CheckContext:
     Layer-specific attributes (set via plain attribute assignment):
 
     * codec: ``fast_message``, ``legacy_message``, ``ops``,
-      ``writer_bits``;
+      ``writer_bits``, and for the one-message forms ``fast_set``,
+      ``legacy_set``, ``fast_row``, ``legacy_row``;
     * graphs: ``builder`` (mutable Graph), ``frozen`` (FrozenGraph);
     * infotheory: ``table`` (TableDistribution), ``ref``
       (JointDistribution), ``variables``;
@@ -242,7 +243,7 @@ def _law_sketch_linearity(ctx: CheckContext) -> str | None:
     from ..graphs import Graph
 
     def freeze_edges(subset):
-        g = Graph(vertices=range(n))
+        g = Graph(vertices=frozen.vertices)
         for u, v in subset:
             g.add_edge(u, v)
         return g.freeze()
@@ -251,7 +252,7 @@ def _law_sketch_linearity(ctx: CheckContext) -> str | None:
     half_b = freeze_edges(edges[1::2])
     states_a = family.build_states(half_a, n)
     states_b = family.build_states(half_b, n)
-    for v in range(n):
+    for v in sorted(frozen.vertices):
         merged = states_a[v].merge(states_b[v])
         if _states_cells(merged) != _states_cells(states[v]):
             return (

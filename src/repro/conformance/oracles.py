@@ -4,7 +4,8 @@ PRs 3–7 each rebuilt a hot layer on a fast representation and kept the
 original implementation as a slow oracle.  This module is the single
 inventory of those pairs:
 
-* ``codec``      — packed ``Message``/``BitWriter``/``BitReader`` vs the
+* ``codec``      — packed ``Message``/``BitWriter``/``BitReader`` and the
+                   one-message vertex-set and row forms vs the
                    per-bit-list codec in ``repro.model.reference``;
 * ``graphs``     — CSR ``FrozenGraph`` vs the mutable dict-of-sets
                    ``Graph`` builder;
@@ -41,8 +42,12 @@ from ..model import (
     BitWriter,
     Message,
     PublicCoins,
+    adjacency_row_message,
+    id_width_for,
+    read_vertex_set,
     run_protocol,
     run_protocol_batch,
+    vertex_set_message,
     views_of,
 )
 from ..model.reference import LegacyBitReader, LegacyBitWriter, LegacyMessage
@@ -213,6 +218,7 @@ def _codec_build(case: Case) -> CheckContext:
     ctx.fast_message = fast
     ctx.legacy_message = legacy
     ctx.messages.append(fast)
+    _one_message_build(ctx)
     ctx.roundtrips.extend(
         [
             ("message-from-bits", fast, lambda: Message.from_bits(fast.bits)),
@@ -301,6 +307,85 @@ def _codec_differential(ctx: CheckContext) -> "str | None":
     for label, reader in readers:
         if reader.remaining:
             return f"{label} reader has {reader.remaining} bits left over"
+    return _one_message_differential(ctx)
+
+
+# One-message forms: a whole message is one vertex set or one n-bit row,
+# checked against the legacy writer's per-id and per-position loops.
+_MAX_ROW_BITS = 300
+
+
+def _legacy_vertex_set(vertices, width: int) -> LegacyMessage:
+    """A varint count, then one ``write_uint`` per id."""
+    writer = LegacyBitWriter()
+    writer.write_varint(len(vertices))
+    for v in vertices:
+        writer.write_uint(v, width)
+    return writer.to_message()
+
+
+def _legacy_read_vertex_set(message: LegacyMessage, width: int) -> list[int]:
+    reader = LegacyBitReader(message)
+    count = reader.read_varint()
+    return [reader.read_uint(width) for _ in range(count)]
+
+
+def _raises(error: type[Exception], fn) -> bool:
+    try:
+        fn()
+    except error:
+        return True
+    return False
+
+
+def _one_message_build(ctx: CheckContext) -> None:
+    rng = ctx.case.rng("one-message")
+    n = rng.randint(1, _MAX_ROW_BITS)
+    width = id_width_for(n)
+    # Past 127 ids the count's varint takes a second group.
+    count = rng.choice((0, rng.randint(1, 12), rng.randint(120, 136)))
+    vertices = [rng.randrange(n) for _ in range(count)]
+    row = sorted(rng.sample(range(n), rng.randint(0, n)))
+    ctx.n, ctx.id_width, ctx.vertices = n, width, vertices
+    ctx.fast_set = vertex_set_message(vertices, n)
+    ctx.legacy_set = _legacy_vertex_set(vertices, width)
+    ctx.fast_row = adjacency_row_message(row, n)
+    legacy_row = LegacyBitWriter()
+    members = set(row)
+    for u in range(n):
+        legacy_row.write_bit(1 if u in members else 0)
+    ctx.legacy_row = legacy_row.to_message()
+    ctx.set_cut = rng.randrange(ctx.fast_set.num_bits)
+    ctx.too_wide = rng.choice((1 << width, -1))
+    ctx.messages.extend([ctx.fast_set, ctx.fast_row])
+
+
+def _one_message_differential(ctx: CheckContext) -> "str | None":
+    width, vertices = ctx.id_width, ctx.vertices
+    for label, fast, legacy in (
+        ("vertex_set_message", ctx.fast_set, ctx.legacy_set),
+        ("adjacency_row_message", ctx.fast_row, ctx.legacy_row),
+    ):
+        if fast.bits != tuple(legacy.bits):
+            return f"{label} differs from the legacy writer's bits"
+    for label, got in (
+        ("read_vertex_set", read_vertex_set(ctx.fast_set, width)),
+        ("legacy reader", _legacy_read_vertex_set(ctx.legacy_set, width)),
+    ):
+        if got != vertices:
+            return f"{label} decoded {got!r}, expected {vertices!r}"
+    cut = ctx.set_cut
+    fast_cut = Message.from_bits(ctx.fast_set.bits[:cut])
+    legacy_cut = LegacyMessage(bits=tuple(ctx.legacy_set.bits[:cut]))
+    if not _raises(EOFError, lambda: read_vertex_set(fast_cut, width)):
+        return f"read_vertex_set read a set cut to {cut} bits"
+    if not _raises(EOFError, lambda: _legacy_read_vertex_set(legacy_cut, width)):
+        return f"the legacy reader read a set cut to {cut} bits"
+    bad = [*vertices, ctx.too_wide]
+    if not _raises(ValueError, lambda: vertex_set_message(bad, ctx.n)):
+        return f"vertex_set_message accepted id {ctx.too_wide} at width {width}"
+    if not _raises(ValueError, lambda: _legacy_vertex_set(bad, width)):
+        return f"the legacy writer accepted id {ctx.too_wide} at width {width}"
     return None
 
 
@@ -579,34 +664,31 @@ def _infotheory_differential(ctx: CheckContext) -> "str | None":
 # ======================================================================
 def _sketches_generate(seed: int) -> Case:
     rng = case_rng(seed)
-    n = rng.randint(5, 12)
+    labels = rng.randint(5, 12)
     spec = rng.choice(PROTOCOL_SPECS)
-    atoms = []
-    for _ in range(rng.randint(0, 2 * n)):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            atoms.append(("e", u, v))
+    # Labels skip values: the vertices are a subset of range(labels).
+    vertices = [v for v in range(labels) if rng.random() < 0.75]
+    atoms: list[tuple] = [("v", v) for v in vertices]
+    if len(vertices) >= 2:
+        for _ in range(rng.randint(0, 2 * len(vertices))):
+            atoms.append(("e", *rng.sample(vertices, 2)))
     return Case(
         pair="sketches",
         seed=seed,
-        params={"n": n, "spec": spec},
+        params={"spec": spec},
         atoms=tuple(atoms),
     )
 
 
 def _sketches_build(case: Case) -> CheckContext:
     ctx = CheckContext(case)
-    n = case.params["n"]
-    g = Graph(vertices=range(n))
-    for atom in case.atoms:
-        if atom[0] == "e":
-            g.add_edge(atom[1], atom[2])
-    frozen = g.freeze()
+    frozen = _graph_from_atoms(case.atoms).freeze()
+    n = max(frozen.vertices, default=0) + 1
     coins = PublicCoins(seed=case.seed)
     protocol = make_protocol(case.params["spec"])
-    batch = run_protocol(frozen, protocol, coins)
+    batch = run_protocol(frozen, protocol, coins, n=n)
     perview = run_protocol(
-        frozen, protocol, coins, views=views_of(frozen, n=n)
+        frozen, protocol, coins, n=n, views=views_of(frozen, n=n)
     )
     ctx.frozen = frozen
     ctx.n = n
@@ -616,12 +698,14 @@ def _sketches_build(case: Case) -> CheckContext:
     ctx.perview_run = perview
     ctx.messages.extend(batch.transcript.sketches.values())
     ctx.rerun_baseline = batch.transcript.sketches
-    ctx.rerun = lambda: run_protocol(frozen, protocol, coins).transcript.sketches
+    ctx.rerun = lambda: run_protocol(frozen, protocol, coins, n=n).transcript.sketches
     family = SketchFamily.incidence(
         L0Config.for_universe(n * n), coins, ("conformance/0",), magnitude=n
     )
     ctx.family = family
     ctx.states = family.build_states(frozen, n)
+    if not ctx.states:
+        return ctx
     some_state = ctx.states[min(ctx.states)]
     ctx.roundtrips.append(
         (

@@ -7,10 +7,13 @@ from .messages import (
     BitReader,
     BitWriter,
     Message,
+    adjacency_row_message,
     assert_packed_accounting,
     decode_vertex_set,
     encode_vertex_set,
     id_width_for,
+    read_vertex_set,
+    vertex_set_message,
 )
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
 from .runner import (
@@ -39,15 +42,18 @@ __all__ = [
     "SketchProtocol",
     "Transcript",
     "VertexView",
+    "adjacency_row_message",
     "as_one_round_bcc",
     "assert_packed_accounting",
     "decode_vertex_set",
     "encode_vertex_set",
     "estimate_success_probability",
     "id_width_for",
+    "read_vertex_set",
     "restricted_view",
     "run_adaptive_protocol",
     "run_protocol",
     "run_protocol_batch",
+    "vertex_set_message",
     "views_of",
 ]

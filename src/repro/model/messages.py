@@ -4,8 +4,12 @@ The lower bound is measured in *bits per message*, so the runtime forces
 protocols to genuinely serialize their sketches: a :class:`Message` wraps
 a bit string produced by :class:`BitWriter` and its length is the
 communication charged to the player.  The referee decodes with
-:class:`BitReader`.  No structured Python objects travel from players to
-the referee — if it is not in the bits, the referee does not know it.
+:class:`BitReader`.  A message that is exactly one vertex set or one
+adjacency row skips both objects: :func:`vertex_set_message`,
+:func:`adjacency_row_message` and :func:`read_vertex_set` pack and read
+its one payload as one integer, to the same bits.  No structured Python
+objects travel from players to the referee — if it is not in the bits,
+the referee does not know it.
 
 Representation.  Bits are stored packed, MSB-first: bit ``i`` of a
 message lives in byte ``i // 8`` at mask ``0x80 >> (i % 8)``, and the
@@ -363,6 +367,91 @@ def decode_vertex_set(reader: BitReader, id_width: int) -> list[int]:
     return reader.read_uint_array(count, id_width)
 
 
+# ----------------------------------------------------------------------
+# One-payload messages: a whole message is one vertex set or one row.
+# Packed as one integer and one ``to_bytes``, with no writer or reader
+# object; the bits are those of the BitWriter forms they replace.
+# ----------------------------------------------------------------------
+def _message_of_word(word: int, num_bits: int) -> Message:
+    """The message whose ``num_bits`` bits are ``word``, MSB first."""
+    pad = -num_bits & 7
+    return Message((word << pad).to_bytes((num_bits + pad) >> 3, "big"), num_bits)
+
+
+def vertex_set_message(vertices: Sequence[int], n: int) -> Message:
+    """A message holding exactly one vertex set, at ``id_width_for(n)``.
+
+    Bit-identical to :func:`encode_vertex_set` on a fresh writer: the
+    varint count, then each id in the given order.  An id outside the
+    width raises ``ValueError`` as ``write_uint_array`` does.
+    """
+    width = id_width_for(n)
+    count = len(vertices)
+    word, num_bits, rest = 0, 0, count
+    while True:
+        group = rest & 0x7F
+        rest >>= 7
+        word = (word << 8) | (0x80 if rest else 0) | group
+        num_bits += 8
+        if not rest:
+            break
+    bound = 1 << width
+    for v in vertices:
+        if v < 0 or v >= bound:
+            raise ValueError(f"value {v} does not fit in {width} bits")
+        word = (word << width) | v
+    return _message_of_word(word, num_bits + width * count)
+
+
+def read_vertex_set(message: Message, id_width: int) -> list[int]:
+    """The vertex set at the start of ``message``: one ``int.from_bytes``.
+
+    Reads what ``decode_vertex_set(message.reader(), id_width)`` reads
+    and raises where it raises: ``EOFError`` when the header or the ids
+    run past ``num_bits``, ``ValueError`` for a negative width.  Bits
+    after the set are ignored, as that call leaves them unread.
+    """
+    payload, num_bits = message.payload, message.num_bits
+    # The count's varint groups are the payload's leading bytes.
+    count = shift = pos = 0
+    while True:
+        if pos + 8 > num_bits:
+            raise EOFError("message exhausted")
+        group = payload[pos >> 3]
+        pos += 8
+        count |= (group & 0x7F) << shift
+        shift += 7
+        if not group & 0x80:
+            break
+    if id_width < 0:
+        raise ValueError("width must be non-negative")
+    end = pos + id_width * count
+    if end > num_bits:
+        raise EOFError("message exhausted")
+    block = int.from_bytes(payload, "big") >> (len(payload) * 8 - end)
+    mask = (1 << id_width) - 1
+    return [(block >> (id_width * i)) & mask for i in range(count - 1, -1, -1)]
+
+
+def adjacency_row_message(row: Iterable[int], n: int) -> Message:
+    """A message holding exactly one n-bit adjacency row.
+
+    ``row`` lists the neighbors in ascending order.  Bit-identical to
+    ``for u in range(n): write_bit(u in row)``; neighbors >= n lie
+    outside the row and are skipped, and a negative one raises
+    ``ValueError``.
+    """
+    top = n - 1
+    word = 0
+    for u in row:
+        if u > top:
+            break
+        word |= 1 << (top - u)
+    if word >> n:
+        raise ValueError(f"a neighbor id is negative; the row has {n} bits")
+    return _message_of_word(word, n)
+
+
 def id_width_for(n: int) -> int:
     """Bits needed to address one of n vertices (>= 1)."""
-    return max(1, (max(n - 1, 1)).bit_length())
+    return max(n - 1, 1).bit_length()

@@ -35,6 +35,7 @@ from ..model import (
 )
 from ..sketches import L0Block, L0Config, L0FamilyState, L0Sampler, derive_family
 from ..sketches.incidence import coordinate_edge, edge_coordinate
+from .referee import reported_edges
 
 
 class LinearL0Matching(BatchSketchProtocol):
@@ -85,7 +86,9 @@ class LinearL0Matching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        candidates: list[Edge] = []
+        # Each recovered edge (u, w) is u's report of w; the referee
+        # keeps it when both endpoints are players.
+        reports: dict[int, list[int]] = {v: [] for v in sketches}
         for v, message in sketches.items():
             family = self._vertex_family(v, n, coins)
             state = L0FamilyState.decode(message.reader(), family)
@@ -99,6 +102,6 @@ class LinearL0Matching(BatchSketchProtocol):
                     u, w = coordinate_edge(got[0], n)
                 except ValueError:
                     continue
-                if u in sketches and w in sketches:
-                    candidates.append((u, w))
-        return greedy_maximal_matching(FrozenGraph.from_edges(sketches, candidates))
+                if u in reports:
+                    reports[u].append(w)
+        return greedy_maximal_matching(None, reported_edges(reports))

@@ -15,18 +15,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, greedy_mis
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
 from ..model import (
     BatchSketchProtocol,
     Message,
     PublicCoins,
     VertexView,
+    adjacency_row_message,
 )
-from ..sketches.core import adjacency_row_message
-
-
-def _encode_adjacency_row(view: VertexView) -> Message:
-    return adjacency_row_message(view.sorted_neighbors, view.n)
+from .referee import reported_edges, reported_greedy_mis, row_reports
 
 
 def _batch_adjacency_rows(graph: FrozenGraph, n: int) -> dict[int, Message]:
@@ -36,30 +33,13 @@ def _batch_adjacency_rows(graph: FrozenGraph, n: int) -> dict[int, Message]:
     }
 
 
-def _decode_graph(n: int, sketches: Mapping[int, Message]) -> FrozenGraph:
-    """The reported graph: bit u of v's row (MSB first) is the edge (v, u).
-
-    Each row is read as one n-bit word and scanned by its set bits.
-    Each edge is reported by both endpoints; ``from_edges`` dedups.
-    """
-    edges: list[Edge] = []
-    for v, message in sketches.items():
-        row = f"{message.reader().read_uint(n):0{n}b}"
-        u = row.find("1")
-        while u >= 0:
-            if u in sketches:
-                edges.append((v, u))
-            u = row.find("1", u + 1)
-    return FrozenGraph.from_edges(sketches, edges)
-
-
 class FullNeighborhoodMatching(BatchSketchProtocol):
     """Referee reconstructs G exactly and outputs a greedy maximal matching."""
 
     name = "full-neighborhood-matching"
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        return _encode_adjacency_row(view)
+        return adjacency_row_message(view.sorted_neighbors, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -69,7 +49,8 @@ class FullNeighborhoodMatching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        return greedy_maximal_matching(_decode_graph(n, sketches))
+        edges = reported_edges(row_reports(n, sketches))
+        return greedy_maximal_matching(None, edges)
 
 
 class FullNeighborhoodMIS(BatchSketchProtocol):
@@ -78,7 +59,7 @@ class FullNeighborhoodMIS(BatchSketchProtocol):
     name = "full-neighborhood-mis"
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        return _encode_adjacency_row(view)
+        return adjacency_row_message(view.sorted_neighbors, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -88,4 +69,4 @@ class FullNeighborhoodMIS(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[int]:
-        return greedy_mis(_decode_graph(n, sketches))
+        return reported_greedy_mis(row_reports(n, sketches))

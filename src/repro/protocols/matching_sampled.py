@@ -23,18 +23,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, greedy_mis
+from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
 from ..model import (
     BatchSketchProtocol,
-    BitWriter,
     Message,
     PublicCoins,
     VertexView,
-    decode_vertex_set,
-    encode_vertex_set,
-    id_width_for,
+    vertex_set_message,
 )
-from ..sketches.core import vertex_set_message
+from .referee import reported_edges, reported_greedy_mis, vertex_set_reports
 
 
 def _sample_sorted(
@@ -43,9 +40,12 @@ def _sample_sorted(
     """Deterministic public-coin sample of up to ``budget`` neighbors
     from an ascending neighbor sequence.  ``rng.sample`` depends only on
     the sequence's order and length, so the per-view sorted list and the
-    CSR tuple draw identically."""
+    CSR tuple draw identically.  A zero budget draws no stream, since
+    its sample is empty whatever the coins."""
     if len(sorted_neighbors) <= budget:
         return sorted_neighbors
+    if not budget:
+        return []
     rng = coins.rng(f"{label}/{vertex}")
     return sorted(rng.sample(sorted_neighbors, budget))
 
@@ -67,22 +67,6 @@ def _batch_sampled_messages(
     }
 
 
-def _decode_sampled_graph(
-    n: int, sketches: Mapping[int, Message]
-) -> FrozenGraph:
-    """The union of the reported edges between players."""
-    width = id_width_for(n)
-    return FrozenGraph.from_edges(
-        sketches,
-        [
-            (v, u)
-            for v, message in sketches.items()
-            for u in decode_vertex_set(message.reader(), width)
-            if u in sketches
-        ],
-    )
-
-
 class SampledEdgesMatching(BatchSketchProtocol):
     """Send ``edges_per_vertex`` random incident edges; greedy MM on the union.
 
@@ -97,9 +81,7 @@ class SampledEdgesMatching(BatchSketchProtocol):
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
         sampled = _sample_neighbors(view, coins, self.edges_per_vertex, "sampled-mm")
-        writer = BitWriter()
-        encode_vertex_set(writer, sampled, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(sampled, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -111,7 +93,8 @@ class SampledEdgesMatching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        return greedy_maximal_matching(_decode_sampled_graph(n, sketches))
+        edges = reported_edges(vertex_set_reports(n, sketches))
+        return greedy_maximal_matching(None, edges)
 
 
 class DegreeAdaptiveMatching(BatchSketchProtocol):
@@ -125,9 +108,7 @@ class DegreeAdaptiveMatching(BatchSketchProtocol):
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
         sampled = _sample_neighbors(view, coins, self.degree_cap, "adaptive-mm")
-        writer = BitWriter()
-        encode_vertex_set(writer, sampled, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(sampled, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -137,7 +118,8 @@ class DegreeAdaptiveMatching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        return greedy_maximal_matching(_decode_sampled_graph(n, sketches))
+        edges = reported_edges(vertex_set_reports(n, sketches))
+        return greedy_maximal_matching(None, edges)
 
 
 class SampledEdgesMIS(BatchSketchProtocol):
@@ -157,9 +139,7 @@ class SampledEdgesMIS(BatchSketchProtocol):
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
         sampled = _sample_neighbors(view, coins, self.edges_per_vertex, "sampled-mis")
-        writer = BitWriter()
-        encode_vertex_set(writer, sampled, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(sampled, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -171,7 +151,7 @@ class SampledEdgesMIS(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[int]:
-        return greedy_mis(_decode_sampled_graph(n, sketches))
+        return reported_greedy_mis(vertex_set_reports(n, sketches))
 
 
 class LowDegreeOnlyMatching(BatchSketchProtocol):
@@ -203,12 +183,8 @@ class LowDegreeOnlyMatching(BatchSketchProtocol):
         self.name = f"low-degree-only-matching({degree_threshold})"
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        writer = BitWriter()
-        if view.degree <= self.degree_threshold:
-            encode_vertex_set(writer, view.sorted_neighbors, id_width_for(view.n))
-        else:
-            encode_vertex_set(writer, [], id_width_for(view.n))
-        return writer.to_message()
+        chosen = view.sorted_neighbors if view.degree <= self.degree_threshold else ()
+        return vertex_set_message(chosen, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -223,7 +199,8 @@ class LowDegreeOnlyMatching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        return greedy_maximal_matching(_decode_sampled_graph(n, sketches))
+        edges = reported_edges(vertex_set_reports(n, sketches))
+        return greedy_maximal_matching(None, edges)
 
 
 class HybridMatching(BatchSketchProtocol):
@@ -247,9 +224,7 @@ class HybridMatching(BatchSketchProtocol):
             chosen = view.sorted_neighbors
         else:
             chosen = _sample_neighbors(view, coins, self.sample_budget, "hybrid-mm")
-        writer = BitWriter()
-        encode_vertex_set(writer, chosen, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(chosen, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -267,4 +242,5 @@ class HybridMatching(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        return greedy_maximal_matching(_decode_sampled_graph(n, sketches))
+        edges = reported_edges(vertex_set_reports(n, sketches))
+        return greedy_maximal_matching(None, edges)

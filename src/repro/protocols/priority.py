@@ -34,8 +34,10 @@ from ..model import (
     decode_vertex_set,
     encode_vertex_set,
     id_width_for,
+    vertex_set_message,
 )
 from .mis_luby import _priority
+from .referee import reported_edges, reported_greedy_mis, vertex_set_reports
 
 
 def edge_priority(coins: PublicCoins, edge: Edge) -> float:
@@ -61,9 +63,7 @@ class PriorityEdgeMatching(BatchSketchProtocol):
             view.neighbors,
             key=lambda u: edge_priority(coins, (view.vertex, u)),
         )[: self.budget]
-        writer = BitWriter()
-        encode_vertex_set(writer, sorted(ranked), id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(sorted(ranked), view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -71,27 +71,19 @@ class PriorityEdgeMatching(BatchSketchProtocol):
         # One rng stream per undirected edge, not per (vertex, neighbor)
         # direction — halves the stream setup versus the per-view path.
         priority = {edge: edge_priority(coins, edge) for edge in graph.edges()}
-        width = id_width_for(n)
         messages: dict[int, Message] = {}
         for v in graph.sorted_vertices():
             ranked = sorted(
                 graph.neighbors_sorted(v),
                 key=lambda u: priority[normalize_edge(v, u)],
             )[: self.budget]
-            writer = BitWriter()
-            encode_vertex_set(writer, sorted(ranked), width)
-            messages[v] = writer.to_message()
+            messages[v] = vertex_set_message(sorted(ranked), n)
         return messages
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        width = id_width_for(n)
-        edges: set[Edge] = set()
-        for v, message in sketches.items():
-            for u in decode_vertex_set(message.reader(), width):
-                if u in sketches:
-                    edges.add(normalize_edge(v, u))
+        edges = reported_edges(vertex_set_reports(n, sketches))
         order = sorted(edges, key=lambda e: edge_priority(coins, e))
         return greedy_maximal_matching(None, order)
 
@@ -145,24 +137,12 @@ class PatchedLocalMinMIS(BatchSketchProtocol):
     ) -> set[int]:
         width = id_width_for(n)
         local_minima: set[int] = set()
-        edges: list[Edge] = []
+        reports: dict[int, list[int]] = {}
         for v, message in sketches.items():
             reader = message.reader()
             if reader.read_bit():
                 local_minima.add(v)
-            edges.extend(
-                (v, u) for u in decode_vertex_set(reader, width) if u in sketches
-            )
-        sampled = FrozenGraph.from_edges(sketches, edges)
+            reports[v] = decode_vertex_set(reader, width)
         # Start from the (always independent) local minima, then extend
         # greedily over the sampled graph only.
-        chosen = set(local_minima)
-        blocked = set(chosen)
-        for v in chosen:
-            blocked |= sampled.neighbors(v)
-        for v in sorted(sketches):
-            if v not in blocked:
-                chosen.add(v)
-                blocked.add(v)
-                blocked |= sampled.neighbors(v)
-        return chosen
+        return reported_greedy_mis(reports, local_minima)

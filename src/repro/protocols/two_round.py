@@ -24,18 +24,27 @@ import math
 from collections.abc import Mapping
 from typing import Any
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching, matched_vertices
+from ..graphs import (
+    FrozenGraph,
+    greedy_maximal_matching,
+    greedy_mis,
+    matched_vertices,
+)
 from ..model import (
     AdaptiveProtocol,
     BitWriter,
     Message,
     PublicCoins,
     VertexView,
-    decode_vertex_set,
-    encode_vertex_set,
-    id_width_for,
+    vertex_set_message,
 )
-from .matching_sampled import _decode_sampled_graph
+from .referee import reported_edges, vertex_set_reports
+
+
+def _reported_graph(reports: Mapping[int, list[int]]) -> FrozenGraph:
+    """The reported graph, frozen: ``SampleAndPruneMIS`` takes induced
+    subgraphs of it."""
+    return FrozenGraph.from_edges(reports, reported_edges(reports))
 
 
 class FilteringMatching(AdaptiveProtocol):
@@ -66,26 +75,21 @@ class FilteringMatching(AdaptiveProtocol):
         broadcasts: list[Any],
     ) -> Message:
         cap = self._cap(view.n)
-        writer = BitWriter()
-        width = id_width_for(view.n)
         if round_index == 0:
             neighbors = view.sorted_neighbors
             if len(neighbors) > cap:
                 rng = coins.rng(f"filtering/round0/{view.vertex}")
                 neighbors = sorted(rng.sample(neighbors, cap))
-            encode_vertex_set(writer, neighbors, width)
-            return writer.to_message()
+            return vertex_set_message(neighbors, view.n)
 
         matched: frozenset[int] = broadcasts[-1]
         if view.vertex in matched:
-            encode_vertex_set(writer, [], width)
-            return writer.to_message()
+            return vertex_set_message((), view.n)
         residual = [u for u in view.sorted_neighbors if u not in matched]
         if len(residual) > cap:
             rng = coins.rng(f"filtering/round{round_index}/{view.vertex}")
             residual = sorted(rng.sample(residual, cap))
-        encode_vertex_set(writer, residual, width)
-        return writer.to_message()
+        return vertex_set_message(residual, view.n)
 
     def referee_round(
         self,
@@ -95,7 +99,7 @@ class FilteringMatching(AdaptiveProtocol):
         coins: PublicCoins,
         broadcasts: list[Any],
     ) -> Any:
-        reported = _decode_sampled_graph(n, sketches)
+        reported = _reported_graph(vertex_set_reports(n, sketches))
         if round_index == 0:
             matching = greedy_maximal_matching(reported)
             self._matching = matching
@@ -158,27 +162,23 @@ class SampleAndPruneMIS(AdaptiveProtocol):
         broadcasts: list[Any],
     ) -> Message:
         cap = self._cap(view.n)
-        writer = BitWriter()
-        width = id_width_for(view.n)
         if round_index == 0:
-            neighbors = view.sorted_neighbors if view.degree <= cap else []
-            encode_vertex_set(writer, neighbors, width)
-            return writer.to_message()
+            neighbors = view.sorted_neighbors if view.degree <= cap else ()
+            return vertex_set_message(neighbors, view.n)
         if round_index == 1:
             s1: frozenset[int] = broadcasts[-1]
             dominated = view.vertex in s1 or bool(view.neighbors & s1)
+            writer = BitWriter()
             writer.write_bit(1 if dominated else 0)
             return writer.to_message()
         undominated: frozenset[int] = broadcasts[-1]
         if view.vertex not in undominated:
-            encode_vertex_set(writer, [], width)
-            return writer.to_message()
+            return vertex_set_message((), view.n)
         residual = [u for u in view.sorted_neighbors if u in undominated]
         if len(residual) > cap:
             rng = coins.rng(f"sap-mis/{view.vertex}")
             residual = sorted(rng.sample(residual, cap))
-        encode_vertex_set(writer, residual, width)
-        return writer.to_message()
+        return vertex_set_message(residual, view.n)
 
     def referee_round(
         self,
@@ -188,20 +188,12 @@ class SampleAndPruneMIS(AdaptiveProtocol):
         coins: PublicCoins,
         broadcasts: list[Any],
     ) -> Any:
-        width = id_width_for(n)
         if round_index == 0:
-            reporters = set()
-            edges: list[Edge] = []
-            for v, message in sketches.items():
-                neighbors = decode_vertex_set(message.reader(), width)
-                if neighbors:
-                    reporters.add(v)
-                edges.extend((v, u) for u in neighbors if u in sketches)
-            low_graph = FrozenGraph.from_edges(sketches, edges)
+            reports = vertex_set_reports(n, sketches)
+            low_graph = _reported_graph(reports)
             # Restrict to edges both of whose endpoints reported: those
             # are exactly the low-degree/low-degree edges, fully known.
-            from ..graphs import greedy_mis
-
+            reporters = {v for v, neighbors in reports.items() if neighbors}
             induced = low_graph.induced_subgraph(reporters)
             self._s1 = frozenset(greedy_mis(induced))
             return self._s1
@@ -213,17 +205,10 @@ class SampleAndPruneMIS(AdaptiveProtocol):
             self._undominated = undominated
             return undominated
         undominated = self._undominated
-        residual = FrozenGraph.from_edges(
-            undominated,
-            [
-                (v, u)
-                for v, message in sketches.items()
-                if v in undominated
-                for u in decode_vertex_set(message.reader(), width)
-                if u in undominated
-            ],
+        residual = _reported_graph(
+            vertex_set_reports(
+                n, {v: m for v, m in sketches.items() if v in undominated}
+            )
         )
-        from ..graphs import greedy_mis
-
         extension = greedy_mis(residual)
         return set(self._s1) | extension

@@ -31,11 +31,11 @@ from ..model import (
     Message,
     PublicCoins,
     VertexView,
-    decode_vertex_set,
-    encode_vertex_set,
     id_width_for,
+    read_vertex_set,
+    vertex_set_message,
 )
-from .core import vertex_set_message, write_adjacency_row
+from .core import write_adjacency_row
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ class PaletteSparsificationColoring(BatchSketchProtocol):
             if u > view.vertex
             and own & sample_palette(u, self.max_degree, size, coins)
         ]
-        writer = BitWriter()
-        encode_vertex_set(writer, conflicts, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(conflicts, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -126,7 +124,7 @@ class PaletteSparsificationColoring(BatchSketchProtocol):
         width = id_width_for(n)
         conflict = Graph(vertices=sketches.keys())
         for v, message in sketches.items():
-            for u in decode_vertex_set(message.reader(), width):
+            for u in read_vertex_set(message, width):
                 conflict.add_edge(v, u)
 
         palettes = {

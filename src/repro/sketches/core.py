@@ -51,8 +51,7 @@ from ..model import (
     BitWriter,
     Message,
     PublicCoins,
-    encode_vertex_set,
-    id_width_for,
+    vertex_set_message,
 )
 from .incidence import edge_coordinate
 from .l0sampler import HASH_PRIME, L0Config, _derived_params
@@ -732,16 +731,10 @@ class SketchFamily:
 # ----------------------------------------------------------------------
 # Shared batch-encoding helpers for the non-L0 protocols
 # ----------------------------------------------------------------------
-def vertex_set_message(vertices, n: int) -> Message:
-    """A message holding one length-prefixed vertex set (the common
-    payload of the sampled-edge protocols)."""
-    writer = BitWriter()
-    encode_vertex_set(writer, vertices, id_width_for(n))
-    return writer.to_message()
-
-
 def write_adjacency_row(writer: BitWriter, sorted_neighbors, n: int) -> None:
-    """The n-bit adjacency row as run-length word writes.
+    """The n-bit adjacency row as run-length word writes, for messages
+    that carry a row after other fields (a whole-message row is
+    :func:`~repro.model.messages.adjacency_row_message`).
 
     Bit-identical to ``for u in range(n): write_bit(u in neighbors)``:
     ``write_uint(1, gap + 1)`` emits ``gap`` zeros then a one, MSB-first,
@@ -756,14 +749,6 @@ def write_adjacency_row(writer: BitWriter, sorted_neighbors, n: int) -> None:
         pos = u + 1
     if n > pos:
         writer.write_uint(0, n - pos)
-
-
-def adjacency_row_message(sorted_neighbors, n: int) -> Message:
-    """A message holding one n-bit adjacency row (the full-neighborhood
-    protocols' payload)."""
-    writer = BitWriter()
-    write_adjacency_row(writer, sorted_neighbors, n)
-    return writer.to_message()
 
 
 def sampled_lower_endpoint_messages(

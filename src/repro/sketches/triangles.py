@@ -19,13 +19,12 @@ from ..graphs import FrozenGraph, Graph
 from ..graphs.triangles import count_triangles
 from ..model import (
     BatchSketchProtocol,
-    BitWriter,
     Message,
     PublicCoins,
     VertexView,
-    decode_vertex_set,
-    encode_vertex_set,
     id_width_for,
+    read_vertex_set,
+    vertex_set_message,
 )
 from .core import sampled_lower_endpoint_messages
 from .densest import edge_sampled
@@ -54,9 +53,7 @@ class TriangleCountSketch(BatchSketchProtocol):
             if view.vertex < u
             and edge_sampled(coins, view.vertex, u, self.probability)
         ]
-        writer = BitWriter()
-        encode_vertex_set(writer, reported, id_width_for(view.n))
-        return writer.to_message()
+        return vertex_set_message(reported, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
@@ -71,7 +68,7 @@ class TriangleCountSketch(BatchSketchProtocol):
         width = id_width_for(n)
         sampled = Graph(vertices=sketches.keys())
         for v, message in sketches.items():
-            for u in decode_vertex_set(message.reader(), width):
+            for u in read_vertex_set(message, width):
                 if u in sampled:
                     sampled.add_edge(v, u)
         found = count_triangles(sampled)

@@ -1,30 +1,44 @@
 """Referee decode contract of every protocol that rebuilds the reported graph.
 
-Each such decoder assembles the reported edges in one
-``FrozenGraph.from_edges`` call.  On random graphs (the sketch-core
-suite's strategy) the tests watch that call and pin three rules:
+One-round decoders build no graph.  They read each player's message
+into the ids it reports and turn the reports into one ascending edge
+list with ``repro.protocols.referee.reported_edges``.  On random graphs
+(the sketch-core suite's strategy) the tests watch that call and pin
+three rules:
 
-* a full-budget decode of the batch messages rebuilds exactly G's edge
+* a full-budget decode of the batch messages reports exactly G's edge
   set on the players;
 * reported ids that are not players are dropped;
 * a player reporting itself raises ``ValueError("self-loop ...")``, as
-  the builder's ``add_edge`` did.
+  ``FrozenGraph.from_edges`` does.
+
+They also require that no ``FrozenGraph`` is built and that the output
+is the greedy scan of the graph on the players.  The adaptive referees
+still freeze the reported graph, so their tests watch
+``FrozenGraph.from_edges`` itself.
 """
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import FrozenGraph, greedy_maximal_matching
+from repro.graphs import (
+    FrozenGraph,
+    greedy_maximal_matching,
+    greedy_mis,
+    is_maximal_independent_set,
+)
 from repro.model import (
     BitWriter,
     PublicCoins,
+    adjacency_row_message,
     encode_vertex_set,
     id_width_for,
     run_adaptive_protocol,
+    vertex_set_message,
     views_of,
 )
 from repro.protocols import (
@@ -41,8 +55,13 @@ from repro.protocols import (
     SampledEdgesMatching,
     SampledEdgesMIS,
     edge_priority,
+    linear,
+    matching_naive,
+    matching_sampled,
+    priority,
+    referee,
+    two_round,
 )
-from repro.sketches.core import adjacency_row_message, vertex_set_message
 
 from .test_sketch_core import build_frozen, graph_spec, labels, seeds
 
@@ -50,6 +69,16 @@ from .test_sketch_core import build_frozen, graph_spec, labels, seeds
 #: and any budget >= 9 is a full neighborhood.
 N = 10
 silent_players = st.sets(labels, max_size=5)
+
+#: Every module that binds ``reported_edges``: the spy replaces each.
+REFEREE_MODULES = (
+    referee,
+    matching_naive,
+    matching_sampled,
+    priority,
+    linear,
+    two_round,
+)
 
 
 @contextmanager
@@ -67,6 +96,37 @@ def rebuilt_graphs():
         yield graphs
 
 
+@contextmanager
+def built_graphs():
+    """Record every ``FrozenGraph`` built, by any constructor."""
+    graphs: list[FrozenGraph] = []
+    adopt = FrozenGraph._adopt
+
+    def spy(graph, *args):
+        adopt(graph, *args)
+        graphs.append(graph)
+
+    with mock.patch.object(FrozenGraph, "_adopt", spy):
+        yield graphs
+
+
+@contextmanager
+def reported_edge_lists():
+    """Record every ``(players, edges)`` the reported-edge helper returns."""
+    calls: list[tuple[frozenset[int], list]] = []
+    real = referee.reported_edges
+
+    def spy(reports):
+        edges = real(reports)
+        calls.append((frozenset(reports), edges))
+        return edges
+
+    with ExitStack() as stack:
+        for module in REFEREE_MODULES:
+            stack.enter_context(mock.patch.object(module, "reported_edges", spy))
+        yield calls
+
+
 def row_report(v):
     return adjacency_row_message((v,), N)
 
@@ -82,50 +142,67 @@ def flagged_ids_report(v):
     return writer.to_message()
 
 
+def is_greedy_matching(graph, output):
+    return output == greedy_maximal_matching(graph)
+
+
+def is_greedy_mis(graph, output):
+    return output == greedy_mis(graph)
+
+
 #: Every one-round decoder that rebuilds the reported graph, at full
-#: budget, with the message by which a player reports only itself.
+#: budget: the message by which a player reports only itself, and what
+#: its output must be on the graph induced on the players.  The patched
+#: referee starts from the local minima, so its output is some MIS.
 GRAPH_DECODERS = [
-    (FullNeighborhoodMatching(), row_report),
-    (FullNeighborhoodMIS(), row_report),
-    (SampledEdgesMatching(N), ids_report),
-    (DegreeAdaptiveMatching(N), ids_report),
-    (SampledEdgesMIS(N), ids_report),
-    (LowDegreeOnlyMatching(N), ids_report),
-    (HybridMatching(N, N), ids_report),
-    (PatchedLocalMinMIS(N), flagged_ids_report),
+    (FullNeighborhoodMatching(), row_report, is_greedy_matching),
+    (FullNeighborhoodMIS(), row_report, is_greedy_mis),
+    (SampledEdgesMatching(N), ids_report, is_greedy_matching),
+    (DegreeAdaptiveMatching(N), ids_report, is_greedy_matching),
+    (SampledEdgesMIS(N), ids_report, is_greedy_mis),
+    (LowDegreeOnlyMatching(N), ids_report, is_greedy_matching),
+    (HybridMatching(N, N), ids_report, is_greedy_matching),
+    (PatchedLocalMinMIS(N), flagged_ids_report, is_maximal_independent_set),
 ]
-DECODER_IDS = [protocol.name for protocol, _ in GRAPH_DECODERS]
+DECODER_IDS = [protocol.name for protocol, _, _ in GRAPH_DECODERS]
 
 
-@pytest.mark.parametrize("protocol,_report", GRAPH_DECODERS, ids=DECODER_IDS)
+@pytest.mark.parametrize("protocol,_report,rule", GRAPH_DECODERS, ids=DECODER_IDS)
 @given(graph_spec, seeds)
 @settings(max_examples=15, deadline=None)
-def test_full_budget_decode_rebuilds_g(protocol, _report, spec, seed):
+def test_full_budget_decode_rebuilds_g(protocol, _report, rule, spec, seed):
     graph = build_frozen(spec)
     coins = PublicCoins(seed=seed)
     sketches = protocol.sketch_batch(graph, N, coins)
-    with rebuilt_graphs() as graphs:
-        protocol.decode(N, sketches, coins)
-    assert graphs == [graph]
+    with reported_edge_lists() as calls, built_graphs() as graphs:
+        output = protocol.decode(N, sketches, coins)
+    assert calls == [(graph.vertices, sorted(graph.edges()))]
+    assert graphs == []
+    assert rule(graph, output)
 
 
-@pytest.mark.parametrize("protocol,_report", GRAPH_DECODERS, ids=DECODER_IDS)
+@pytest.mark.parametrize("protocol,_report,rule", GRAPH_DECODERS, ids=DECODER_IDS)
 @given(graph_spec, seeds, silent_players)
 @settings(max_examples=15, deadline=None)
-def test_ids_that_are_not_players_are_dropped(protocol, _report, spec, seed, silent):
+def test_ids_that_are_not_players_are_dropped(
+    protocol, _report, rule, spec, seed, silent
+):
     graph = build_frozen(spec)
     coins = PublicCoins(seed=seed)
     sketches = protocol.sketch_batch(graph, N, coins)
     players = {v: m for v, m in sketches.items() if v not in silent}
-    with rebuilt_graphs() as graphs:
-        protocol.decode(N, players, coins)
-    assert graphs == [graph.induced_subgraph(players)]
+    on_players = graph.induced_subgraph(players)
+    with reported_edge_lists() as calls, built_graphs() as graphs:
+        output = protocol.decode(N, players, coins)
+    assert calls == [(on_players.vertices, sorted(on_players.edges()))]
+    assert graphs == []
+    assert rule(on_players, output)
 
 
-@pytest.mark.parametrize("protocol,report", GRAPH_DECODERS, ids=DECODER_IDS)
+@pytest.mark.parametrize("protocol,report,_rule", GRAPH_DECODERS, ids=DECODER_IDS)
 @given(graph_spec, seeds, st.data())
 @settings(max_examples=10, deadline=None)
-def test_self_report_raises(protocol, report, spec, seed, data):
+def test_self_report_raises(protocol, report, _rule, spec, seed, data):
     graph = build_frozen(spec)
     assume(graph.num_vertices() > 0)
     coins = PublicCoins(seed=seed)
@@ -144,7 +221,7 @@ def test_priority_decode_replays_reported_edges_without_a_graph(spec, seed, sile
     protocol = PriorityEdgeMatching(N)
     sketches = protocol.sketch_batch(graph, N, coins)
     players = {v: m for v, m in sketches.items() if v not in silent}
-    with rebuilt_graphs() as graphs:
+    with built_graphs() as graphs:
         output = protocol.decode(N, players, coins)
     assert graphs == []
     reported = graph.induced_subgraph(players).edges()
@@ -170,19 +247,21 @@ def test_priority_self_report_raises(spec, seed, data):
 @settings(max_examples=10, deadline=None)
 def test_linear_decode_keeps_recovered_edges_between_players(spec, seed, silent):
     # L0 samplers recover one edge each, so even a large sampler count
-    # need not reveal all of G: the rebuilt graph is a subgraph of G on
-    # the players.  Recoveries are canonical edge slots (u < w), so a
-    # self-loop never reaches the graph.
+    # need not reveal all of G: the reported edges are a subset of G's
+    # on the players.  Recoveries are canonical edge slots (u < w), so
+    # a self-loop is never reported.
     graph = build_frozen(spec)
     coins = PublicCoins(seed=seed)
     protocol = LinearL0Matching(3)
     sketches = protocol.sketch_batch(graph, N, coins)
     players = {v: m for v, m in sketches.items() if v not in silent}
-    with rebuilt_graphs() as graphs:
-        protocol.decode(N, players, coins)
-    [candidates] = graphs
-    assert candidates.vertices == frozenset(players)
-    assert candidates.edge_set() <= graph.induced_subgraph(players).edge_set()
+    with reported_edge_lists() as calls, built_graphs() as graphs:
+        output = protocol.decode(N, players, coins)
+    [(reporters, edges)] = calls
+    assert graphs == []
+    assert reporters == frozenset(players)
+    assert set(edges) <= graph.induced_subgraph(players).edge_set()
+    assert output == greedy_maximal_matching(None, edges)
 
 
 #: A cap multiplier at which ceil(c * isqrt(N)) exceeds every degree.
