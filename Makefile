@@ -27,8 +27,9 @@ perfbench-smoke:
 	PYTHONPATH=src python -m pytest perfbench/test_harness.py -q
 	python3 perfbench/harness.py --seed 0 --seconds 1 --trace 0
 
-# Traced smoke run: span tree + bits-per-player table on stdout, Chrome
-# trace to trace_smoke.json (open in Perfetto / chrome://tracing).
+# Traced smoke run: span tree, counter table and the bits-by-role table
+# (messages, bit sum, max, p50, p99 per protocol x role) on stdout,
+# Chrome trace to trace_smoke.json (open in Perfetto / chrome://tracing).
 trace-smoke:
 	PYTHONPATH=src python -m repro trace T1b --out trace_smoke.json
 

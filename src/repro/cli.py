@@ -31,7 +31,8 @@ The runs pipeline (see ``docs/runs.md``):
 * ``sweep EXP --grid name=v1,v2 ...`` expands a declared parameter
   grid, content-addresses every point, executes **only the points the
   run store does not already hold** (so a killed sweep resumes where it
-  died), and records each finished point durably;
+  died), records each finished point durably, and prints each point's
+  paper-claim check verdicts from its stored record;
 * ``report`` renders REPORT.md from stored default-parameter records,
   executing and storing only the missing ones (``--fresh`` re-runs);
 * ``runs list`` / ``runs show KEY`` / ``runs diff KEY KEY`` inspect and
@@ -41,10 +42,11 @@ The runs pipeline (see ``docs/runs.md``):
 
 Telemetry (see ``docs/observability.md``): ``repro trace EXP`` runs an
 experiment at its declared smoke scale under a recorder and prints the
-aggregated span tree plus the counter table (``--out`` exports the raw
-trace); ``run`` and ``sweep`` take ``--trace PATH`` to export a Chrome
-trace-event JSON (``.json``, loadable in Perfetto / chrome://tracing)
-or a JSONL event log (``.jsonl``) of the whole invocation.
+aggregated span tree, the counter table and the bits-by-role table
+(``--out`` exports the raw trace); ``run`` and ``sweep`` take ``--trace
+PATH`` to export a Chrome trace-event JSON (``.json``, loadable in
+Perfetto / chrome://tracing) or a JSONL event log (``.jsonl``) of the
+whole invocation.
 
 ``repro conformance {run,shrink,list}`` drives the conformance
 subsystem: deterministic differential/metamorphic fuzzing of every
@@ -77,6 +79,7 @@ from .runs.report import (
     format_record,
     format_records_table,
     generate_report,
+    record_verdicts,
 )
 
 
@@ -264,7 +267,12 @@ def cmd_run_all(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Expand a parameter grid, execute the missing points, record them."""
+    """Expand a parameter grid, execute the missing points, record them.
+
+    Prints one line per point: its axis values and how many of the
+    experiment's paper-claim checks held on the stored record, naming
+    any that failed (``not run`` for points ``--max-points`` deferred).
+    """
     grid = _parse_grid(args.grid)
     base = _parse_kwargs(args.set or [])
     if args.trials is not None:
@@ -284,6 +292,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     axes = " ".join(f"{k}={','.join(map(str, v))}" for k, v in sorted(grid.items()))
     print(f"sweep {args.experiment_id}: {len(result.points)} points (grid {axes})")
+    for point in result.points:
+        where = " ".join(f"{name}={point.overrides[name]}" for name in sorted(grid))
+        record = store.get(point.key)
+        if record is None:
+            print(f"  {where}: not run")
+            continue
+        verdicts = record_verdicts(record)
+        failed = [name for name, held in verdicts.items() if not held]
+        line = f"  {where}: {sum(verdicts.values())} of {len(verdicts)} held"
+        print(line + (f"; FAILED {', '.join(failed)}" if failed else ""))
     print(
         f"{result.summary()} (ran in {result.wall_time:.2f}s; "
         f"backend {engine.describe()})"
@@ -376,14 +394,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     Smoke overrides come from the experiment's declared spec (the same
     parameterization CI uses), with ``--kw`` merged on top; the command
-    prints the aggregated span tree and the counter table, and ``--out``
-    additionally exports the raw trace (Chrome JSON or JSONL by suffix).
+    prints the aggregated span tree, the counter table, and the
+    bits-by-role table (messages, bit sum, max, p50, p99 per protocol ×
+    role × round), and ``--out`` additionally exports the raw trace
+    (Chrome JSON or JSONL by suffix).
     """
     from .obs import (
         TelemetryRecorder,
         counter_table,
         recording,
         render_tree,
+        transcript_rows,
+        transcript_table,
         write_trace,
     )
 
@@ -402,6 +424,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print()
     for line in counter_table(recorder):
         print(line)
+    table = transcript_table(transcript_rows(recorder))
+    if table:
+        print()
+        for line in table:
+            print(line)
     if args.out is not None:
         written = write_trace(recorder, args.out)
         print()

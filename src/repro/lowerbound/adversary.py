@@ -9,7 +9,9 @@ budget reaches the scale of the special matchings.  This harness
   matching / MIS of G) and the relaxed task of Remark 3.6(iv) (a valid
   matching with >= k*r/4 unique-unique edges, maximal or not);
 * records the realized communication cost per run, so the sweep plots
-  success against measured bits, not against a nominal knob.
+  success against measured bits, not against a nominal knob;
+* labels each run's transcript telemetry with the instance's player
+  roles (public / unique / special, :meth:`DMMInstance.player_roles`).
 """
 
 from __future__ import annotations
@@ -94,7 +96,11 @@ def _attack_trial(item: tuple) -> tuple[bool, bool, float, int, float]:
     """Score one attack trial (module-level so process pools can run it)."""
     instance, coins_seed, protocol, mis = item
     run = run_protocol(
-        instance.graph, protocol, PublicCoins(seed=coins_seed), n=instance.hard.n
+        instance.graph,
+        protocol,
+        PublicCoins(seed=coins_seed),
+        n=instance.hard.n,
+        roles=instance.player_roles,
     )
     if mis:
         strict = relaxed = mis_strict_check(instance, run.output)
@@ -144,7 +150,11 @@ def _information_trial(item: tuple) -> tuple[int, tuple]:
     """One (J, Π) sample (module-level so process pools can run it)."""
     instance, coins_seed, protocol = item
     run = run_protocol(
-        instance.graph, protocol, PublicCoins(seed=coins_seed), n=instance.hard.n
+        instance.graph,
+        protocol,
+        PublicCoins(seed=coins_seed),
+        n=instance.hard.n,
+        roles=instance.player_roles,
     )
     transcript = tuple(
         run.transcript.sketches[v] for v in sorted(run.transcript.sketches)
@@ -218,7 +228,11 @@ def _adaptive_attack_trial(item: tuple) -> tuple[bool, bool, float, int, float]:
 
     instance, coins_seed, protocol = item
     run = run_adaptive_protocol(
-        instance.graph, protocol, PublicCoins(seed=coins_seed), n=instance.hard.n
+        instance.graph,
+        protocol,
+        PublicCoins(seed=coins_seed),
+        n=instance.hard.n,
+        roles=instance.player_roles,
     )
     strict = matching_strict_check(instance, run.output)
     relaxed = matching_relaxed_check(instance, run.output)

@@ -187,6 +187,34 @@ class DMMInstance:
             out.update(self.special_surviving_edges(i))
         return out
 
+    @cached_property
+    def _role_labels(self) -> dict[str, frozenset[int]]:
+        # The endpoints of union_special_matching, without caching that
+        # edge set on every instance a recorder sees.
+        special = frozenset(
+            v
+            for i in range(self.hard.k)
+            for edge in self.special_surviving_edges(i)
+            for v in edge
+        )
+        return {
+            "public": self.public_labels,
+            "special": special,
+            "unique": self.all_unique_labels - special,
+        }
+
+    def player_roles(self) -> dict[str, frozenset[int]]:
+        """The labels of each player role in the §3.1 accounting.
+
+        ``special``: the endpoints of the surviving special edges
+        (:attr:`union_special_matching`); ``unique``: the other unique
+        labels; ``public``: the public labels.  The three sets partition
+        the n labels.  Pass the bound method as ``roles=`` to the
+        runner: the sets are built on the first call, which only a
+        telemetry recorder makes, and are shared afterwards (read-only).
+        """
+        return self._role_labels
+
     def unique_unique_edges(self, edges) -> list[Edge]:
         """Filter a pair list to those with both endpoints unique —
         the M^U accounting of Claims 3.1/3.2."""

@@ -11,8 +11,9 @@ player is Ω(sqrt n / e^Θ(sqrt(log n)))") refers to it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Collection, Mapping
 
 from .. import obs
 from ..engine import ExecutionEngine, TrialPlan, resolve_engine
@@ -23,32 +24,51 @@ from .messages import Message, assert_packed_accounting
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
 from .views import VertexView, views_of
 
+#: The one role of every player when the caller names none (a graph
+#: with no hard instance behind it).
+ALL_ROLE = "all"
+
+_num_bits = operator.attrgetter("num_bits")
+
+
 def charge_transcript(
-    transcript: "Transcript", protocol_name: str, round_index: int | None = None
+    transcript: "Transcript",
+    protocol_name: str,
+    round_index: int | None = None,
+    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
 ) -> None:
     """Emit the communication counters of one referee delivery.
 
     Charged at the runner boundary (not inside ``Transcript``, which
     analysis code also constructs) so telemetry counts exactly the bits
-    a protocol execution sent against the referee: per player, per
-    protocol, and per round for adaptive runs.  A no-op when telemetry
-    is disabled.
+    a protocol execution sent against the referee.  Players are grouped
+    by role: ``roles()`` maps each role label to its players (disjoint
+    sets covering every player), and without it every player is
+    :data:`ALL_ROLE`.  Each (protocol, role[, round]) key gets the
+    role's message count, its bit sum, and a summary entry holding the
+    per-player max and a log2-bucket histogram.  Per-player bits stay in
+    the transcript itself.  A no-op when telemetry is disabled;
+    ``roles`` is only called when a recorder is installed.
     """
     recorder = obs.active()
     if recorder is None:
         return
+    sketches = transcript.sketches
+    if roles is None:
+        by_role = {ALL_ROLE: list(map(_num_bits, sketches.values()))}
+    else:
+        by_role = {
+            role: list(map(_num_bits, map(sketches.get, sketches.keys() & players)))
+            for role, players in roles().items()
+        }
+        if sum(map(len, by_role.values())) != len(sketches):
+            raise ValueError("roles() must give every player exactly one role")
     extra = () if round_index is None else (("round", round_index),)
-    for player, message in transcript.sketches.items():
-        recorder.count(
-            TRANSCRIPT_BITS,
-            message.num_bits,
-            (("player", player), ("protocol", protocol_name), *extra),
-        )
-    recorder.count(
-        TRANSCRIPT_MESSAGES,
-        len(transcript.sketches),
-        (("protocol", protocol_name), *extra),
-    )
+    for role, bits in by_role.items():
+        if bits:
+            labels = (("protocol", protocol_name), ("role", role), *extra)
+            recorder.observe(TRANSCRIPT_BITS, bits, labels)
+            recorder.count(TRANSCRIPT_MESSAGES, len(bits), labels)
 
 
 @dataclass(frozen=True)
@@ -100,12 +120,16 @@ def run_protocol(
     coins: PublicCoins,
     n: int | None = None,
     views: dict[int, VertexView] | None = None,
+    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
 ) -> ProtocolRun:
     """Execute a one-round protocol.
 
     ``views`` may be supplied to run under a non-standard player model
     (e.g. the public/unique player split of Section 3.1); by default each
     vertex of the graph is one player with its full neighborhood.
+    ``roles`` returns the players of each role for the transcript
+    telemetry (see :func:`charge_transcript`); it is never called when
+    telemetry is off.
 
     The path is picked from the inputs alone.  When the graph is
     frozen, the protocol implements
@@ -135,7 +159,7 @@ def run_protocol(
             }
     with obs.span("protocol.transcript", protocol=protocol.name):
         transcript = Transcript(sketches=sketches)
-        charge_transcript(transcript, protocol.name)
+        charge_transcript(transcript, protocol.name, roles=roles)
     with obs.span("protocol.decode", protocol=protocol.name):
         output = protocol.decode(n, sketches, coins)
     return ProtocolRun(output=output, transcript=transcript)
@@ -168,8 +192,13 @@ def run_adaptive_protocol(
     protocol: AdaptiveProtocol,
     coins: PublicCoins,
     n: int | None = None,
+    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
 ) -> AdaptiveRun:
-    """Execute an adaptive (multi-round) protocol."""
+    """Execute an adaptive (multi-round) protocol.
+
+    ``roles`` labels the per-round transcript telemetry as in
+    :func:`run_protocol`.
+    """
     views = views_of(graph, n=n)
     if n is None:
         n = graph.num_vertices()
@@ -185,7 +214,7 @@ def run_adaptive_protocol(
                 for v, view in views.items()
             }
             transcript = Transcript(sketches=sketches)
-            charge_transcript(transcript, protocol.name, round_index)
+            charge_transcript(transcript, protocol.name, round_index, roles)
             transcripts.append(transcript)
             result = protocol.referee_round(
                 n, round_index, sketches, coins, broadcasts

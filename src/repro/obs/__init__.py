@@ -5,8 +5,8 @@ paper's lower bound is a statement about *where bits go*, and this
 package makes bits, cache traffic, and wall clock first-class outputs
 of every run.
 
-* :mod:`~repro.obs.recorder` — the span/counter recorder and the
-  zero-overhead probe API (:func:`span`, :func:`count`) that stays
+* :mod:`~repro.obs.recorder` — the span/counter/summary recorder and
+  the zero-overhead probe API (:func:`span`, :func:`count`) that stays
   permanently wired into hot paths;
 * :mod:`~repro.obs.counters` — the typed counter taxonomy (declared
   names, units, stability classes);
@@ -45,12 +45,18 @@ from .export import (
     telemetry_summary,
     to_chrome_trace,
     to_jsonl,
+    transcript_label,
+    transcript_rows,
+    transcript_table,
+    transcript_values,
     validate_chrome_trace,
     write_trace,
 )
 from .recorder import (
     SpanRecord,
+    Summary,
     TelemetryRecorder,
+    bucket_quantile,
     active,
     count,
     enabled,
@@ -74,11 +80,13 @@ __all__ = [
     "STORE_BYTES",
     "STORE_RECORDS",
     "SpanRecord",
+    "Summary",
     "TRANSCRIPT_BITS",
     "TRANSCRIPT_MESSAGES",
     "TelemetryRecorder",
     "active",
     "aggregate_spans",
+    "bucket_quantile",
     "count",
     "counter_def",
     "counter_table",
@@ -92,6 +100,10 @@ __all__ = [
     "telemetry_summary",
     "to_chrome_trace",
     "to_jsonl",
+    "transcript_label",
+    "transcript_rows",
+    "transcript_table",
+    "transcript_values",
     "validate_chrome_trace",
     "write_trace",
 ]

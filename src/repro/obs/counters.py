@@ -26,10 +26,12 @@ from dataclasses import dataclass
 # ----------------------------------------------------------------------
 # Counter names (import these; never spell the strings at call sites)
 # ----------------------------------------------------------------------
-#: Communication bits charged to one player (labels: player, protocol,
-#: and round for adaptive protocols) — the paper's cost measure.
+#: Communication bits sent by the players of one role (labels: protocol,
+#: role, and round for adaptive protocols).  Each key also carries a
+#: summary entry: the exact per-player max — the paper's cost measure —
+#: and a log2-bucket histogram of the per-player message lengths.
 TRANSCRIPT_BITS = "transcript.bits"
-#: Messages delivered to the referee (labels: protocol [, round]).
+#: Messages delivered to the referee (labels: protocol, role [, round]).
 TRANSCRIPT_MESSAGES = "transcript.messages"
 #: Trials executed through the engine's trial plans.
 ENGINE_TRIALS = "engine.trials"
@@ -68,16 +70,16 @@ COUNTERS: dict[str, CounterDef] = {
         CounterDef(
             TRANSCRIPT_BITS,
             "bits",
-            "communication bits charged to one player",
+            "communication bits sent by one player role (summary: max, log2 buckets)",
             stable=True,
-            labels=("player", "protocol", "round"),
+            labels=("protocol", "role", "round"),
         ),
         CounterDef(
             TRANSCRIPT_MESSAGES,
             "messages",
             "messages delivered to the referee",
             stable=True,
-            labels=("protocol", "round"),
+            labels=("protocol", "role", "round"),
         ),
         CounterDef(
             ENGINE_TRIALS,

@@ -11,10 +11,11 @@ TelemetryRecorder`:
   increasing in span order, so viewers never see a zero-width pileup;
   counter totals ride along under the ``"repro.counters"`` key (trace
   viewers ignore unknown top-level keys);
-* :func:`render_tree` / :func:`counter_table` — the aggregated text
-  views the CLI prints: the span tree grouped by name path with counts
-  and cumulative wall clock, and the per-label counter table (the
-  bits-per-player profile).
+* :func:`render_tree` / :func:`counter_table` / :func:`transcript_table`
+  — the aggregated text views the CLI prints: the span tree grouped by
+  name path with counts and cumulative wall clock, the per-label counter
+  table, and the bits-by-role table (messages, bit sum, max, p50 and
+  p99 per protocol × role × round).
 
 :func:`validate_chrome_trace` is the checker the tests and the CI
 ``obs-smoke`` job share: a trace must round-trip through ``json.loads``
@@ -27,8 +28,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .counters import COUNTERS
-from .recorder import SpanRecord, TelemetryRecorder
+from .counters import COUNTERS, TRANSCRIPT_BITS, TRANSCRIPT_MESSAGES
+from .recorder import SpanRecord, TelemetryRecorder, bucket_quantile
 
 
 def render_labels(labels: tuple) -> str:
@@ -40,13 +41,15 @@ def render_labels(labels: tuple) -> str:
 # JSONL event log
 # ----------------------------------------------------------------------
 def to_jsonl(recorder: TelemetryRecorder) -> str:
-    """The line-per-event log: one meta line, then spans, then counters."""
+    """The line-per-event log: one meta line, then spans, counters and
+    summaries."""
     lines = [
         json.dumps(
             {
                 "type": "meta",
                 "spans": len(recorder.spans),
                 "counters": len(recorder.counters),
+                "summaries": len(recorder.summaries),
             }
         )
     ]
@@ -75,6 +78,20 @@ def to_jsonl(recorder: TelemetryRecorder) -> str:
                     "unit": COUNTERS[name].unit,
                     "labels": {k: _jsonable(v) for k, v in labels},
                     "value": value,
+                }
+            )
+        )
+    for (name, labels), summary in sorted(
+        recorder.summaries.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
+    ):
+        lines.append(
+            json.dumps(
+                {
+                    "type": "summary",
+                    "name": name,
+                    "labels": {k: _jsonable(v) for k, v in labels},
+                    "max": summary.max,
+                    "buckets": summary.buckets,
                 }
             )
         )
@@ -255,10 +272,91 @@ def counter_table(recorder: TelemetryRecorder, name: str | None = None) -> list[
     ]
 
 
+def transcript_rows(recorder: TelemetryRecorder) -> list[list]:
+    """The bits-by-role table: one row per summarised transcript key.
+
+    A row is ``[protocol, role, round, messages, bits, max, buckets]``:
+    the key's ``transcript.messages`` and ``transcript.bits`` counters
+    joined with its summary entry.  ``round`` is None for one-round
+    protocols and ``buckets[b]`` counts the messages of bit length b
+    (see :class:`~repro.obs.recorder.Summary`).  Rows sort by protocol,
+    round, then role.
+    """
+    rows = []
+    for (name, labels), summary in recorder.summaries.items():
+        if name != TRANSCRIPT_BITS:
+            continue
+        fields = dict(labels)
+        rows.append(
+            [
+                fields.get("protocol"),
+                fields.get("role"),
+                fields.get("round"),
+                recorder.counters.get((TRANSCRIPT_MESSAGES, labels), 0),
+                recorder.counters[(name, labels)],
+                summary.max,
+                list(summary.buckets),
+            ]
+        )
+    rows.sort(key=lambda r: (str(r[0]), -1 if r[2] is None else r[2], str(r[1])))
+    return rows
+
+
+def transcript_label(row: list) -> str:
+    """``protocol=…,role=…[,round=…]`` of one :func:`transcript_rows` row."""
+    protocol, role, round_index = row[:3]
+    labels = [("protocol", protocol), ("role", role)]
+    if round_index is not None:
+        labels.append(("round", round_index))
+    return render_labels(labels)
+
+
+def transcript_values(row: list) -> str:
+    """``N msgs, B bits, max M, buckets …`` of one :func:`transcript_rows`
+    row: every value it stores, on one line."""
+    messages, bits, maximum, buckets = row[3:]
+    return (
+        f"{messages} msgs, {bits} bits, max {maximum}, "
+        f"buckets {','.join(map(str, buckets))}"
+    )
+
+
+def transcript_table(rows: list[list]) -> list[str]:
+    """Aligned text of :func:`transcript_rows`: messages, bit sum, max,
+    p50 and p99 (bucket upper edges capped at the max) per key."""
+    if not rows:
+        return []
+    table = [("transcript", "messages", "bits", "max", "p50", "p99")]
+    for row in rows:
+        messages, bits, maximum, buckets = row[3:]
+        table.append(
+            (
+                transcript_label(row),
+                str(messages),
+                str(bits),
+                str(maximum),
+                str(bucket_quantile(buckets, maximum, 50)),
+                str(bucket_quantile(buckets, maximum, 99)),
+            )
+        )
+    widths = [max(len(row[i]) for row in table) for i in range(6)]
+    return [
+        "  ".join(
+            [row[0].ljust(widths[0])]
+            + [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
+        )
+        for row in table
+    ]
+
+
 def telemetry_summary(recorder: TelemetryRecorder, top: int = 8) -> dict:
     """The JSON summary block a :class:`~repro.runs.store.RunRecord`
-    persists: per-name totals, per-label detail for labeled counters,
-    and the heaviest aggregated span paths."""
+    persists: per-name totals, the bits-by-role ``transcript`` table
+    (:func:`transcript_rows`), per-label ``detail`` for labeled counters
+    no table row covers, and the heaviest aggregated span paths.
+
+    Its size depends on the protocols, roles and rounds a run used, not
+    on the number of players."""
     flat: list[tuple[str, int, float]] = []
 
     def walk(nodes: list[dict], path: str) -> None:
@@ -269,6 +367,9 @@ def telemetry_summary(recorder: TelemetryRecorder, top: int = 8) -> dict:
 
     walk(aggregate_spans(recorder.spans), "")
     heaviest = sorted(flat, key=lambda item: (-item[2], item[0]))[:top]
+    tabled = {
+        labels for name, labels in recorder.summaries if name == TRANSCRIPT_BITS
+    }
     return {
         "counters": recorder.totals(),
         "detail": {
@@ -277,7 +378,11 @@ def telemetry_summary(recorder: TelemetryRecorder, top: int = 8) -> dict:
                 recorder.counters.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
             )
             if labels
+            and not (
+                name in (TRANSCRIPT_BITS, TRANSCRIPT_MESSAGES) and labels in tabled
+            )
         },
+        "transcript": transcript_rows(recorder),
         "span_count": len(recorder.spans),
         "top_spans": [
             [path, count, round(total, 6)] for path, count, total in heaviest

@@ -11,27 +11,34 @@ string formatting.  :func:`span` returns a shared no-op handle and
 With a :class:`TelemetryRecorder` installed (``set_recorder`` /
 ``recording``), probes append :class:`SpanRecord` s — name, attributes,
 monotonic start and duration, parent id — and accumulate integer
-counters keyed by ``(name, sorted labels)``.  Counter names must be
-declared in :mod:`repro.obs.counters`; the taxonomy check runs only on
-the enabled path.
+counters keyed by ``(name, sorted labels)``.  :meth:`TelemetryRecorder.
+observe` also keeps one :class:`Summary` per key — the exact max and a
+log2-bucket histogram of the observed values — so a distribution costs
+one entry, not one series per bucket.  Counter names must be declared
+in :mod:`repro.obs.counters`; the taxonomy check runs only on the
+enabled path.
 
 Recorders are process-local.  Work fanned out to pool workers runs
 under a fresh worker-local recorder whose :meth:`TelemetryRecorder.
 snapshot` travels back with the result; the parent merges snapshots
 **in task order** at the barrier (:meth:`TelemetryRecorder.
-merge_snapshot`), so counter totals — integer sums — are bit-identical
-to a serial run, and span trees are identical because the serial
-backend routes through the same wrapper.  Merged span times are
-rebased onto a canonical sequential timeline (trial i starts where
-trial i-1 ended), which keeps exported per-track timestamps monotonic
-regardless of how the pool actually interleaved the work.
+merge_snapshot`), so counter totals — integer sums — and summaries —
+bucket sums and a max — are bit-identical to a serial run, and span
+trees are identical because the serial backend routes through the same
+wrapper.  Merged span times are rebased onto a canonical sequential
+timeline (trial i starts where trial i-1 ended), which keeps exported
+per-track timestamps monotonic regardless of how the pool actually
+interleaved the work.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import zip_longest
+from typing import NamedTuple
 
 from .counters import COUNTERS
 
@@ -55,14 +62,69 @@ class SpanRecord:
     duration: float = -1.0
 
 
+class Summary(NamedTuple):
+    """The exact max and a log2-bucket histogram of one key's values.
+
+    A value ``v >= 0`` lands in bucket ``v.bit_length()``: bucket 0
+    holds 0 and bucket ``b >= 1`` holds ``[2**(b-1), 2**b - 1]``, so the
+    buckets are fixed.  Like a counter's int, a summary is an immutable
+    value, and two summaries of one key merge into a new one by adding
+    buckets and taking the larger max.
+    """
+
+    max: int
+    buckets: tuple[int, ...]
+
+    @classmethod
+    def of(cls, values: list[int]) -> "Summary":
+        """The summary of a non-empty batch of ints ``>= 0``.
+
+        The values are sorted once and each bucket from the smallest
+        value's to the largest's is one bisection, so the Python-level
+        work grows with the buckets spanned, not with the values.
+        """
+        values = sorted(values)
+        low = values[0].bit_length()
+        buckets = [0] * low
+        start = 0
+        for bucket in range(low, values[-1].bit_length() + 1):
+            end = bisect_left(values, 1 << bucket, start)
+            buckets.append(end - start)
+            start = end
+        return cls(values[-1], tuple(buckets))
+
+    def merged(self, other: "Summary") -> "Summary":
+        """This summary and another of the same key, combined."""
+        buckets = zip_longest(self.buckets, other.buckets, fillvalue=0)
+        return Summary(max(self.max, other.max), tuple(map(sum, buckets)))
+
+
+def bucket_quantile(buckets: list[int], maximum: int, percent: int) -> int:
+    """The ``percent``-th percentile of a :class:`Summary`'s values.
+
+    Read as the upper edge ``2**b - 1`` of the bucket holding that rank,
+    capped at the exact max: an upper bound on the true percentile.
+    Zero for an empty histogram.
+    """
+    total = sum(buckets)
+    rank = max(1, -(-percent * total // 100))
+    seen = 0
+    for bucket, count in enumerate(buckets):
+        seen += count
+        if seen >= rank:
+            return min((1 << bucket) - 1, maximum)
+    return 0
+
+
 class TelemetryRecorder:
-    """Collects spans and counters for one recording scope."""
+    """Collects spans, counters and summaries for one recording scope."""
 
     def __init__(self) -> None:
         self._clock = time.perf_counter
         self.origin = self._clock()
         self.spans: list[SpanRecord] = []
         self.counters: dict[tuple[str, LabelItems], int] = {}
+        self.summaries: dict[tuple[str, LabelItems], Summary] = {}
         self._stack: list[SpanRecord] = []
         self._next_id = 0
 
@@ -115,6 +177,23 @@ class TelemetryRecorder:
         key = (name, labels)
         self.counters[key] = self.counters.get(key, 0) + value
 
+    def observe(
+        self, name: str, values: list[int], labels: LabelItems = ()
+    ) -> None:
+        """Add a batch of values to a counter and to its summary entry.
+
+        The counter gains their sum, as :meth:`count` would; the key's
+        :class:`Summary` records each value.  ``values`` must be
+        non-empty.
+        """
+        self.count(name, sum(values), labels)
+        key = (name, labels)
+        summary = Summary.of(values)
+        previous = self.summaries.get(key)
+        if previous is not None:
+            summary = previous.merged(summary)
+        self.summaries[key] = summary
+
     def totals(self) -> dict[str, int]:
         """Per-name totals, summed over every label combination."""
         out: dict[str, int] = {}
@@ -154,6 +233,7 @@ class TelemetryRecorder:
                 for s in self.spans
             ],
             "counters": dict(self.counters),
+            "summaries": dict(self.summaries),
         }
 
     def merge_snapshot(
@@ -168,8 +248,9 @@ class TelemetryRecorder:
         of the snapshot are attached under ``parent_id`` (default: the
         currently open span); all times shift by ``time_offset``
         (default: now).  Counter totals add — integer sums, so merge
-        order cannot change them — while span order follows the call
-        order, which the engine keeps deterministic (task order).
+        order cannot change them — and so do summary buckets, whose max
+        is the larger one; span order follows the call order, which the
+        engine keeps deterministic (task order).
         """
         if parent_id is None:
             parent_id = self.current_span_id
@@ -192,6 +273,11 @@ class TelemetryRecorder:
             )
         for key, value in snap["counters"].items():
             self.counters[key] = self.counters.get(key, 0) + value
+        for key, summary in snap["summaries"].items():
+            previous = self.summaries.get(key)
+            if previous is not None:
+                summary = previous.merged(summary)
+            self.summaries[key] = summary
 
 
 # ----------------------------------------------------------------------

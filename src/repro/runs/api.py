@@ -165,11 +165,13 @@ def execute_run(
 
     Unless ``telemetry=False``, the experiment executes under a
     run-local :class:`~repro.obs.TelemetryRecorder` and the record
-    carries the resulting summary block (counter totals, bits per
-    player, heaviest span paths) as provenance.  When an outer recorder
-    is already installed (a ``--trace`` invocation), the run's spans
-    and counters are additionally merged into it, so the exported trace
-    and the stored summary report the same totals.
+    carries the resulting summary block (counter totals, bits by
+    protocol × role × round, heaviest span paths) as provenance.  When
+    an outer recorder is already installed (a ``--trace`` invocation),
+    the run's spans, counters and summaries are additionally merged into
+    it, so the exported trace and the stored summary report the same
+    totals; the run's spans land on the outer timeline where the run
+    started.
     """
     from ..experiments import get_experiment
 
@@ -199,7 +201,9 @@ def execute_run(
     if recorder is not None:
         summary = telemetry_summary(recorder)
         if outer is not None:
-            outer.merge_snapshot(recorder.snapshot())
+            outer.merge_snapshot(
+                recorder.snapshot(), time_offset=recorder.origin - outer.origin
+            )
     after = engine.cache.stats.snapshot()
     record = RunRecord(
         key=key,

@@ -15,8 +15,9 @@ check re-judges old records.
 
 The module also renders the ``repro runs`` inspection views: ``list``
 (one line per stored record), ``show`` (the full record, verdicts
-included), and ``diff`` (params / data / provenance drift between two
-records — the tool for comparing runs across code versions).
+included), and ``diff`` (params / data / provenance / stable telemetry
+drift between two records — the tool for comparing runs across code
+versions).
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from typing import Sequence
 
 from .. import __version__
 from ..engine import ExecutionEngine
+from ..obs import (
+    stable_names,
+    transcript_label,
+    transcript_table,
+    transcript_values,
+)
 from .api import RunOutcome, execute_run
 from .spec import canonical_json
 from .store import RunRecord, RunStore
@@ -166,15 +173,20 @@ def format_record(record: RunRecord) -> list[str]:
 def format_telemetry_block(telemetry: dict | None) -> list[str]:
     """The stored telemetry summary as ``repro runs show`` lines.
 
-    Mirrors the live counter table: per-name totals first, then the
-    labeled detail rows (bits per player and friends), then the
-    heaviest span paths.  Empty for pre-telemetry records.
+    Per-name totals first, then the bits-by-role table (messages, bit
+    sum, max, p50 and p99 per protocol × role × round), then labeled
+    detail rows no table row covers — bits per player, in records
+    written before player roles — then the heaviest span paths.  Empty
+    for pre-telemetry records.
     """
     if not telemetry:
         return []
     out = ["telemetry  :"]
     for name, value in sorted((telemetry.get("counters") or {}).items()):
         out.append(f"  {name} = {value}")
+    out.extend(
+        f"    {line}" for line in transcript_table(telemetry.get("transcript") or [])
+    )
     detail = telemetry.get("detail") or {}
     for key in sorted(detail):
         out.append(f"    {key} = {detail[key]}")
@@ -189,10 +201,12 @@ def format_telemetry_block(telemetry: dict | None) -> list[str]:
 def diff_records(a: RunRecord, b: RunRecord) -> list[str]:
     """Field-by-field drift between two records, for ``repro runs diff``.
 
-    Params and top-level data keys are compared value-by-value; identical
-    fields are omitted, so two runs of the same code and params diff to
-    (almost) nothing and a cross-version comparison shows exactly what
-    moved.
+    Params and top-level data keys are compared value-by-value, then the
+    telemetry's stable counter totals and bits-by-role rows; identical
+    fields are omitted, and span times and execution counters (cache
+    traffic) are never compared, so two runs of the same code and params
+    diff to (almost) nothing and a cross-version comparison shows
+    exactly what moved.
     """
     out = [f"a: {a.key[:12]} ({a.experiment_id})", f"b: {b.key[:12]} ({b.experiment_id})"]
     for label, left, right in (
@@ -213,9 +227,34 @@ def diff_records(a: RunRecord, b: RunRecord) -> list[str]:
             out.append(
                 f"data {name}: {_summarize(left)} -> {_summarize(right)}"
             )
+    out.extend(_telemetry_drift(a.telemetry or {}, b.telemetry or {}))
     out.append(f"wall time: {a.wall_time:.3f}s -> {b.wall_time:.3f}s")
     if len(out) == 3 and out[2].startswith("wall time"):
         out.insert(2, "(records agree on params and data)")
+    return out
+
+
+def _telemetry_drift(a: dict, b: dict) -> list[str]:
+    """One line per stable counter total and per bits-by-role row that
+    differ between two telemetry blocks."""
+    out = []
+    stable = stable_names()
+    left, right = a.get("counters") or {}, b.get("counters") or {}
+    for name in sorted((set(left) | set(right)) & stable):
+        if left.get(name) != right.get(name):
+            out.append(
+                f"telemetry {name}: {left.get(name, '-')} -> {right.get(name, '-')}"
+            )
+    left = {transcript_label(r): r for r in a.get("transcript") or []}
+    right = {transcript_label(r): r for r in b.get("transcript") or []}
+    for label in sorted(set(left) | set(right)):
+        a_row, b_row = left.get(label), right.get(label)
+        if a_row != b_row:
+            out.append(
+                f"transcript {label}: "
+                f"{transcript_values(a_row) if a_row else '-'} -> "
+                f"{transcript_values(b_row) if b_row else '-'}"
+            )
     return out
 
 

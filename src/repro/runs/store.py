@@ -63,10 +63,12 @@ class RunRecord:
     """One durable experiment run: identity, provenance, cost, results.
 
     ``telemetry`` is the run's summary block (per-name counter totals,
-    per-label detail such as bits per player, heaviest span paths) —
-    see :func:`repro.obs.telemetry_summary`.  ``None`` for records
-    written before the telemetry subsystem existed; the store reads
-    both forms.
+    the bits-by-role ``transcript`` table — messages, bit sum, max and
+    a log2 histogram per protocol × role × round — and the heaviest
+    span paths); see :func:`repro.obs.telemetry_summary`.  Records
+    written before the roles existed carry bits per player under
+    ``detail`` instead, and ones written before the telemetry subsystem
+    carry ``None``; the store reads every form.
     """
 
     key: str

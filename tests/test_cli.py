@@ -84,6 +84,43 @@ class TestSweepCommand:
         assert main(args) == 0
         assert "executed 0, skipped 2, remaining 0" in capsys.readouterr().out
 
+    def test_sweep_prints_each_points_verdicts(self, tmp_path, capsys):
+        """One line per point: axis values and N of M checks held on the
+        stored record, naming a failed check; deferred points read
+        ``not run``."""
+        import dataclasses
+
+        from repro.experiments import get_experiment
+        from repro.runs import RunStore
+
+        store = str(tmp_path / "runs")
+        args = ["sweep", "F1", "--grid", "m=8,10", "--store", store]
+        total = len(get_experiment("F1").checks)
+        assert main(args + ["--max-points", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [f"  m=8: {total} of {total} held", "  m=10: not run"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [
+            f"  m=8: {total} of {total} held",
+            f"  m=10: {total} of {total} held",
+        ]
+        # Break one claim in the stored m=10 record: the relaunch executes
+        # nothing and names the failed check.
+        runs = RunStore(store)
+        record = next(r for r in runs.records("F1") if r.params["m"] == 10)
+        kr = record.data["k"] * record.data["r"]
+        runs.put(dataclasses.replace(
+            record, data=dict(record.data, union_special_size=kr + 1)
+        ))
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"  m=10: {total - 1} of {total} held; FAILED special_union_at_most_kr"
+            in out.splitlines()
+        )
+        assert "executed 0, skipped 2, remaining 0" in out
+
     def test_sweep_trials_shorthand_conflict(self, tmp_path):
         with pytest.raises(SystemExit, match="trials"):
             main([

@@ -5,7 +5,8 @@ under a task-local recorder on *every* backend, and snapshots merge at
 the barrier in task order.  Counter totals are integer sums, so a
 2-worker pool must reproduce the serial totals bit-for-bit; span trees
 must agree in structure (names, parents, counts), differing only in
-timings.
+timings; the per-role transcript summaries (bucket sums, max) must match
+exactly as well.
 
 The construction cache is disabled for the cross-backend runs: workers
 carry their own process-global caches, so cache *temperature* (hits vs
@@ -43,6 +44,7 @@ def _dmm_trial(trial, seed):
         make_protocol("sampled:2"),
         PublicCoins(seed=seed),
         n=instance.hard.n,
+        roles=instance.player_roles,
     )
     return run.max_bits
 
@@ -91,6 +93,11 @@ class TestBackendIndependence:
         assert serial_values == pooled_values
         assert serial.counters == pooled.counters
         assert serial.totals() == pooled.totals()
+        # Role summaries: bucket sums and maxes merge exactly too.
+        assert serial.summaries and serial.summaries == pooled.summaries
+        assert {labels for _name, labels in serial.summaries} == {
+            labels for (name, labels) in serial.counters if labels
+        }
         assert _stripped_tree(serial) == _stripped_tree(pooled)
 
     def test_pooled_chrome_trace_round_trips(self, cache_disabled):
