@@ -12,7 +12,7 @@ test:
 # it writes conformance_bundle.json; replay with
 # `repro conformance shrink --bundle conformance_bundle.json`.
 conformance:
-	PYTHONPATH=src python -m repro conformance run --seed 0 --budget 200
+	PYTHONPATH=src python -m repro conformance run --seed 0 --budget 210
 
 # Re-derive every golden vector and diff against tests/data/ without
 # rewriting anything.

@@ -51,7 +51,7 @@ def add_conformance_parser(subparsers) -> None:
         default=None,
         metavar="L",
         help="restrict to a layer (repeatable): codec, graphs, "
-        "infotheory, sketches, engine",
+        "infotheory, sketches, engine, lemmas",
     )
     run_parser.add_argument(
         "--pair",

@@ -57,7 +57,8 @@ class CheckContext:
       (JointDistribution), ``variables``;
     * sketches: ``frozen``, ``n``, ``coins``, ``family``, ``states``,
       ``edges``, ``rerun`` (thunk rebuilding the batch transcript);
-    * engine: ``base_seed``, ``trials``, ``rerun``.
+    * engine: ``base_seed``, ``trials``, ``rerun``;
+    * lemmas: ``hard``, ``full`` (ExactAnalysis), ``copies`` (CopyAnalysis).
     """
 
     def __init__(self, case: Case) -> None:

@@ -14,7 +14,10 @@ inventory of those pairs:
 * ``sketches``   — ``BatchSketchProtocol.sketch_batch`` vs per-view
                    ``sketch`` calls, player by player;
 * ``engine``     — the process-pool backend vs the serial backend on an
-                   identical trial plan.
+                   identical trial plan;
+* ``lemmas``     — exact Lemma 3.5 one copy at a time
+                   (``analyze_copies``) vs the full joint
+                   (``analyze_protocol``).
 
 Each :class:`OraclePair` knows how to *generate* a random case from a
 seed, *build* the artifacts both implementations produce on it, and run
@@ -35,9 +38,11 @@ from functools import partial
 from typing import Callable
 
 from ..engine import ExecutionEngine, derive_seed
+from ..experiments.lemmas import SUITE_SPECS
 from ..graphs import FrozenGraph, Graph
 from ..graphs.builders import erdos_renyi
 from ..infotheory import JointDistribution, TableDistribution
+from ..lowerbound import analyze_copies, analyze_protocol, micro_distribution
 from ..model import (
     BitWriter,
     Message,
@@ -830,6 +835,71 @@ def _engine_differential(ctx: CheckContext) -> "str | None":
 
 
 # ======================================================================
+# lemmas: exact Lemma 3.5 per copy vs the full joint distribution
+# ======================================================================
+#: Every (r, t) per k ≤ 3 with t ≥ 2 and k·t·r ≤ 8 indicator bits.
+_LEMMA_SHAPES = {
+    k: [(r, t) for t in range(2, 8 // k + 1) for r in range(1, 8 // (k * t) + 1)]
+    for k in (1, 2, 3)
+}
+
+
+def _lemmas_generate(seed: int) -> Case:
+    rng = case_rng(seed)
+    k = rng.randint(1, 3)
+    # A case enumerates the full joint's t·2^(k·t·r) outcomes, so a
+    # shape is drawn with the inverse weight: each shape of this k
+    # costs the same expected time, and the 8-bit ones still come up.
+    shapes = _LEMMA_SHAPES[k]
+    weights = [1 / (t * 2 ** (k * t * r)) for r, t in shapes]
+    r, t = rng.choices(shapes, weights)[0]
+    n = micro_distribution(r=r, t=t, k=k).n
+    # σ is the identity after these swaps, in order: any subsequence of
+    # them is still a permutation, so the shrinker may drop any.
+    swaps = [("swap", a, rng.randrange(a + 1)) for a in range(n - 1, 0, -1)]
+    return Case(
+        pair="lemmas",
+        seed=seed,
+        params={"r": r, "t": t, "k": k, "spec": rng.choice(SUITE_SPECS)},
+        atoms=tuple(swaps),
+    )
+
+
+def _lemmas_build(case: Case) -> CheckContext:
+    ctx = CheckContext(case)
+    params = case.params
+    hard = micro_distribution(r=params["r"], t=params["t"], k=params["k"])
+    sigma = list(range(hard.n))
+    for atom in case.atoms:
+        if atom[0] == "swap":
+            _, a, b = atom
+            sigma[a], sigma[b] = sigma[b], sigma[a]
+    protocol = make_protocol(params["spec"])
+    coins = PublicCoins(seed=case.seed)
+    ctx.hard = hard
+    ctx.full = analyze_protocol(hard, protocol, coins, tuple(sigma), exact=True)
+    ctx.copies = analyze_copies(hard, protocol, coins, tuple(sigma))
+    return ctx
+
+
+def _lemmas_differential(ctx: CheckContext) -> "str | None":
+    hard, full, copies = ctx.hard, ctx.full, ctx.copies
+    for i in range(hard.k):
+        names = ["J", *[f"M_{i}_{j}" for j in range(hard.t)], f"PiU_{i}"]
+        if copies.tables[i] != full.dist.marginal(names):
+            return f"copy {i}: table differs from the full joint's marginal"
+        info = copies.unique_information(i), full.unique_information(i)
+        entropy = copies.unique_entropy(i), full.unique_entropy(i)
+        for label, (ours, theirs) in (
+            ("I(M_i;Π(U_i)|J)", info),
+            ("H(Π(U_i))", entropy),
+        ):
+            if ours != theirs:
+                return f"copy {i}: {label} per copy {ours!r} vs full {theirs!r}"
+    return None
+
+
+# ======================================================================
 # Registry
 # ======================================================================
 ORACLE_PAIRS: tuple[OraclePair, ...] = (
@@ -882,6 +952,16 @@ ORACLE_PAIRS: tuple[OraclePair, ...] = (
         build=_engine_build,
         differential=_engine_differential,
         weight=2,
+    ),
+    OraclePair(
+        name="lemmas",
+        layer="lemmas",
+        fast="repro.lowerbound.transcripts.analyze_copies (one copy's rows)",
+        reference="repro.lowerbound.transcripts.analyze_protocol (full joint)",
+        generate=_lemmas_generate,
+        build=_lemmas_build,
+        differential=_lemmas_differential,
+        weight=1,
     ),
 )
 

@@ -2,15 +2,17 @@
 
 Each runner enumerates the exact joint distribution of (J, indicators,
 transcript) for a family of protocols on micro D_MM instances and
-tabulates both sides of the lemma's inequality per protocol.
+tabulates both sides of the lemma's inequality per protocol.  In exact
+mode L35 enumerates one copy at a time (:func:`analyze_copies`), which
+reaches the paper's k = t up to 6.
 """
 
 from __future__ import annotations
 
 from ..engine import ExecutionEngine, resolve_engine
-from ..lowerbound import analyze_protocol, micro_distribution
+from ..lowerbound import analyze_copies, analyze_protocol, micro_distribution
 from ..model import PublicCoins
-from ..protocols import FullNeighborhoodMatching, SampledEdgesMatching
+from ..protocols import make_protocol
 from ..runs.spec import ParamSpec
 from .registry import ExperimentReport, register
 from .tables import render_table
@@ -18,18 +20,22 @@ from .tables import render_table
 _COINS = PublicCoins(seed=2020)
 
 
+#: The protocols every lemma table reports, as registry specs.
+SUITE_SPECS = ("full", "sampled:2", "sampled:1", "sampled:0")
+
+
 def _protocol_suite():
-    return [
-        FullNeighborhoodMatching(),
-        SampledEdgesMatching(2),
-        SampledEdgesMatching(1),
-        SampledEdgesMatching(0),
-    ]
+    return [make_protocol(spec) for spec in SUITE_SPECS]
 
 
 def _analyze_one(item: tuple):
-    """Exact-enumeration analysis of one protocol (module-level for pools)."""
-    hard, protocol, exact = item
+    """Exact-enumeration analysis of one protocol (module-level for pools).
+
+    ``per_copy`` selects the per-copy Lemma 3.5 tables, which are exact.
+    """
+    hard, protocol, exact, per_copy = item
+    if per_copy:
+        return analyze_copies(hard, protocol, _COINS)
     return analyze_protocol(hard, protocol, _COINS, exact=exact)
 
 
@@ -44,6 +50,7 @@ def _analyses(
     k: int,
     engine: ExecutionEngine | None = None,
     exact: bool = False,
+    per_copy: bool = False,
 ):
     """Per-protocol exact analyses, fanned out over the engine.
 
@@ -51,11 +58,13 @@ def _analyses(
     expensive (2^(k·t·r) indicator tables), so protocols — not trials —
     are the engine's work units here.  ``exact`` switches the columnar
     kernel to Fraction probabilities (the CLI's ``--exact``).
+    ``per_copy``, which is exact, enumerates each copy's 2^(t·r) rows
+    alone: all that Lemma 3.5 reads.
     """
     engine = resolve_engine(engine)
     hard = micro_distribution(r=r, t=t, k=k)
     suite = _protocol_suite()
-    analyses = engine.map(_analyze_one, [(hard, p, exact) for p in suite])
+    analyses = engine.map(_analyze_one, [(hard, p, exact, per_copy) for p in suite])
     return hard, list(zip(suite, analyses))
 
 
@@ -64,8 +73,8 @@ def _analyses(
     "Information lower bound (Lemma 3.3)",
     "Lemma 3.3",
     params=(
-        ParamSpec("r", "int", 1, help="matchings per RS graph"),
-        ParamSpec("t", "int", 2, help="edges per induced matching"),
+        ParamSpec("r", "int", 1, help="edges per induced matching"),
+        ParamSpec("t", "int", 2, help="induced matchings per RS graph"),
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
     checks={
@@ -146,8 +155,8 @@ def run_lemma33(
     "Public/unique decomposition (Lemma 3.4)",
     "Lemma 3.4",
     params=(
-        ParamSpec("r", "int", 1, help="matchings per RS graph"),
-        ParamSpec("t", "int", 2, help="edges per induced matching"),
+        ParamSpec("r", "int", 1, help="edges per induced matching"),
+        ParamSpec("t", "int", 2, help="induced matchings per RS graph"),
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
     checks={
@@ -204,8 +213,8 @@ def run_lemma34(
     "Direct-sum for unique players (Lemma 3.5)",
     "Lemma 3.5",
     params=(
-        ParamSpec("r", "int", 1, help="matchings per RS graph"),
-        ParamSpec("t", "int", 3, help="edges per induced matching"),
+        ParamSpec("r", "int", 1, help="edges per induced matching"),
+        ParamSpec("t", "int", 3, help="induced matchings per RS graph"),
         ParamSpec("k", "int", 2, help="number of copies"),
     ),
     smoke={"r": 1, "t": 2, "k": 2},
@@ -232,8 +241,9 @@ def run_lemma35(
 ) -> ExperimentReport:
     """Per copy i: I(M_{i,J};Π(U_i)|Σ,J) <= H(Π(U_i))/t — the 1/t factor
     is the direct-sum engine of the whole lower bound, so the table
-    reports it per copy."""
-    hard, analyses = _analyses(r, t, k, engine, exact)
+    reports it per copy.  In exact mode each copy's table is enumerated
+    on its own: the same Fractions, at t·2^(t·r) outcomes per copy."""
+    hard, analyses = _analyses(r, t, k, engine, exact, per_copy=exact)
     rows = []
     data_rows = []
     for protocol, a in analyses:

@@ -23,6 +23,7 @@ from ..graphs import (
     is_maximal_independent_set,
     is_maximal_matching,
     is_valid_matching,
+    matched_vertices,
 )
 from ..infotheory import TableDistribution
 from ..model import PublicCoins, SketchProtocol, run_protocol
@@ -62,6 +63,24 @@ def matching_relaxed_check(instance: DMMInstance, output) -> bool:
     if not is_valid_matching(instance.graph, output):
         return False
     return count_unique_unique(instance, output) >= instance.hard.claim31_threshold
+
+
+def score_matching(instance: DMMInstance, output) -> tuple[bool, bool, int]:
+    """Strict success, relaxed success and unique-unique edge count of
+    one output, from a single validity check.
+
+    Agrees with :func:`matching_strict_check`, :func:`matching_relaxed_check`
+    and :func:`~repro.lowerbound.claims.count_unique_unique`; an invalid
+    matching scores ``(False, False, 0)``.
+    """
+    edges = list(output)
+    graph = instance.graph
+    if not is_valid_matching(graph, edges):
+        return False, False, 0
+    unique = count_unique_unique(instance, edges)
+    used = matched_vertices(edges)
+    strict = all(u in used or v in used for u, v in graph.edges())
+    return strict, unique >= instance.hard.claim31_threshold, unique
 
 
 def mis_strict_check(instance: DMMInstance, output) -> bool:
@@ -106,14 +125,8 @@ def _attack_trial(item: tuple) -> tuple[bool, bool, float, int, float]:
         strict = relaxed = mis_strict_check(instance, run.output)
         unique = 0.0
     else:
-        strict = matching_strict_check(instance, run.output)
-        relaxed = matching_relaxed_check(instance, run.output)
-        unique = (
-            float(count_unique_unique(instance, run.output))
-            if is_valid_matching(instance.graph, run.output)
-            else 0.0
-        )
-    return strict, relaxed, unique, run.max_bits, run.transcript.average_bits
+        strict, relaxed, unique = score_matching(instance, run.output)
+    return strict, relaxed, float(unique), run.max_bits, run.transcript.average_bits
 
 
 def _attack(hard, protocol, trials, seed, mis, engine=None) -> AttackResult:
@@ -234,14 +247,8 @@ def _adaptive_attack_trial(item: tuple) -> tuple[bool, bool, float, int, float]:
         n=instance.hard.n,
         roles=instance.player_roles,
     )
-    strict = matching_strict_check(instance, run.output)
-    relaxed = matching_relaxed_check(instance, run.output)
-    unique = (
-        float(count_unique_unique(instance, run.output))
-        if is_valid_matching(instance.graph, run.output)
-        else 0.0
-    )
-    return strict, relaxed, unique, run.max_bits, float(run.max_bits)
+    strict, relaxed, unique = score_matching(instance, run.output)
+    return strict, relaxed, float(unique), run.max_bits, float(run.max_bits)
 
 
 def attack_with_adaptive_matching(

@@ -16,6 +16,7 @@ survivors, and per-copy player views for the public/unique player model.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -272,24 +273,37 @@ def identity_sigma(hard: HardDistribution) -> tuple[int, ...]:
     return tuple(range(hard.n))
 
 
+#: Indicator bits beyond which exhaustive enumeration is refused.
+_MAX_ENUMERATION_BITS = 24
+
+
+def _check_enumerable(bits: int, what: str) -> None:
+    if bits > _MAX_ENUMERATION_BITS:
+        raise ValueError(f"enumerating 2^{bits} {what} is infeasible")
+
+
+def enumerate_indicator_rows(hard: HardDistribution):
+    """Yield every indicator row of one copy: t r-bit masks, 2^(t*r) of
+    them, matching j's mask in bits j*r .. j*r + r - 1 of the row code.
+
+    One copy's rows are all Lemma 3.5 needs: Π(U_i) reads only copy i's
+    row (see :func:`~repro.lowerbound.players.copy_player_views`).
+    """
+    bits = hard.t * hard.r
+    _check_enumerable(bits, "indicator rows")
+    mask = (1 << hard.r) - 1
+    for code in range(1 << bits):
+        yield tuple((code >> (j * hard.r)) & mask for j in range(hard.t))
+
+
 def enumerate_indicator_tables(hard: HardDistribution):
-    """Yield every possible k x t indicator table (2^(k*t*r) of them).
+    """Yield every possible k x t indicator table (2^(k*t*r) of them),
+    copy 0's row varying fastest.
 
     Only feasible for micro instances; used to build exact joint
     distributions for the Lemma 3.3-3.5 experiments.
     """
-    total_bits = hard.k * hard.t * hard.r
-    if total_bits > 24:
-        raise ValueError(
-            f"enumerating 2^{total_bits} indicator tables is infeasible"
-        )
-    for code in range(1 << total_bits):
-        table = []
-        shift = 0
-        for _i in range(hard.k):
-            row = []
-            for _j in range(hard.t):
-                row.append((code >> shift) & ((1 << hard.r) - 1))
-                shift += hard.r
-            table.append(tuple(row))
-        yield tuple(table)
+    _check_enumerable(hard.k * hard.t * hard.r, "indicator tables")
+    rows = tuple(enumerate_indicator_rows(hard))
+    for reversed_table in itertools.product(rows, repeat=hard.k):
+        yield reversed_table[::-1]

@@ -45,30 +45,40 @@ def public_player_views(instance: DMMInstance) -> dict[int, VertexView]:
     }
 
 
-def unique_player_views(instance: DMMInstance) -> dict[UniquePlayerId, VertexView]:
-    """One view per (copy i, RS vertex j): vertex j's edges inside G_i."""
+def copy_player_views(instance: DMMInstance, i: int) -> dict[int, VertexView]:
+    """Copy i's unique players, keyed by RS vertex: vertex j's edges
+    inside G_i.
+
+    Reads only ``instance.indicators[i]`` and ``instance.copy_labels(i)``,
+    so Π(U_i) is a function of j*, σ and copy i's indicator row alone —
+    the locality behind Lemma 3.5's 1/t factor.
+    """
     hard = instance.hard
     n = hard.n
-    # Adjacency inside each copy, by RS vertex.
-    views: dict[UniquePlayerId, VertexView] = {}
-    for i in range(hard.k):
-        copy_adjacency: dict[int, set[int]] = {
-            v: set() for v in hard.rs.graph.vertices
-        }
-        for j, matching in enumerate(hard.rs.matchings):
-            mask = instance.indicators[i][j]
-            for e, (u, v) in enumerate(matching):
-                if (mask >> e) & 1:
-                    copy_adjacency[u].add(v)
-                    copy_adjacency[v].add(u)
-        labels = instance.copy_labels(i)
-        for rs_vertex, rs_neighbors in copy_adjacency.items():
-            views[(i, rs_vertex)] = VertexView(
-                n=n,
-                vertex=labels[rs_vertex],
-                neighbors=frozenset(labels[u] for u in rs_neighbors),
-            )
-    return views
+    copy_adjacency: dict[int, set[int]] = {v: set() for v in hard.rs.graph.vertices}
+    for matching, mask in zip(hard.rs.matchings, instance.indicators[i]):
+        for e, (u, v) in enumerate(matching):
+            if (mask >> e) & 1:
+                copy_adjacency[u].add(v)
+                copy_adjacency[v].add(u)
+    labels = instance.copy_labels(i)
+    return {
+        rs_vertex: VertexView(
+            n=n,
+            vertex=labels[rs_vertex],
+            neighbors=frozenset(labels[u] for u in rs_neighbors),
+        )
+        for rs_vertex, rs_neighbors in copy_adjacency.items()
+    }
+
+
+def unique_player_views(instance: DMMInstance) -> dict[UniquePlayerId, VertexView]:
+    """One view per (copy i, RS vertex j): vertex j's edges inside G_i."""
+    return {
+        (i, rs_vertex): view
+        for i in range(instance.hard.k)
+        for rs_vertex, view in copy_player_views(instance, i).items()
+    }
 
 
 def player_split(instance: DMMInstance) -> PlayerSplit:

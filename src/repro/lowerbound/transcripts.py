@@ -29,6 +29,17 @@ views, special slots and G, with equal values interned.  Each
 ``sketch`` per distinct view and one ``decode`` per distinct referee
 transcript.  Views repeat across outcomes because a view depends on only
 a few indicator bits — the locality Lemma 3.5 rests on.
+
+Lemma 3.5 needs less than the full joint.  Π(U_i) reads only j*, σ and
+copy i's indicator row, so :func:`copy_outcomes` holds copy i's
+t·2^(t·r) (j*, row) outcomes, and :func:`analyze_copies` builds one
+exact table per copy over (J, M_{i,0..t-1}, Π(U_i)).  In ``Fraction``
+arithmetic that table *is* the full joint's marginal on those
+variables, so every Lemma 3.5 quantity comes out bit-identical to
+:func:`analyze_protocol` in exact mode, at t·2^(t·r) outcomes per copy
+instead of t·2^(k·t·r).  Float mode keeps the full enumeration: the two
+tables round differently there.  Lemma 3.3, H(Π(P)) and Lemma 3.4 need
+the full joint, because public players see every copy.
 """
 
 from __future__ import annotations
@@ -44,11 +55,12 @@ from ..model import Message, PublicCoins, SketchProtocol, VertexView
 from .distribution import (
     DMMInstance,
     IndicatorTable,
+    enumerate_indicator_rows,
     enumerate_indicator_tables,
     identity_sigma,
 )
 from .params import HardDistribution
-from .players import player_split
+from .players import copy_player_views, player_split
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,106 @@ def exact_outcomes(
 
 
 @dataclass(frozen=True)
-class ExactAnalysis:
+class CopyOutcome:
+    """One (j*, copy-i indicator row) outcome under a fixed σ: copy i's
+    unique players, the only players whose messages Lemma 3.5 reads."""
+
+    j_star: int
+    row: tuple[int, ...]  # copy i's t indicator masks
+    unique: tuple[VertexView, ...]  # copy i's unique players, RS-vertex order
+
+
+def copy_outcomes(
+    hard: HardDistribution, i: int, sigma: tuple[int, ...] | None = None
+) -> tuple[CopyOutcome, ...]:
+    """Every (j*, copy-i indicator row) outcome of ``hard`` under
+    ``sigma``: t·2^(t·r) of them, j*-major in
+    :func:`~repro.lowerbound.distribution.enumerate_indicator_rows` order.
+
+    Copy i's views read only its own row
+    (:func:`~repro.lowerbound.players.copy_player_views`), so the other
+    copies' rows are left empty.  Equal views and view groups are
+    interned.  Like :func:`exact_outcomes` the table is cached per
+    ``(hard, i, sigma)``, so every protocol shares it.
+    """
+    if not 0 <= i < hard.k:
+        raise ValueError("copy index out of range")
+    if sigma is None:
+        sigma = identity_sigma(hard)
+    sigma = tuple(sigma)
+
+    def build() -> tuple[CopyOutcome, ...]:
+        pool: dict = {}
+
+        def intern(value):
+            return pool.setdefault(value, value)
+
+        empty = ((0,) * hard.t,) * hard.k
+        outcomes = []
+        for j_star in range(hard.t):
+            for row in enumerate_indicator_rows(hard):
+                instance = DMMInstance(
+                    hard=hard,
+                    j_star=j_star,
+                    sigma=sigma,
+                    indicators=empty[:i] + (row,) + empty[i + 1 :],
+                )
+                views = copy_player_views(instance, i)
+                outcomes.append(
+                    CopyOutcome(
+                        j_star=j_star,
+                        row=row,
+                        unique=intern(
+                            tuple(intern(views[v]) for v in sorted(views))
+                        ),
+                    )
+                )
+        return tuple(outcomes)
+
+    return construction_cache().get_or_build(
+        ("copy-outcomes", hard.cache_token, i, sigma), build
+    )
+
+
+def _conditionals_on_j(dist, t: int) -> tuple:
+    """``(j, Pr[J = j], dist | J = j)`` for every j of positive mass."""
+    out = []
+    for j in range(t):
+        p_j = dist.probability(J=j)
+        if p_j > 0:
+            out.append((j, p_j, dist.condition(J=j)))
+    return tuple(out)
+
+
+def _information_given_j(conditionals, a_vars, b_vars: list[str]) -> float:
+    """E_j I(a_vars(j) ; b_vars | J = j) over precomputed conditionals."""
+    total = 0.0
+    for j, p_j, cond in conditionals:
+        total += p_j * cond.mutual_information(a_vars(j), b_vars)
+    return total
+
+
+def _lemma35_information(conditionals, i: int) -> float:
+    """I(M_{i,J} ; Π(U_i) | Σ, J), the left side of Lemma 3.5."""
+    return _information_given_j(conditionals, lambda j: [f"M_{i}_{j}"], [f"PiU_{i}"])
+
+
+class _Lemma35:
+    """Lemma 3.5's inequality, for an analysis with ``hard``,
+    ``unique_information(i)`` and ``unique_entropy(i)``."""
+
+    def lemma35_holds(self, i: int) -> bool:
+        return (
+            self.unique_information(i)
+            <= self.unique_entropy(i) / self.hard.t + 1e-6
+        )
+
+    def lemma35_all_hold(self) -> bool:
+        return all(self.lemma35_holds(i) for i in range(self.hard.k))
+
+
+@dataclass(frozen=True)
+class ExactAnalysis(_Lemma35):
     """The exact joint distribution plus derived lemma quantities.
 
     ``dist`` is a columnar :class:`TableDistribution` by default (the
@@ -175,19 +286,7 @@ class ExactAnalysis:
         Every conditional quantity below is an expectation over J, so
         the t conditionals are built once and shared by all of them.
         """
-        out = []
-        for j in range(self.hard.t):
-            p_j = self.dist.probability(J=j)
-            if p_j > 0:
-                out.append((j, p_j, self.dist.condition(J=j)))
-        return tuple(out)
-
-    def _information_given_j(self, a_vars, b_vars: list[str]) -> float:
-        """E_j I(a_vars(j) ; b_vars | J = j) over the cached conditionals."""
-        total = 0.0
-        for j, p_j, cond in self.conditionals:
-            total += p_j * cond.mutual_information(a_vars(j), b_vars)
-        return total
+        return _conditionals_on_j(self.dist, self.hard.t)
 
     # ------------------------------------------------------------------
     # Lemma 3.3
@@ -196,7 +295,9 @@ class ExactAnalysis:
     def information_revealed(self) -> float:
         """I(M_{1,J},...,M_{k,J} ; Π | Σ, J), computed as E_j of the
         conditional mutual information given J = j."""
-        return self._information_given_j(self.m_vars, self.transcript_vars)
+        return _information_given_j(
+            self.conditionals, self.m_vars, self.transcript_vars
+        )
 
     @property
     def lemma33_implied_bound(self) -> float:
@@ -218,8 +319,7 @@ class ExactAnalysis:
     @cached_property
     def _unique_information(self) -> tuple[float, ...]:
         return tuple(
-            self._information_given_j(lambda j: [f"M_{i}_{j}"], [f"PiU_{i}"])
-            for i in range(self.hard.k)
+            _lemma35_information(self.conditionals, i) for i in range(self.hard.k)
         )
 
     def unique_information(self, i: int) -> float:
@@ -250,15 +350,6 @@ class ExactAnalysis:
         """H(Π(U_i)), computed once per copy."""
         return self._unique_entropy[i]
 
-    def lemma35_holds(self, i: int) -> bool:
-        return (
-            self.unique_information(i)
-            <= self.unique_entropy(i) / self.hard.t + 1e-6
-        )
-
-    def lemma35_all_hold(self) -> bool:
-        return all(self.lemma35_holds(i) for i in range(self.hard.k))
-
     # ------------------------------------------------------------------
     # Theorem 1 algebra on the measured quantities
     # ------------------------------------------------------------------
@@ -268,6 +359,21 @@ class ExactAnalysis:
         measured worst-case message length b."""
         hd = self.hard
         return self.worst_case_bits * (hd.num_public + hd.k * hd.N / hd.t)
+
+
+def _memoised_sketch(protocol: SketchProtocol, coins: PublicCoins):
+    """``send(view)``, running ``protocol.sketch`` once per distinct view,
+    and the memo it fills.  Sound because a message is a function of the
+    player's view and the public coins (§2.1)."""
+    sketches: dict[VertexView, Message] = {}
+
+    def send(view: VertexView) -> Message:
+        message = sketches.get(view)
+        if message is None:
+            message = sketches[view] = protocol.sketch(view, coins)
+        return message
+
+    return send, sketches
 
 
 def analyze_protocol(
@@ -317,14 +423,8 @@ def analyze_protocol(
 
     # Messages are hashable packed bytes, so they key the decode memo
     # and the pmf directly — no per-bit tuples are ever materialized.
-    sketches: dict[VertexView, Message] = {}
+    send, sketches = _memoised_sketch(protocol, coins)
     outputs: dict[tuple[Message, ...], frozenset[Edge]] = {}
-
-    def send(view: VertexView) -> Message:
-        message = sketches.get(view)
-        if message is None:
-            message = sketches[view] = protocol.sketch(view, coins)
-        return message
 
     for outcome in outcomes:
         pi_p = tuple(map(send, outcome.public))
@@ -380,3 +480,67 @@ def analyze_protocol(
         error_probability=error_prob,
         worst_case_bits=worst_bits,
     )
+
+
+@dataclass(frozen=True)
+class CopyAnalysis(_Lemma35):
+    """Lemma 3.5 one copy at a time, in exact arithmetic.
+
+    ``tables[i]`` is the exact joint of (J, M_{i,0..t-1}, Π(U_i)) over
+    copy i's t·2^(t·r) outcomes, each of mass 1/(t·2^(t·r)): the full
+    joint's marginal on those variables, as ``Fraction``s.  The Lemma 3.5
+    quantities use :class:`ExactAnalysis`'s own E_j formula, so they
+    equal its exact-mode values bit for bit.
+    """
+
+    hard: HardDistribution
+    tables: tuple[TableDistribution, ...]
+
+    @cached_property
+    def _unique_information(self) -> tuple[float, ...]:
+        return tuple(
+            _lemma35_information(_conditionals_on_j(table, self.hard.t), i)
+            for i, table in enumerate(self.tables)
+        )
+
+    def unique_information(self, i: int) -> float:
+        """I(M_{i,J} ; Π(U_i) | Σ, J), from copy i's table."""
+        return self._unique_information[i]
+
+    @cached_property
+    def _unique_entropy(self) -> tuple[float, ...]:
+        return tuple(
+            table.entropy([f"PiU_{i}"]) for i, table in enumerate(self.tables)
+        )
+
+    def unique_entropy(self, i: int) -> float:
+        """H(Π(U_i)), from copy i's table."""
+        return self._unique_entropy[i]
+
+
+def analyze_copies(
+    hard: HardDistribution,
+    protocol: SketchProtocol,
+    coins: PublicCoins,
+    sigma: tuple[int, ...] | None = None,
+) -> CopyAnalysis:
+    """Exact Lemma 3.5 tables of one deterministic protocol, per copy.
+
+    Each copy's outcomes come from the shared :func:`copy_outcomes`
+    table; ``protocol.sketch`` runs once per distinct view across all
+    copies.  Probabilities are ``Fraction``s: the per-copy table equals
+    the full joint's marginal only in exact arithmetic.
+    """
+    t = hard.t
+    send, _ = _memoised_sketch(protocol, coins)
+    tables = []
+    for i in range(hard.k):
+        outcomes = copy_outcomes(hard, i, sigma)
+        names = ["J", *[f"M_{i}_{j}" for j in range(t)], f"PiU_{i}"]
+        builder = TableBuilder(names, exact=True)
+        prob = Fraction(1, len(outcomes))
+        for outcome in outcomes:
+            pi_u = tuple(map(send, outcome.unique))
+            builder.add((outcome.j_star, *outcome.row, pi_u), prob)
+        tables.append(builder.build())
+    return CopyAnalysis(hard=hard, tables=tuple(tables))

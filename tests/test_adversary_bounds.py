@@ -1,7 +1,10 @@
 """Tests for the adversary harness and the Theorem 1/2 analytic bounds."""
 
+import random
+
 import pytest
 
+from repro.graphs import greedy_maximal_matching
 from repro.lowerbound import (
     attack_with_matching_protocol,
     attack_with_mis_protocol,
@@ -15,7 +18,12 @@ from repro.lowerbound import (
     trivial_upper_bound_bits,
     agm_upper_bound_bits,
     two_round_upper_bound_bits,
+    count_unique_unique,
+    matching_relaxed_check,
+    matching_strict_check,
+    sample_dmm,
 )
+from repro.lowerbound.adversary import score_matching
 from repro.protocols import (
     FullNeighborhoodMIS,
     FullNeighborhoodMatching,
@@ -75,6 +83,41 @@ class TestAttackHarness:
         hd = scaled_distribution(m=8, k=2)
         points = budget_sweep(hd, SampledEdgesMatching, [0, 1], trials=2, seed=4)
         assert [p.knob for p in points] == [0, 1]
+
+
+class TestScoreMatching:
+    """``score_matching`` validates once and agrees with the public checks."""
+
+    def _outputs(self):
+        instance = sample_dmm(scaled_distribution(m=8, k=2), random.Random(3))
+        graph = instance.graph
+        maximal = sorted(greedy_maximal_matching(graph))
+        hub = max(graph.vertices, key=graph.degree)
+        a, b = sorted(graph.neighbors(hub))[:2]
+        non_edge = next(
+            (u, v)
+            for u in sorted(graph.vertices)
+            for v in sorted(graph.vertices)
+            if u < v and not graph.has_edge(u, v)
+        )
+        return instance, {
+            "maximal": maximal,
+            "not maximal": maximal[1:],
+            "non-edge": [*maximal, non_edge],
+            "doubly matched": [(hub, a), (hub, b)],
+        }
+
+    def test_agrees_with_public_checks(self):
+        instance, outputs = self._outputs()
+        strict_seen = set()
+        for name, output in outputs.items():
+            strict = matching_strict_check(instance, output)
+            relaxed = matching_relaxed_check(instance, output)
+            valid = name in ("maximal", "not maximal")
+            unique = count_unique_unique(instance, output) if valid else 0
+            assert score_matching(instance, output) == (strict, relaxed, unique), name
+            strict_seen.add(strict)
+        assert strict_seen == {True, False}
 
 
 class TestAnalyticBounds:

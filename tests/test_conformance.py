@@ -49,7 +49,7 @@ def test_registry_cases_conform(pair, seed):
 class TestRegistry:
     def test_every_layer_has_a_pair(self):
         assert {p.layer for p in ORACLE_PAIRS} == {
-            "codec", "graphs", "infotheory", "sketches", "engine",
+            "codec", "graphs", "infotheory", "sketches", "engine", "lemmas",
         }
 
     def test_pair_names_unique(self):
@@ -130,7 +130,8 @@ class TestCaseModel:
 class TestBudget:
     def test_shares_sum_to_budget(self):
         pairs = all_pairs()
-        for budget in (5, 7, 40, 200):
+        # From one case per pair up: below that, every pair still gets one.
+        for budget in (len(pairs), 7, 40, 200, 210):
             shares = budget_shares(pairs, budget)
             assert sum(shares.values()) == budget
             assert all(v >= 1 for v in shares.values())

@@ -2,7 +2,8 @@
 
 Each experiment runs at its default parameters (the ones REPORT.md
 renders) and is judged on its record, as REPORT.md judges a stored one.
-Five also run on a wider lemma instance or another sample.
+Eight also run on a wider lemma instance, the paper's k = t, or another
+sample; exact L35 also runs one copy at a time at k = t = 5.
 """
 
 import pytest
@@ -14,6 +15,10 @@ EXTRA_PARAMS = [
     ("L33", {"t": 3}),
     ("L34", {"k": 3}),
     ("L35", {"t": 4, "k": 1}),
+    # The paper's k = t, on the float path's full enumeration.
+    ("L33", {"t": 3, "k": 3}),
+    ("L34", {"t": 3, "k": 3}),
+    ("L35", {"t": 3, "k": 3}),
     ("F1", {"m": 24, "k": 6, "seed": 1}),
     ("UB-EXT", {"trials": 4, "seed": 1}),
 ]
@@ -35,3 +40,16 @@ def test_declared_checks_hold(case):
     assert verdicts, f"{experiment_id} declares no checks"
     failed = [name for name, held in verdicts.items() if not held]
     assert not failed, f"{experiment_id} {overrides}: failed {failed}"
+
+
+def test_exact_lemma35_per_copy_at_k_equals_t():
+    """Exact L35 enumerates each copy's 5·2^5 outcomes, where the full
+    joint would need 5·2^25."""
+    record = execute_run("L35", {"t": 5, "k": 5}, exact=True, telemetry=False).record
+    verdicts = record_verdicts(record)
+    assert set(verdicts) == {
+        "lemma35_holds",
+        "full_protocol_within_entropy_over_t",
+        "full_protocol_reveals_r_bits_per_copy",
+    }
+    assert all(verdicts.values()), verdicts
