@@ -33,13 +33,7 @@ from .backends import (
     in_worker_process,
 )
 from .cache import ConstructionCache, construction_cache
-from .plan import (
-    BatchResult,
-    TrialPlan,
-    TrialResult,
-    execute_task,
-    execute_traced_task,
-)
+from .plan import BatchResult, TrialPlan, TrialResult, execute_task
 
 #: In auto mode, batches smaller than this stay serial.
 AUTO_PARALLEL_THRESHOLD = 32
@@ -112,12 +106,10 @@ class ExecutionEngine:
     def run_trials(self, plan: TrialPlan) -> BatchResult:
         """Execute a trial plan; results are backend-independent.
 
-        With telemetry enabled, every task runs under a task-local
-        recorder (on every backend) and the snapshots merge here, at
-        the barrier, in task order — counter totals are therefore
-        bit-identical between serial and pooled execution, and span
-        trees differ only in timings.  Merged trial spans are rebased
-        onto a sequential timeline inside the ``engine.dispatch`` span.
+        Traced, the batch runs under an ``engine.dispatch`` span with one
+        ``engine.trial`` span per task (see :meth:`_dispatch`), so counter
+        totals are bit-identical between serial and pooled execution,
+        and span trees differ only in timings.
         """
         start = time.perf_counter()
         with obs.span("engine.plan", trials=plan.trials, namespace=plan.namespace):
@@ -125,23 +117,11 @@ class ExecutionEngine:
         plan_time = time.perf_counter() - start
         backend = self.backend_for(len(tasks))
         obs.count(ENGINE_TRIALS, len(tasks))
-        recorder = obs.active()
         dispatch_start = time.perf_counter()
-        if recorder is None:
-            results: list[TrialResult] = backend.map(execute_task, tasks)
-        else:
-            with obs.span(
-                "engine.dispatch", backend=backend.name, tasks=len(tasks)
-            ) as dispatch:
-                pairs = backend.map(execute_traced_task, tasks)
-                results = []
-                offset = dispatch.start
-                for result, snapshot in pairs:
-                    recorder.merge_snapshot(
-                        snapshot, parent_id=dispatch.span_id, time_offset=offset
-                    )
-                    offset += _snapshot_extent(snapshot)
-                    results.append(result)
+        results: list[TrialResult] = self._dispatch(
+            execute_task, tasks, backend, "engine.dispatch", "engine.trial",
+            _trial_attrs, tasks=len(tasks),
+        )
         dispatch_time = time.perf_counter() - dispatch_start
         return BatchResult(
             results=tuple(results),
@@ -151,13 +131,48 @@ class ExecutionEngine:
             dispatch_time=dispatch_time,
         )
 
-    def _map_traced(self, fn, items, backend) -> list[Any]:
-        """Ordered traced map: item-local recorders merged in item order."""
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
+        """Ordered map of ``fn`` over prebuilt items (no seed derivation)."""
+        items = list(items)
+        backend = self.backend_for(len(items))
+        return self._dispatch(
+            fn, items, backend, "engine.map", "engine.item", _no_attrs,
+            items=len(items),
+        )
+
+    def _dispatch(
+        self,
+        fn: Callable[[Any], Any],
+        items: list,
+        backend: ExecutionBackend,
+        name: str,
+        item_name: str,
+        item_attrs: Callable[[Any], dict],
+        /,
+        **attrs: Any,
+    ) -> list[Any]:
+        """``backend.map(fn, items)``, traced when a recorder is installed.
+
+        Traced, the batch runs under a ``name`` span and each item under
+        an ``item_name`` span carrying ``item_attrs(item)``.  On the
+        serial backend the items record in place, in the caller's
+        recorder.  On the pool each item records into an item-local
+        recorder whose snapshot merges here in item order, rebased onto
+        a sequential timeline; merge order follows span start order, so
+        span ids, parents and attrs come out as the serial path's.
+        """
         recorder = obs.active()
-        with obs.span(
-            "engine.map", backend=backend.name, items=len(items)
-        ) as dispatch:
-            pairs = backend.map(_traced_map_item, [(fn, item) for item in items])
+        if recorder is None:
+            return backend.map(fn, items)
+        with obs.span(name, backend=backend.name, **attrs) as dispatch:
+            if backend is self._serial:
+                results = []
+                for item in items:
+                    with obs.span(item_name, **item_attrs(item)):
+                        results.append(fn(item))
+                return results
+            packed = [(fn, item_name, item_attrs(item), item) for item in items]
+            pairs = backend.map(_traced_item, packed)
             results = []
             offset = dispatch.start
             for result, snapshot in pairs:
@@ -168,19 +183,19 @@ class ExecutionEngine:
                 results.append(result)
         return results
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Ordered map of ``fn`` over prebuilt items (no seed derivation)."""
-        items = list(items)
-        backend = self.backend_for(len(items))
-        if obs.active() is not None:
-            return self._map_traced(fn, items, backend)
-        return backend.map(fn, items)
-
     def close(self) -> None:
         """Shut down any pool this engine spawned."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+
+
+def _trial_attrs(task: tuple) -> dict:
+    return {"trial": task[1]}
+
+
+def _no_attrs(item: Any) -> dict:
+    return {}
 
 
 def _snapshot_extent(snapshot: dict) -> float:
@@ -191,11 +206,11 @@ def _snapshot_extent(snapshot: dict) -> float:
     )
 
 
-def _traced_map_item(pair: tuple) -> tuple[Any, dict]:
-    """Run one map item under an item-local recorder (pool-picklable)."""
-    fn, item = pair
+def _traced_item(packed: tuple) -> tuple[Any, dict]:
+    """Run one pooled item under an item-local recorder; return its snapshot."""
+    fn, name, attrs, item = packed
     with obs.recording(obs.TelemetryRecorder()) as recorder:
-        with obs.span("engine.item"):
+        with obs.span(name, **attrs):
             result = fn(item)
         return result, recorder.snapshot()
 

@@ -17,7 +17,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..obs import TelemetryRecorder, recording, span
 from .seeds import trial_seed
 
 
@@ -65,9 +64,10 @@ class BatchResult:
     """All trial results of one plan, plus execution metadata.
 
     ``wall_time`` covers the whole batch; ``plan_time`` (materializing
-    seeds and task tuples) and ``dispatch_time`` (the backend map,
-    including any telemetry merge) split it so setup cost is visible —
-    both default to 0.0 for constructors that never measured them.
+    seeds and task tuples) and ``dispatch_time`` (running the tasks,
+    plus merging pooled tasks' telemetry when traced) split it so setup
+    cost is visible — both default to 0.0 for constructors that never
+    measured them.
     """
 
     results: tuple[TrialResult, ...]
@@ -90,17 +90,3 @@ def execute_task(task: tuple) -> TrialResult:
     fn, trial, seed, args = task
     return TrialResult(trial=trial, seed=seed, value=fn(trial, seed, *args))
 
-
-def execute_traced_task(task: tuple) -> tuple[TrialResult, dict]:
-    """Run one task under a fresh task-local recorder.
-
-    Used by the engine whenever telemetry is enabled — on *every*
-    backend, so serial and pooled runs produce identical span trees.
-    The task's spans and counters come back as a picklable snapshot the
-    engine merges at the barrier in task order, making counter totals
-    independent of scheduling.
-    """
-    with recording(TelemetryRecorder()) as recorder:
-        with span("engine.trial", trial=task[1]):
-            result = execute_task(task)
-        return result, recorder.snapshot()

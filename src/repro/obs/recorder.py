@@ -12,23 +12,25 @@ With a :class:`TelemetryRecorder` installed (``set_recorder`` /
 ``recording``), probes append :class:`SpanRecord` s — name, attributes,
 monotonic start and duration, parent id — and accumulate integer
 counters keyed by ``(name, sorted labels)``.  :meth:`TelemetryRecorder.
-observe` also keeps one :class:`Summary` per key — the exact max and a
-log2-bucket histogram of the observed values — so a distribution costs
-one entry, not one series per bucket.  Counter names must be declared
-in :mod:`repro.obs.counters`; the taxonomy check runs only on the
-enabled path.
+observe` also keeps one summary entry per key — the exact max and a
+log2-bucket histogram of the observed values, accumulated in place —
+so a distribution costs one entry, not one series per bucket; it is
+read out as a :class:`Summary`.  Counter names must be declared in
+:mod:`repro.obs.counters`; the taxonomy check runs only on the enabled
+path.
 
-Recorders are process-local.  Work fanned out to pool workers runs
-under a fresh worker-local recorder whose :meth:`TelemetryRecorder.
-snapshot` travels back with the result; the parent merges snapshots
-**in task order** at the barrier (:meth:`TelemetryRecorder.
-merge_snapshot`), so counter totals — integer sums — and summaries —
-bucket sums and a max — are bit-identical to a serial run, and span
-trees are identical because the serial backend routes through the same
-wrapper.  Merged span times are rebased onto a canonical sequential
-timeline (trial i starts where trial i-1 ended), which keeps exported
-per-track timestamps monotonic regardless of how the pool actually
-interleaved the work.
+Recorders are process-local.  The engine's serial backend records each
+task in place, under the task's span in the caller's recorder.  Work
+fanned out to pool workers runs under a fresh worker-local recorder
+whose :meth:`TelemetryRecorder.snapshot` travels back with the result;
+the parent merges snapshots **in task order** at the barrier
+(:meth:`TelemetryRecorder.merge_snapshot`).  Counter totals — integer
+sums — and summaries — bucket sums and a max — therefore equal a
+serial run's, and span trees do too, because a merge assigns span ids
+in span start order, as recording in place does.  Merged span times
+are rebased onto a canonical sequential timeline (task i starts where
+task i-1 ended), which keeps exported per-track timestamps monotonic
+regardless of how the pool actually interleaved the work.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class Summary(NamedTuple):
     holds 0 and bucket ``b >= 1`` holds ``[2**(b-1), 2**b - 1]``, so the
     buckets are fixed.  Like a counter's int, a summary is an immutable
     value, and two summaries of one key merge into a new one by adding
-    buckets and taking the larger max.
+    buckets and taking the larger max.  The recorder accumulates each
+    key in place and reads it out as a summary; :meth:`of` and
+    :meth:`merged` compute the same values from scratch.
     """
 
     max: int
@@ -99,6 +103,47 @@ class Summary(NamedTuple):
         return Summary(max(self.max, other.max), tuple(map(sum, buckets)))
 
 
+class _Histogram:
+    """One key's :class:`Summary`, accumulated in place.
+
+    A delivery adds its values into the bucket list and raises the max;
+    nothing is allocated per delivery once the list is wide enough.
+    """
+
+    __slots__ = ("max", "buckets")
+
+    def __init__(self) -> None:
+        self.max = 0
+        self.buckets: list[int] = []
+
+    def _widen(self, width: int) -> list[int]:
+        """The bucket list, padded with zeros to at least ``width``."""
+        missing = width - len(self.buckets)
+        if missing > 0:
+            self.buckets.extend([0] * missing)
+        return self.buckets
+
+    def add(self, values: list[int]) -> None:
+        """Count each of a non-empty batch of ints ``>= 0``."""
+        top = max(values)
+        buckets = self._widen(top.bit_length() + 1)
+        for value in values:
+            buckets[value.bit_length()] += 1
+        if top > self.max:
+            self.max = top
+
+    def add_summary(self, summary: Summary) -> None:
+        """Add another summary of the same key, as :meth:`Summary.merged`."""
+        buckets = self._widen(len(summary.buckets))
+        for bucket, count in enumerate(summary.buckets):
+            buckets[bucket] += count
+        if summary.max > self.max:
+            self.max = summary.max
+
+    def summary(self) -> Summary:
+        return Summary(self.max, tuple(self.buckets))
+
+
 def bucket_quantile(buckets: list[int], maximum: int, percent: int) -> int:
     """The ``percent``-th percentile of a :class:`Summary`'s values.
 
@@ -124,7 +169,7 @@ class TelemetryRecorder:
         self.origin = self._clock()
         self.spans: list[SpanRecord] = []
         self.counters: dict[tuple[str, LabelItems], int] = {}
-        self.summaries: dict[tuple[str, LabelItems], Summary] = {}
+        self._histograms: dict[tuple[str, LabelItems], _Histogram] = {}
         self._stack: list[SpanRecord] = []
         self._next_id = 0
 
@@ -183,16 +228,22 @@ class TelemetryRecorder:
         """Add a batch of values to a counter and to its summary entry.
 
         The counter gains their sum, as :meth:`count` would; the key's
-        :class:`Summary` records each value.  ``values`` must be
+        summary entry counts each value in place.  ``values`` must be
         non-empty.
         """
         self.count(name, sum(values), labels)
-        key = (name, labels)
-        summary = Summary.of(values)
-        previous = self.summaries.get(key)
-        if previous is not None:
-            summary = previous.merged(summary)
-        self.summaries[key] = summary
+        self._histogram((name, labels)).add(values)
+
+    def _histogram(self, key: tuple[str, LabelItems]) -> _Histogram:
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = _Histogram()
+        return histogram
+
+    @property
+    def summaries(self) -> dict[tuple[str, LabelItems], Summary]:
+        """Each observed key's :class:`Summary`, as of now."""
+        return {key: h.summary() for key, h in self._histograms.items()}
 
     def totals(self) -> dict[str, int]:
         """Per-name totals, summed over every label combination."""
@@ -233,7 +284,7 @@ class TelemetryRecorder:
                 for s in self.spans
             ],
             "counters": dict(self.counters),
-            "summaries": dict(self.summaries),
+            "summaries": self.summaries,
         }
 
     def merge_snapshot(
@@ -274,10 +325,7 @@ class TelemetryRecorder:
         for key, value in snap["counters"].items():
             self.counters[key] = self.counters.get(key, 0) + value
         for key, summary in snap["summaries"].items():
-            previous = self.summaries.get(key)
-            if previous is not None:
-                summary = previous.merged(summary)
-            self.summaries[key] = summary
+            self._histogram(key).add_summary(summary)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ histogram.  So a run's telemetry has one series per protocol × role ×
 round, however many players the graph has.
 """
 
+import functools
 import json
 import random
 
@@ -71,6 +72,23 @@ class TestSummary:
         assert rec.summaries == {(TRANSCRIPT_BITS, labels): Summary.of([3, 9, 1])}
         with pytest.raises(KeyError, match="undeclared counter"):
             rec.observe("no.such.counter", [1])
+
+    def test_in_place_entries_equal_the_reference_summaries(self):
+        rng = random.Random(7)
+        batches = [
+            [rng.randrange(1 << rng.randrange(12)) for _ in range(rng.randrange(1, 9))]
+            for _ in range(60)
+        ]
+        rec, merged = TelemetryRecorder(), TelemetryRecorder()
+        labels = (("role", "public"),)
+        for batch in batches:
+            rec.observe(TRANSCRIPT_BITS, batch, labels)
+            child = TelemetryRecorder()
+            child.observe(TRANSCRIPT_BITS, batch, labels)
+            merged.merge_snapshot(child.snapshot())
+        reference = functools.reduce(Summary.merged, map(Summary.of, batches))
+        assert reference == Summary.of([v for batch in batches for v in batch])
+        assert rec.summaries == merged.summaries == {(TRANSCRIPT_BITS, labels): reference}
 
     def test_snapshots_copy_and_merges_combine_summaries(self):
         labels = (("role", "unique"),)
