@@ -37,7 +37,8 @@ TRANSCRIPT_MESSAGES = "transcript.messages"
 ENGINE_TRIALS = "engine.trials"
 #: Sketch cells serialized through the packed codec.
 SKETCH_CELLS_PACKED = "sketch.cells_packed"
-#: Sketch cells recovered by the referee-side decode.
+#: Sketch cells unpacked from the wire by the referees (one label
+#: column per ``L0Block.accumulate``).
 SKETCH_CELLS_UNPACKED = "sketch.cells_unpacked"
 #: Bytes of packed sketch payload produced (ceil of bits / 8).
 SKETCH_BYTES = "sketch.bytes_serialized"
@@ -96,7 +97,7 @@ COUNTERS: dict[str, CounterDef] = {
         CounterDef(
             SKETCH_CELLS_UNPACKED,
             "cells",
-            "sketch cells recovered by the referee decode",
+            "sketch cells unpacked from the wire by the referees",
             stable=False,
         ),
         CounterDef(

@@ -91,10 +91,10 @@ class LinearL0Matching(BatchSketchProtocol):
         reports: dict[int, list[int]] = {v: [] for v in sketches}
         for v, message in sketches.items():
             family = self._vertex_family(v, n, coins)
-            state = L0FamilyState.decode(message.reader(), family)
+            word = message.reader().read_uint(family.num_bits)
             for index in range(family.num_labels):
                 block = L0Block(family, index)
-                block.accumulate(state)
+                block.accumulate(word)
                 got = block.recover()
                 if got is None:
                     continue

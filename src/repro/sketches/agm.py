@@ -12,10 +12,12 @@ cancel), then merges.  Fresh samplers per round keep the recoveries
 independent of the merging decisions.
 
 Construction runs on the :mod:`~repro.sketches.core` runtime: on a
-frozen graph ``sketch_batch`` builds every player's sampler family in
-one pass over the CSR edge list, and the referee decodes into columnar
-:class:`~repro.sketches.core.L0FamilyState` states merged per component
-through :class:`~repro.sketches.core.L0Block`.  The per-view ``sketch``
+frozen graph ``sketch_batch`` builds every player's sampler family from
+one list of the CSR edges, label by label.  The referee reads each
+player's packed word once and sums a component's round-r columns
+through :class:`~repro.sketches.core.L0Block`, which unpacks only the
+columns it sums: round r's samplers in round r, and only up to the
+first repetition that recovers an edge.  The per-view ``sketch``
 remains the differential oracle — both paths emit identical bits.
 """
 
@@ -33,7 +35,7 @@ from ..model import (
     PublicCoins,
     VertexView,
 )
-from .core import L0Block, L0FamilyState, SketchFamily, derive_family
+from .core import L0Block, SketchFamily
 from .incidence import coordinate_edge, incidence_entries
 from .l0sampler import L0Config, L0Sampler
 
@@ -118,7 +120,7 @@ class AGMSpanningForest(BatchSketchProtocol):
     ) -> set[Edge]:
         params, _config = self._resolve(n)
         family = self._family(n, coins)
-        states = family.decode_states(sketches)
+        words = family.read_words(sketches)
 
         vertices = sorted(sketches)
         uf = _UnionFind(vertices)
@@ -132,7 +134,7 @@ class AGMSpanningForest(BatchSketchProtocol):
             merged_any = False
             for members in components.values():
                 edge = self._recover_outgoing(
-                    members, round_index, params, family, states, n
+                    members, round_index, params, family, words, n
                 )
                 if edge is None:
                     continue
@@ -150,7 +152,7 @@ class AGMSpanningForest(BatchSketchProtocol):
         round_index: int,
         params: AGMParameters,
         family: SketchFamily,
-        states: dict[int, L0FamilyState],
+        words: dict[int, int],
         n: int,
     ) -> Edge | None:
         """Sum the component's round-r sampler columns and recover a
@@ -161,7 +163,7 @@ class AGMSpanningForest(BatchSketchProtocol):
                 round_index * params.repetitions + rep
             )
             for v in members:
-                block.accumulate(states[v])
+                block.accumulate(words[v])
             got = block.recover()
             if got is None:
                 continue

@@ -30,7 +30,7 @@ from ..model import (
     VertexView,
 )
 from .agm import AGMParameters, _UnionFind
-from .core import L0FamilyState, SketchFamily
+from .core import SketchFamily
 from .incidence import coordinate_edge, edge_coordinate, incidence_entries
 from .l0sampler import L0Config, L0Sampler
 
@@ -84,13 +84,13 @@ class ConnectivityCertificate(BatchSketchProtocol):
     ) -> set[Edge]:
         params, _config = self._resolve(n)
         family = self._family(n, coins)
-        states = family.decode_states(sketches)
+        words = family.read_words(sketches)
 
         vertices = sorted(sketches)
         certificate: set[Edge] = set()
         for batch in range(self.k):
             forest = self._peel_forest(
-                vertices, batch, params, family, states, certificate, n
+                vertices, batch, params, family, words, certificate, n
             )
             certificate |= forest
         return certificate
@@ -101,7 +101,7 @@ class ConnectivityCertificate(BatchSketchProtocol):
         batch: int,
         params: AGMParameters,
         family: SketchFamily,
-        states: dict[int, L0FamilyState],
+        words: dict[int, int],
         removed: set[Edge],
         n: int,
     ) -> set[Edge]:
@@ -123,7 +123,7 @@ class ConnectivityCertificate(BatchSketchProtocol):
             merged = False
             for members in components.values():
                 edge = self._recover(
-                    members, batch, round_index, params, family, states,
+                    members, batch, round_index, params, family, words,
                     removed, n,
                 )
                 if edge is None:
@@ -143,7 +143,7 @@ class ConnectivityCertificate(BatchSketchProtocol):
         round_index: int,
         params: AGMParameters,
         family: SketchFamily,
-        states: dict[int, L0FamilyState],
+        words: dict[int, int],
         removed: set[Edge],
         n: int,
     ) -> Edge | None:
@@ -154,7 +154,7 @@ class ConnectivityCertificate(BatchSketchProtocol):
                 batch * per_batch + round_index * params.repetitions + rep
             )
             for v in members:
-                block.accumulate(states[v])
+                block.accumulate(words[v])
             # Subtract already-peeled edges crossing this component.  The
             # block is a scratch accumulation, so — unlike the historical
             # sampler-mutating path — no undo dance is needed.

@@ -15,14 +15,16 @@ endpoint.  This module hoists the family to a first-class runtime:
 * :class:`L0FamilyState` — one player's entire family as three flat
   ``array('q')`` columns (totals / index sums / fingerprints), a
   :class:`LinearSketch`: ``update`` / ``merge`` / ``encode`` / ``decode``;
-* :class:`L0Block` — the referee-side accumulator for one label column,
-  replacing chains of per-level object additions when components merge;
-* :class:`SketchFamily` — the batch constructor: one pass over a
-  :class:`~repro.graphs.frozen.FrozenGraph`'s CSR edge list builds every
-  player's state (each edge updates its two endpoints in place, sharing
-  the level hash and the fingerprint power), with finished message dicts
-  cached in the engine's construction cache keyed by
-  ``(family fingerprint, n, graph digest)``.
+* :class:`L0Block` — the referee-side accumulator for one label column:
+  it reads that label's cells straight from each member's wire word, so
+  a referee unpacks only the columns it sums, never a whole family;
+* :class:`SketchFamily` — the batch constructor: it lists the frozen
+  graph's edges once (coordinate and both endpoints' columns), then
+  goes label by label over that list, updating both endpoints' Python
+  list columns per edge (the level hash and the fingerprint power are
+  shared between them), with finished message dicts cached in the
+  engine's construction cache keyed by ``(family fingerprint, n, graph
+  digest)``.
 
 Bit identity is the contract, not an aspiration: ``encode`` emits the
 exact bit stream of the historical per-label ``L0Sampler.encode`` loop
@@ -201,59 +203,61 @@ def _max_level(h: int, num_levels: int) -> int:
     return level if level < num_levels else num_levels - 1
 
 
+def _power_tables(
+    r: int, n: int, q: int, verts: tuple[int, ...]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """r^(u*n) and r^u mod q for each vertex u of the ascending ``verts``,
+    by cumulative products (one mulmod per gap step instead of one
+    modexp per vertex)."""
+    row: dict[int, int] = {}
+    col: dict[int, int] = {}
+    if not verts:
+        return row, col
+    r_n = pow(r, n, q)
+    prev = verts[0]
+    acc_row = row[prev] = pow(r_n, prev, q)
+    acc_col = col[prev] = pow(r, prev, q)
+    for u in verts[1:]:
+        step = u - prev
+        if step == 1:
+            acc_row = acc_row * r_n % q
+            acc_col = acc_col * r % q
+        else:
+            acc_row = acc_row * pow(r_n, step, q) % q
+            acc_col = acc_col * pow(r, step, q) % q
+        row[u] = acc_row
+        col[u] = acc_col
+        prev = u
+    return row, col
+
+
 def _pack_cells(chunks: list[int], chunk_width: int) -> int:
     """Concatenate fixed-width chunks MSB-first into one word.
 
     The obvious left-shift fold re-shifts the whole growing word once
     per cell — quadratic in the family size and historically the
-    dominant cost of whole-family serialization.  Instead, group cells
-    into the smallest run whose width is a whole number of bytes
-    (``8 / gcd(chunk_width, 8)`` cells), render each run with small
-    shifts, and rebuild the word from the joined bytes in one C-level
-    ``int.from_bytes`` — linear in the total bit count.
+    dominant cost of whole-family serialization.  Instead, render each
+    run of eight cells (8 × chunk_width bits, always a whole number of
+    bytes) with small shifts, rebuild the word from the joined bytes in
+    one C-level ``int.from_bytes``, and shift in the ragged tail of at
+    most seven cells — linear in the total bit count.
     """
-    count = len(chunks)
-    if count == 0:
-        return 0
-    if count == 1:
-        return chunks[0]
-    per_block = 8 // _gcd8(chunk_width)
-    if count % per_block:
-        # Ragged tail: pairwise tree (rare shapes; still O(total log n)).
-        return _pack_tree(chunks, chunk_width)
-    block_bytes = chunk_width * per_block // 8
+    full = len(chunks) - len(chunks) % 8
     parts = []
-    for i in range(0, count, per_block):
-        block = chunks[i]
-        for j in range(i + 1, i + per_block):
-            block = (block << chunk_width) | chunks[j]
-        parts.append(block.to_bytes(block_bytes, "big"))
-    return int.from_bytes(b"".join(parts), "big")
+    for i in range(0, full, 8):
+        run = 0
+        for chunk in chunks[i : i + 8]:
+            run = (run << chunk_width) | chunk
+        parts.append(run.to_bytes(chunk_width, "big"))  # 8 cells = width bytes
+    word = int.from_bytes(b"".join(parts), "big")
+    for chunk in chunks[full:]:
+        word = (word << chunk_width) | chunk
+    return word
 
 
 def _gcd8(width: int) -> int:
     g = width & -width  # largest power of two dividing width
     return g if g < 8 else 8
-
-
-def _pack_tree(chunks: list[int], chunk_width: int) -> int:
-    items = list(chunks)
-    widths = [chunk_width] * len(items)
-    while len(items) > 1:
-        half = len(items) // 2
-        next_items = []
-        next_widths = []
-        for i in range(half):
-            right = 2 * i + 1
-            width_right = widths[right]
-            next_items.append((items[right - 1] << width_right) | items[right])
-            next_widths.append(widths[right - 1] + width_right)
-        if len(items) % 2:
-            next_items.append(items[-1])
-            next_widths.append(widths[-1])
-        items = next_items
-        widths = next_widths
-    return items[0]
 
 
 def _unpack_cells(word: int, num_chunks: int, chunk_width: int) -> list[int]:
@@ -475,17 +479,27 @@ class L0FamilyState(LinearSketch):
 
 
 class L0Block:
-    """Referee-side accumulator for one label column of decoded states.
+    """Referee-side accumulator for one label column, read off the wire.
 
-    Where the historical decode chained ``L0Sampler.add`` over a
-    component's members (allocating a sampler object per addition), the
-    block adds the members' columns into three short arrays and recovers
-    directly — same arithmetic, no objects.  ``update`` applies extra
+    A player's message is one packed word, label-major (see
+    :meth:`L0FamilyState.encode`).  ``accumulate`` shifts this label's
+    ``num_levels`` cells out of one member's word, sign-extends them as
+    :meth:`L0FamilyState.decode` does, and adds them into three short
+    lists — so a referee unpacks only the columns it sums, and recovers
+    directly with no per-level objects.  ``update`` applies extra
     incidence entries (the certificate peeler subtracts already-peeled
-    edges this way) without touching the decoded states.
+    edges this way).
     """
 
-    __slots__ = ("params", "label_index", "totals", "index_sums", "fingerprints")
+    __slots__ = (
+        "params",
+        "label_index",
+        "totals",
+        "index_sums",
+        "fingerprints",
+        "_shift",
+        "_mask",
+    )
 
     def __init__(self, params: L0FamilyParams, label_index: int) -> None:
         if not 0 <= label_index < params.num_labels:
@@ -495,25 +509,44 @@ class L0Block:
         self.totals = [0] * params.num_levels
         self.index_sums = [0] * params.num_levels
         self.fingerprints = [0] * params.num_levels
+        column_width = params.num_levels * params.level_width
+        self._shift = (params.num_labels - 1 - label_index) * column_width
+        self._mask = (1 << column_width) - 1
 
-    def accumulate(self, state: L0FamilyState) -> None:
-        """Add one player's column for this label."""
-        if state.params != self.params:
-            raise ValueError("cannot accumulate a state from a different family")
+    def accumulate(self, word: int) -> None:
+        """Add one player's column for this label, unpacked from the
+        player's wire word (``reader.read_uint(params.num_bits)``)."""
         p = self.params
-        base = self.label_index * p.num_levels
-        q = p.q
+        tw, iw, fw = p.total_width, p.index_width, p.fingerprint_width
+        width, q = p.level_width, p.q
+        i_mask, f_mask = (1 << iw) - 1, (1 << fw) - 1
+        t_sign, i_sign = 1 << (tw - 1), 1 << (iw - 1)
+        t_wrap, i_wrap = 1 << tw, 1 << iw
         totals, index_sums, fingerprints = (
             self.totals,
             self.index_sums,
             self.fingerprints,
         )
-        st, si, sf = state.totals, state.index_sums, state.fingerprints
-        for level in range(p.num_levels):
-            cell = base + level
-            totals[level] += st[cell]
-            index_sums[level] += si[cell]
-            fingerprints[level] = (fingerprints[level] + sf[cell]) % q
+        column = (word >> self._shift) & self._mask
+        # Level 0 sits in the top bits.  Stop once the rest of the column
+        # is zero: a player's high levels mostly are, and add nothing.
+        shift = p.num_levels * width
+        level = 0
+        while column:
+            shift -= width
+            chunk = column >> shift
+            column ^= chunk << shift
+            total = chunk >> (iw + fw)
+            index_sum = (chunk >> fw) & i_mask
+            totals[level] += total - t_wrap if total >= t_sign else total
+            index_sums[level] += (
+                index_sum - i_wrap if index_sum >= i_sign else index_sum
+            )
+            fingerprints[level] = (fingerprints[level] + (chunk & f_mask)) % q
+            level += 1
+        recorder = obs.active()
+        if recorder is not None:
+            recorder.count(SKETCH_CELLS_UNPACKED, p.num_levels)
 
     def update(self, coord: int, delta: int) -> None:
         """Apply one incidence entry to this label's accumulated column."""
@@ -557,16 +590,16 @@ class L0Block:
 class SketchFamily:
     """Batch constructor of incidence-vector sketch states for a graph.
 
-    ``build_states`` makes one pass over the frozen graph's ascending
-    edge list; each edge {u, v} applies +1 at the edge's coordinate to
-    u's state and -1 to v's (the AGM signs), sharing the per-label level
-    hash and fingerprint power between the two endpoints.  Fingerprint
-    powers r^(u*n+v) are split as r^(u*n) * r^v from two per-vertex
-    tables, so the modular exponentiation the per-view path pays per
-    (edge, endpoint, label) collapses to one multiply per (edge, label).
-    ``build_messages`` caches the finished message dict in the engine's
-    construction cache — messages are immutable, so sharing across runs
-    is free.
+    ``build_states`` lists the frozen graph's ascending edges once, then
+    goes label by label over that list; each edge {u, v} applies +1 at
+    the edge's coordinate to u's columns and -1 to v's (the AGM signs),
+    sharing the label's level hash and fingerprint power between the two
+    endpoints.  Fingerprint powers r^(u*n+v) are split as r^(u*n) * r^v
+    from two per-vertex tables, so the modular exponentiation the
+    per-view path pays per (edge, endpoint, label) collapses to one
+    multiply per (edge, label).  ``build_messages`` caches the finished
+    message dict in the engine's construction cache — messages are
+    immutable, so sharing across runs is free.
     """
 
     def __init__(self, params: L0FamilyParams) -> None:
@@ -597,73 +630,69 @@ class SketchFamily:
 
     def _build_states(self, graph: FrozenGraph, n: int) -> dict[int, L0FamilyState]:
         p = self.params
-        states = {v: L0FamilyState(p) for v in graph.sorted_vertices()}
-        num_levels, q, universe = p.num_levels, p.q, p.universe
+        num_levels, num_cells, q, universe = (
+            p.num_levels,
+            p.num_cells,
+            p.q,
+            p.universe,
+        )
         verts = graph.sorted_vertices()
-        # Per-label fingerprint power tables: r^(u*n) and r^v per vertex,
-        # filled by cumulative products over the ascending vertex list
-        # (one mulmod per gap step instead of one modexp per vertex).
-        tables: list[tuple[int, int, dict[int, int], dict[int, int]]] = []
-        for a, b, r in p.abr:
-            r_n = pow(r, n, q)
-            row: dict[int, int] = {}
-            col: dict[int, int] = {}
-            if verts:
-                prev = verts[0]
-                acc_row = pow(r_n, prev, q)
-                acc_col = pow(r, prev, q)
-                row[prev] = acc_row
-                col[prev] = acc_col
-                for u in verts[1:]:
-                    step = u - prev
-                    if step == 1:
-                        acc_row = acc_row * r_n % q
-                        acc_col = acc_col * r % q
-                    else:
-                        acc_row = acc_row * pow(r_n, step, q) % q
-                        acc_col = acc_col * pow(r, step, q) % q
-                    row[u] = acc_row
-                    col[u] = acc_col
-                    prev = u
-            tables.append((a, b, row, col))
+        # Python-list columns per vertex: list items update faster than
+        # array('q') items, and fingerprints are reduced mod q only once
+        # per cell at the end.
         columns = {
-            v: (s.totals, s.index_sums, s.fingerprints) for v, s in states.items()
+            v: ([0] * num_cells, [0] * num_cells, [0] * num_cells) for v in verts
         }
-        top_cap = num_levels - 1
-        for u, v in graph.edges():  # ascending, u < v: +1 at u, -1 at v
+        # Level 0 keeps every coordinate, so its total and index sum are
+        # the same for every label: one (total, index sum) per vertex.
+        level0 = {v: [0, 0] for v in verts}
+        # One entry per edge, ascending, u < v: +1 at u, -1 at v.
+        edges = []
+        for u, v in graph.edges():
             coord = edge_coordinate(u, v, n)
-            if not 0 <= coord < universe:
+            if coord >= universe:
                 raise ValueError(f"index {coord} outside universe {universe}")
-            tu, iu, fu = columns[u]
-            tv, iv, fv = columns[v]
-            base = 0
-            for a, b, row, col in tables:
-                # Inlined _max_level: trailing zeros of the level hash.
+            low, high = level0[u], level0[v]
+            low[0] += 1
+            low[1] += coord
+            high[0] -= 1
+            high[1] -= coord
+            edges.append((coord, u, v, *columns[u], *columns[v]))
+        top_cap = num_levels - 1
+        base = 0
+        for a, b, r in p.abr:
+            row, col = _power_tables(r, n, q, verts)
+            for coord, u, v, tu, iu, fu, tv, iv, fv in edges:
+                rp = row[u] * col[v]
+                fu[base] += rp
+                fv[base] -= rp
                 h = (a * coord + b) % HASH_PRIME
+                if h & 1:
+                    continue  # an odd level hash stops at level 0
+                # Inlined _max_level: trailing zeros of the level hash.
                 if h == 0:
                     top = top_cap
                 else:
                     top = (h & -h).bit_length() - 1
                     if top > top_cap:
                         top = top_cap
-                rp = row[u] * col[v] % q
-                # Level 0 always fires; half the draws stop there, so the
-                # unrolled first cell skips the range() machinery.
-                tu[base] += 1
-                iu[base] += coord
-                fu[base] = (fu[base] + rp) % q
-                tv[base] -= 1
-                iv[base] -= coord
-                fv[base] = (fv[base] - rp) % q
-                if top:
-                    for cell in range(base + 1, base + top + 1):
-                        tu[cell] += 1
-                        iu[cell] += coord
-                        fu[cell] = (fu[cell] + rp) % q
-                        tv[cell] -= 1
-                        iv[cell] -= coord
-                        fv[cell] = (fv[cell] - rp) % q
-                base += num_levels
+                for cell in range(base + 1, base + top + 1):
+                    tu[cell] += 1
+                    iu[cell] += coord
+                    fu[cell] += rp
+                    tv[cell] -= 1
+                    iv[cell] -= coord
+                    fv[cell] -= rp
+            base += num_levels
+        states = {}
+        for v, (totals, index_sums, fingerprints) in columns.items():
+            total, index_sum = level0[v]
+            totals[::num_levels] = [total] * p.num_labels
+            index_sums[::num_levels] = [index_sum] * p.num_labels
+            state = states[v] = L0FamilyState(p)
+            state.totals = array("q", totals)
+            state.index_sums = array("q", index_sums)
+            state.fingerprints = array("q", [f % q for f in fingerprints])
         return states
 
     def encode_states(
@@ -709,16 +738,11 @@ class SketchFamily:
             lambda: self.fresh_messages(graph, n),
         )
 
-    def decode_states(
-        self, sketches: Mapping[int, Message]
-    ) -> dict[int, L0FamilyState]:
-        """Decode every player's message (which must hold exactly this
-        family's bits) into columnar states."""
-        with obs.span("sketch.decode", states=len(sketches)):
-            return {
-                v: L0FamilyState.decode(m.reader(), self.params)
-                for v, m in sketches.items()
-            }
+    def read_words(self, sketches: Mapping[int, Message]) -> dict[int, int]:
+        """Each player's packed family word, read once for the referee's
+        :class:`L0Block` columns (a short message raises ``EOFError``)."""
+        num_bits = self.params.num_bits
+        return {v: m.reader().read_uint(num_bits) for v, m in sketches.items()}
 
     def block(self, label: str | int) -> L0Block:
         """A fresh referee accumulator for one label (by name or index)."""

@@ -25,7 +25,7 @@ def edge_coordinate(u: int, v: int, n: int) -> int:
     if u == v:
         raise ValueError("self-loops have no coordinate")
     i, j = (u, v) if u < v else (v, u)
-    if not 0 <= i < n and 0 <= j < n:
+    if not (0 <= i and j < n):
         raise ValueError(f"edge ({u}, {v}) outside vertex range [0, {n})")
     return i * n + j
 

@@ -36,6 +36,13 @@ class TestIncidence:
         with pytest.raises(ValueError):
             edge_coordinate(3, 3, 10)
 
+    def test_endpoint_outside_vertex_range_rejected(self):
+        # Either endpoint >= n would alias another edge's slot: (1, 15)
+        # at n = 10 is coordinate 25, which reads back as edge (2, 5).
+        for u, v in [(1, 15), (12, 3)]:
+            with pytest.raises(ValueError):
+                edge_coordinate(u, v, 10)
+
     def test_non_canonical_coordinate_rejected(self):
         with pytest.raises(ValueError):
             coordinate_edge(5 * 10 + 2, 10)  # j < i slot

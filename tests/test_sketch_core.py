@@ -6,8 +6,10 @@ Three layers of guarantees, all against executable oracles:
   the sketch of the summed input, the whole-graph incidence sum is the
   zero state, and a vertex subset's merged states equal a directly-built
   crossing-edge sketch (the identity the AGM referee relies on).
-* ``L0Block`` recovery agrees with the historical per-level
-  ``L0Sampler`` object chain on identical update streams.
+* ``L0Block`` reads a label's column straight from a player's wire
+  word: its sums equal the decoded state's, its recovery agrees with
+  the historical per-level ``L0Sampler`` object chain on identical
+  update streams, and the AGM referee unpacks only the columns it sums.
 * For every protocol in the registry and every sketch family,
   ``sketch_batch`` on a frozen graph is bit-identical to the per-view
   ``sketch`` oracle, player by player — the wire contract of
@@ -23,9 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph
+from repro import obs
+from repro.graphs import Graph, cycle_graph, is_spanning_forest
 from repro.graphs.builders import erdos_renyi
-from repro.model import BatchSketchProtocol, PublicCoins, run_protocol, views_of
+from repro.model import (
+    BatchSketchProtocol,
+    Message,
+    PublicCoins,
+    run_protocol,
+    views_of,
+)
+from repro.obs import SKETCH_CELLS_PACKED, SKETCH_CELLS_UNPACKED
 from repro.protocols.registry import make_protocol
 from repro.sketches import (
     AGMConnectivity,
@@ -68,13 +78,25 @@ CONFIG = L0Config.for_universe(100)
 UPDATES = st.lists(
     st.tuples(st.integers(0, 99), st.integers(-3, 3)), max_size=20
 )
+#: Encode widths that fit every running sum of one UPDATES stream
+#: (|total| <= 20 * 3, |index sum| <= 20 * 3 * 99), so any state built
+#: from one stream reaches the wire.
+WIDE = 60
 
 
-def family_for(seed: int, num_labels: int = 2):
+def family_for(seed: int, num_labels: int = 2, magnitude: int = 10):
     coins = PublicCoins(seed=seed)
     return derive_family(
-        CONFIG, coins, tuple(f"test/{i}" for i in range(num_labels)), magnitude=10
+        CONFIG,
+        coins,
+        tuple(f"test/{i}" for i in range(num_labels)),
+        magnitude=magnitude,
     )
+
+
+def word_of(state) -> int:
+    """A state's wire word, as a referee reads it."""
+    return state.to_message().reader().read_uint(state.params.num_bits)
 
 
 def state_of(params, updates):
@@ -131,16 +153,60 @@ def test_encode_decode_roundtrip(seed, updates):
 
 @given(seeds, UPDATES)
 def test_block_recovery_matches_sampler_oracle(seed, updates):
-    """L0Block over a decoded family column == the L0Sampler object chain."""
+    """L0Block over a family column read from the wire == the L0Sampler
+    object chain."""
     coins = PublicCoins(seed=seed)
-    params = family_for(seed)
-    state = state_of(params, updates)
+    params = family_for(seed, magnitude=WIDE)
+    word = word_of(state_of(params, updates))
     for index, label in enumerate(params.labels):
         sampler = L0Sampler(CONFIG, coins, label)
         for coord, delta in updates:
             sampler.update(coord, delta)
         block = L0Block(params, index)
-        block.accumulate(state)
+        block.accumulate(word)
+        assert block.recover() == sampler.recover()
+
+
+@given(
+    seeds,
+    st.integers(1, 4),
+    st.integers(WIDE, 5000),
+    st.lists(UPDATES, min_size=1, max_size=4),
+)
+def test_block_column_read_matches_decoded_state(
+    seed, num_labels, magnitude, streams
+):
+    """Each label's column summed from the players' wire words equals
+    the same column summed from their decoded states, and recovers what
+    one sampler chain over every player's updates recovers."""
+    coins = PublicCoins(seed=seed)
+    params = family_for(seed, num_labels, magnitude)
+    states = [state_of(params, updates) for updates in streams]
+    words = [word_of(state) for state in states]
+    decoded = [
+        L0FamilyState.decode(state.to_message().reader(), params)
+        for state in states
+    ]
+    levels = params.num_levels
+    for index, label in enumerate(params.labels):
+        block = L0Block(params, index)
+        for word in words:
+            block.accumulate(word)
+        cells = slice(index * levels, (index + 1) * levels)
+        assert block.totals == [
+            sum(column) for column in zip(*(d.totals[cells] for d in decoded))
+        ]
+        assert block.index_sums == [
+            sum(column) for column in zip(*(d.index_sums[cells] for d in decoded))
+        ]
+        assert block.fingerprints == [
+            sum(column) % params.q
+            for column in zip(*(d.fingerprints[cells] for d in decoded))
+        ]
+        sampler = L0Sampler(CONFIG, coins, label)
+        for updates in streams:
+            for coord, delta in updates:
+                sampler.update(coord, delta)
         assert block.recover() == sampler.recover()
 
 
@@ -192,6 +258,44 @@ def test_subset_merge_equals_crossing_edge_sketch(spec, seed, subset):
         sign = 1 if u in inside else -1  # +1 was applied at the lower endpoint
         direct.update(edge_coordinate(u, v, n), sign)
     assert arrays(merged) == arrays(direct)
+
+
+# ----------------------------------------------------------------------
+# The referees read columns from the wire
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "protocol", [AGMSpanningForest(), ConnectivityCertificate(k=2)]
+)
+def test_referee_refuses_a_message_one_bit_short(protocol):
+    graph = cycle_graph(8).freeze()
+    coins = PublicCoins(seed=1)
+    messages = dict(protocol.sketch_batch(graph, 8, coins))
+    messages[3] = Message.from_bits(messages[3].bits[:-1])
+    with pytest.raises(EOFError):
+        protocol.decode(8, messages, coins)
+
+
+def test_agm_referee_unpacks_only_the_columns_it_sums(monkeypatch):
+    n = 24
+    graph = cycle_graph(n).freeze()
+    coins = PublicCoins(seed=3)
+    protocol = AGMSpanningForest()
+    family = protocol._family(n, coins)
+    summed = []
+    accumulate = L0Block.accumulate
+
+    def counting(block, word):
+        summed.append(block.label_index)
+        accumulate(block, word)
+
+    monkeypatch.setattr(L0Block, "accumulate", counting)
+    with obs.recording() as recorder:
+        messages = family.fresh_messages(graph, n)
+        forest = protocol.decode(n, messages, coins)
+    assert is_spanning_forest(graph, forest)
+    totals = recorder.totals()
+    assert totals[SKETCH_CELLS_UNPACKED] == family.params.num_levels * len(summed)
+    assert totals[SKETCH_CELLS_UNPACKED] < totals[SKETCH_CELLS_PACKED]
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +366,25 @@ def test_agm_batch_bit_identical_on_speed_gate_graphs():
         assert_batch_matches_oracle(
             AGMSpanningForest(), graph, PublicCoins(seed=17)
         )
+
+
+def test_endpoint_outside_vertex_range_raises_on_both_paths():
+    coins = PublicCoins(seed=2)
+    protocol = AGMSpanningForest()
+    bad = Graph(vertices=range(10))
+    bad.add_edge(1, 15)
+    frozen = bad.freeze()
+    with pytest.raises(ValueError):
+        protocol.sketch(views_of(frozen, 10)[1], coins)
+    with pytest.raises(ValueError):
+        protocol._family(10, coins).build_states(frozen, 10)
+    # An isolated vertex >= n has no incidence entries on either path.
+    isolated = Graph(vertices=[0, 1, 2, 12])
+    isolated.add_edge(0, 1)
+    frozen = isolated.freeze()
+    batch = protocol._family(10, coins).fresh_messages(frozen, 10)
+    views = views_of(frozen, 10)
+    assert {v: protocol.sketch(views[v], coins) for v in views} == batch
 
 
 @given(graph_spec, seeds)
