@@ -19,13 +19,16 @@ conformance:
 golden-verify:
 	PYTHONPATH=src python scripts/dump_golden_vectors.py --verify
 
-# The benchmark's own unit tests, then one short untraced pass of every
-# BENCHMARK.json workload at seed 0.  The harness exits 1 when an output
-# digest differs from perfbench/expected.json, so fast paths must stay
-# bit-identical (see perfbench/README.md).
+# The benchmark's own unit tests, then one short untraced and one short
+# traced pass of every BENCHMARK.json workload at seed 0.  The harness
+# exits 1 when an output digest differs from perfbench/expected.json, so
+# fast paths must stay bit-identical (see perfbench/README.md); the
+# traced pass also fails when a boundary in harness.BOUNDARIES no longer
+# resolves.
 perfbench-smoke:
 	PYTHONPATH=src python -m pytest perfbench/test_harness.py -q
 	python3 perfbench/harness.py --seed 0 --seconds 1 --trace 0
+	python3 perfbench/harness.py --seed 0 --seconds 1 --trace 1
 
 # Traced smoke run: span tree, counter table and the bits-by-role table
 # (messages, bit sum, max, p50, p99 per protocol x role) on stdout,

@@ -8,7 +8,8 @@ inventory of those pairs:
                    one-message vertex-set and row forms vs the
                    per-bit-list codec in ``repro.model.reference``;
 * ``graphs``     — CSR ``FrozenGraph`` vs the mutable dict-of-sets
-                   ``Graph`` builder;
+                   ``Graph`` builder, and both forms' matching checks
+                   vs an edge scan and the unpruned enumerator;
 * ``infotheory`` — columnar ``TableDistribution`` vs the dict-of-tuples
                    ``JointDistribution`` oracle;
 * ``sketches``   — ``BatchSketchProtocol.sketch_batch`` vs per-view
@@ -39,7 +40,13 @@ from typing import Callable
 
 from ..engine import ExecutionEngine, derive_seed
 from ..experiments.lemmas import SUITE_SPECS
-from ..graphs import FrozenGraph, Graph
+from ..graphs import (
+    FrozenGraph,
+    Graph,
+    all_maximal_matchings,
+    greedy_maximal_matching,
+    is_maximal_matching,
+)
 from ..graphs.builders import erdos_renyi
 from ..infotheory import JointDistribution, TableDistribution
 from ..lowerbound import analyze_copies, analyze_protocol, micro_distribution
@@ -398,6 +405,8 @@ def _one_message_differential(ctx: CheckContext) -> "str | None":
 # graphs: FrozenGraph (CSR) vs the mutable dict-of-sets builder
 # ======================================================================
 _GRAPH_LABELS = 12
+#: Cases with at most this many edges also compare the enumerators.
+_ENUMERATION_EDGE_LIMIT = 12
 
 
 def _graphs_generate(seed: int) -> Case:
@@ -523,6 +532,72 @@ def _graphs_differential(ctx: CheckContext) -> "str | None":
         f.to_bytes(), f.digest, hash(f), list(f.edges())
     ):
         return "freezing depends on insertion order"
+    return _matching_differential(ctx, g, f)
+
+
+def _scan_is_maximal_matching(graph: Graph, pairs) -> bool:
+    """Reference maximality: no label twice (so no self-loop), every pair
+    an edge, and every ``edges()`` pair touching a matched vertex."""
+    endpoints = [v for pair in pairs for v in pair]
+    used = set(endpoints)
+    edge_set = graph.edge_set()
+    return (
+        len(used) == len(endpoints)
+        and all((min(pair), max(pair)) in edge_set for pair in pairs)
+        and all(u in used or v in used for u, v in graph.edges())
+    )
+
+
+def _unpruned_maximal_matchings(graph: Graph) -> list[set]:
+    """Reference enumerator: every branch of the ascending edge order
+    (take an edge when both ends are free, then skip it) runs to its
+    leaf, and each leaf is checked by an edge scan."""
+    edges = sorted(graph.edges())
+    out: list[set] = []
+
+    def extend(i: int, chosen: list) -> None:
+        if i == len(edges):
+            if _scan_is_maximal_matching(graph, chosen):
+                out.append(set(chosen))
+            return
+        u, v = edges[i]
+        if all(u not in pair and v not in pair for pair in chosen):
+            extend(i + 1, [*chosen, (u, v)])
+        extend(i + 1, chosen)
+
+    extend(0, [])
+    return out
+
+
+def _matching_differential(ctx: CheckContext, g: Graph, f: FrozenGraph) -> "str | None":
+    """Both forms' matching checks against the edge-scan references."""
+    rng = ctx.case.rng("matching")
+    edges = sorted(g.edges())
+    labels = sorted(g.vertices)
+    non_edges = [
+        (u, v) for u in labels for v in labels if u < v and not g.has_edge(u, v)
+    ]
+    order = edges[:]
+    rng.shuffle(order)
+    maximal = sorted(greedy_maximal_matching(None, order))
+    candidates = [maximal, maximal[1:], [(v, u) for u, v in maximal]]
+    candidates += [rng.sample(edges, rng.randint(0, len(edges))) for _ in range(3)]
+    if non_edges:
+        candidates.append([rng.choice(non_edges)])
+    if labels:
+        label = rng.choice(labels)
+        candidates.append([(label, _GRAPH_LABELS + 3)])
+        candidates.append([(label, label)])
+    for pairs in candidates:
+        expected = _scan_is_maximal_matching(g, pairs)
+        for form, graph in (("builder", g), ("frozen", f)):
+            if is_maximal_matching(graph, pairs) != expected:
+                return f"{form} is_maximal_matching({pairs}) != {expected}"
+    if len(edges) <= _ENUMERATION_EDGE_LIMIT:
+        expected = _unpruned_maximal_matchings(g)
+        for form, graph in (("builder", g), ("frozen", f)):
+            if all_maximal_matchings(graph) != expected:
+                return f"{form} all_maximal_matchings differs from the unpruned search"
     return None
 
 

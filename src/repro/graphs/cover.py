@@ -4,23 +4,17 @@ Used as independent cross-checks of the matching machinery: König's
 theorem (min vertex cover = max matching in bipartite graphs) validates
 Hopcroft-Karp from a different angle, and the classic matching-based
 2-approximation ties maximal matchings to covers — the duality that
-makes maximal matching "fundamental" in the paper's framing.
+makes maximal matching "fundamental" in the paper's framing.  The cover
+predicate itself, :func:`is_vertex_cover`, lives in
+:mod:`repro.graphs.matching`: a matching is maximal exactly when its
+matched vertices cover every edge.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .bipartite import bipartition, hopcroft_karp
 from .frozen import GraphLike
-from .graph import Edge
 from .matching import greedy_maximal_matching, matched_vertices
-
-
-def is_vertex_cover(graph: GraphLike, vertices: Iterable[int]) -> bool:
-    """True iff every edge has at least one endpoint in the set."""
-    chosen = set(vertices)
-    return all(u in chosen or v in chosen for u, v in graph.edges())
 
 
 def matching_cover(graph: GraphLike) -> set[int]:

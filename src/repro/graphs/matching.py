@@ -29,8 +29,13 @@ def is_matching(edges: Iterable[Edge]) -> bool:
 
 
 def is_valid_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:
-    """True iff the edges form a matching and all of them exist in the graph."""
-    edge_list = [normalize_edge(u, v) for u, v in edges]
+    """True iff the edges form a matching and all of them exist in the graph.
+
+    Pairs may come in either orientation.  A self-loop pair ``(v, v)``
+    is not a matching edge, so it makes the output invalid (Section 2.1
+    lets a referee output pairs that are not a valid matching).
+    """
+    edge_list = list(edges)
     return is_matching(edge_list) and all(graph.has_edge(u, v) for u, v in edge_list)
 
 
@@ -43,14 +48,26 @@ def matched_vertices(edges: Iterable[Edge]) -> set[int]:
     return out
 
 
+def is_vertex_cover(graph: GraphLike, vertices: Iterable[int]) -> bool:
+    """True iff every edge has at least one endpoint in the set.
+
+    Read from the uncovered side: every vertex outside the set must have
+    all its neighbors inside it, so only those neighborhoods are read,
+    from the graph's shared ``adjacency()`` view.
+    """
+    chosen = set(vertices)
+    return all(
+        nbrs <= chosen for v, nbrs in graph.adjacency().items() if v not in chosen
+    )
+
+
 def is_maximal_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:
     """True iff the edges are a valid matching of the graph with no
-    augmenting single edge: every graph edge touches a matched vertex."""
+    augmenting single edge: the matched vertices cover every graph edge."""
     edge_list = list(edges)
-    if not is_valid_matching(graph, edge_list):
-        return False
-    used = matched_vertices(edge_list)
-    return all(u in used or v in used for u, v in graph.edges())
+    return is_valid_matching(graph, edge_list) and is_vertex_cover(
+        graph, matched_vertices(edge_list)
+    )
 
 
 def greedy_maximal_matching(
@@ -193,34 +210,39 @@ def all_maximal_matchings(graph: GraphLike) -> list[set[Edge]]:
 
     Used by the exhaustive validators of Claim 3.1 and Lemma 4.1 on micro
     instances.  Exponential; callers must keep graphs tiny.
+
+    A depth-first search over the edges in ascending order, taking each
+    edge before skipping it.  It takes an edge only when both endpoints
+    are free, so every leaf is a valid matching by construction, and no
+    two branch paths take the same edge set.  A branch stops when it
+    skips an edge whose endpoints are both free and that no later edge
+    touches: nothing can cover that edge any more.  A leaf is kept when
+    its matched vertices cover every edge.
     """
     edges = sorted(graph.edges())
+    last: dict[int, int] = {}  # each vertex's last edge index
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
     results: list[set[Edge]] = []
 
     def extend(i: int, chosen: set[Edge], used: set[int]) -> None:
         if i == len(edges):
-            if is_maximal_matching(graph, chosen):
+            if is_vertex_cover(graph, used):
                 results.append(set(chosen))
             return
         u, v = edges[i]
-        if u not in used and v not in used:
-            chosen.add((u, v))
-            used.add(u)
-            used.add(v)
+        if u in used or v in used:
             extend(i + 1, chosen, used)
-            chosen.remove((u, v))
-            used.remove(u)
-            used.remove(v)
+            return
+        chosen.add((u, v))
+        used.add(u)
+        used.add(v)
         extend(i + 1, chosen, used)
+        chosen.remove((u, v))
+        used.remove(u)
+        used.remove(v)
+        if last[u] > i or last[v] > i:
+            extend(i + 1, chosen, used)
 
     extend(0, set(), set())
-    # Deduplicate: different branch paths can produce the same matching only
-    # if they chose the same edge set, so membership dedup suffices.
-    unique: list[set[Edge]] = []
-    seen: set[frozenset[Edge]] = set()
-    for m in results:
-        key = frozenset(m)
-        if key not in seen:
-            seen.add(key)
-            unique.append(m)
-    return unique
+    return results

@@ -23,6 +23,7 @@ from ..graphs import (
     is_maximal_independent_set,
     is_maximal_matching,
     is_valid_matching,
+    is_vertex_cover,
     matched_vertices,
 )
 from ..infotheory import TableDistribution
@@ -71,15 +72,16 @@ def score_matching(instance: DMMInstance, output) -> tuple[bool, bool, int]:
 
     Agrees with :func:`matching_strict_check`, :func:`matching_relaxed_check`
     and :func:`~repro.lowerbound.claims.count_unique_unique`; an invalid
-    matching scores ``(False, False, 0)``.
+    matching (a self-loop pair included) scores ``(False, False, 0)``.
+    Strictness is the cover test :func:`~repro.graphs.is_maximal_matching`
+    applies after its own validity check.
     """
     edges = list(output)
     graph = instance.graph
     if not is_valid_matching(graph, edges):
         return False, False, 0
     unique = count_unique_unique(instance, edges)
-    used = matched_vertices(edges)
-    strict = all(u in used or v in used for u, v in graph.edges())
+    strict = is_vertex_cover(graph, matched_vertices(edges))
     return strict, unique >= instance.hard.claim31_threshold, unique
 
 

@@ -14,7 +14,11 @@ halves, both made measurable here:
 matching minimizing unique-unique edges: exhaustively on micro
 instances, and with a public-first greedy heuristic (provably the right
 worst-case direction: it maximizes the public-vertex consumption that
-the counting half budgets for) at scale.
+the counting half budgets for) at scale.  A search lists the graph's
+edges once and splits them into public-touching and unique-unique; each
+heuristic trial then shuffles fresh copies of the two lists, so it draws
+exactly the shuffles :func:`public_first_adversarial_matching` draws
+from the same rng.
 """
 
 from __future__ import annotations
@@ -41,6 +45,34 @@ def count_unique_unique(instance: DMMInstance, matching: Iterable[Edge]) -> int:
     return len(instance.unique_unique_edges(list(matching)))
 
 
+def _partition_edges(instance: DMMInstance) -> tuple[list[Edge], list[Edge]]:
+    """G's edges, ascending, split into public-touching and unique-unique."""
+    public = instance.public_labels
+    public_touching: list[Edge] = []
+    unique_unique: list[Edge] = []
+    for edge in instance.graph.edges():
+        if edge[0] in public or edge[1] in public:
+            public_touching.append(edge)
+        else:
+            unique_unique.append(edge)
+    return public_touching, unique_unique
+
+
+def _public_first(
+    public_touching: list[Edge],
+    unique_unique: list[Edge],
+    rng: random.Random | None,
+) -> set[Edge]:
+    """Greedy over the public-touching edges, then the unique-unique ones,
+    each class shuffled (on a fresh copy) when an rng is given."""
+    if rng is not None:
+        public_touching = public_touching[:]
+        unique_unique = unique_unique[:]
+        rng.shuffle(public_touching)
+        rng.shuffle(unique_unique)
+    return greedy_maximal_matching(None, public_touching + unique_unique)
+
+
 def public_first_adversarial_matching(
     instance: DMMInstance, rng: random.Random | None = None
 ) -> set[Edge]:
@@ -50,18 +82,7 @@ def public_first_adversarial_matching(
     class when an rng is given), so public vertices absorb as many
     matched edges as possible before any unique-unique edge is forced.
     """
-    public = instance.public_labels
-    public_touching: list[Edge] = []
-    unique_unique: list[Edge] = []
-    for edge in sorted(instance.graph.edges()):
-        if edge[0] in public or edge[1] in public:
-            public_touching.append(edge)
-        else:
-            unique_unique.append(edge)
-    if rng is not None:
-        rng.shuffle(public_touching)
-        rng.shuffle(unique_unique)
-    return greedy_maximal_matching(instance.graph, public_touching + unique_unique)
+    return _public_first(*_partition_edges(instance), rng)
 
 
 def min_unique_unique_edges(
@@ -73,11 +94,14 @@ def min_unique_unique_edges(
     """The minimum unique-unique edge count over maximal matchings.
 
     Exact (exhaustive) when the graph has at most ``exhaustive_limit``
-    edges; otherwise the best of several public-first adversarial
-    greedy runs (an upper bound on the true minimum, i.e. conservative
-    in the direction that could *refute* Claim 3.1, never mask a
-    violation it finds).
+    edges; otherwise the best of ``heuristic_trials`` public-first
+    adversarial greedy runs (an upper bound on the true minimum, i.e.
+    conservative in the direction that could *refute* Claim 3.1, never
+    mask a violation it finds).  ``heuristic_trials`` must be at least
+    1: with no run there is no matching to bound the minimum by.
     """
+    if heuristic_trials < 1:
+        raise ValueError(f"heuristic_trials must be >= 1, got {heuristic_trials}")
     graph = instance.graph
     if graph.num_edges() <= exhaustive_limit:
         return min(
@@ -85,13 +109,13 @@ def min_unique_unique_edges(
             default=0,
         )
     rng = random.Random(seed)
-    best = None
+    public_touching, unique_unique = _partition_edges(instance)
+    counts = []
     for _ in range(heuristic_trials):
-        matching = public_first_adversarial_matching(instance, rng)
+        matching = _public_first(public_touching, unique_unique, rng)
         assert is_maximal_matching(graph, matching)
-        count = count_unique_unique(instance, matching)
-        best = count if best is None else min(best, count)
-    return best if best is not None else 0
+        counts.append(count_unique_unique(instance, matching))
+    return min(counts)
 
 
 def claim31_holds(instance: DMMInstance, **kwargs) -> bool:

@@ -424,7 +424,7 @@ def analyze_protocol(
     # Messages are hashable packed bytes, so they key the decode memo
     # and the pmf directly — no per-bit tuples are ever materialized.
     send, sketches = _memoised_sketch(protocol, coins)
-    outputs: dict[tuple[Message, ...], frozenset[Edge]] = {}
+    outputs: dict[tuple[Message, ...], tuple[tuple[Edge, ...], frozenset[Edge]]] = {}
 
     for outcome in outcomes:
         pi_p = tuple(map(send, outcome.public))
@@ -432,17 +432,24 @@ def analyze_protocol(
         # Referee: the ordinary-model players (Remark: extra copies of
         # public vertices are ignored), plus free (sigma, j*).
         transcript = tuple(map(send, outcome.referee))
-        output_pairs = outputs.get(transcript)
-        if output_pairs is None:
-            output = protocol.decode(
-                n,
-                {view.vertex: m for view, m in zip(outcome.referee, transcript)},
-                coins,
+        decoded = outputs.get(transcript)
+        if decoded is None:
+            output = tuple(
+                protocol.decode(
+                    n,
+                    {view.vertex: m for view, m in zip(outcome.referee, transcript)},
+                    coins,
+                )
             )
-            output_pairs = outputs[transcript] = frozenset(
-                normalize_edge(u, v) for u, v in output
+            # Correctness reads the raw pairs, as the adversary's
+            # score_matching does: a self-loop or a pair given twice
+            # makes the output invalid.  Only proper pairs can hit a slot.
+            decoded = outputs[transcript] = (
+                output,
+                frozenset(normalize_edge(u, v) for u, v in output if u != v),
             )
-        mu = len(output_pairs & outcome.slots)
+        output_pairs, slot_pairs = decoded
+        mu = len(slot_pairs & outcome.slots)
         correct = is_maximal_matching(outcome.graph, output_pairs)
 
         expected_mu += prob * mu

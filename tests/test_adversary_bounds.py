@@ -105,6 +105,7 @@ class TestScoreMatching:
             "not maximal": maximal[1:],
             "non-edge": [*maximal, non_edge],
             "doubly matched": [(hub, a), (hub, b)],
+            "self-loop": [(hub, hub)],
         }
 
     def test_agrees_with_public_checks(self):
@@ -118,6 +119,13 @@ class TestScoreMatching:
             assert score_matching(instance, output) == (strict, relaxed, unique), name
             strict_seen.add(strict)
         assert strict_seen == {True, False}
+
+    def test_self_loop_scores_invalid(self):
+        instance, outputs = self._outputs()
+        for output in (outputs["self-loop"], [*outputs["maximal"], (1, 1)]):
+            assert score_matching(instance, output) == (False, False, 0)
+            assert not matching_strict_check(instance, output)
+            assert not matching_relaxed_check(instance, output)
 
 
 class TestAnalyticBounds:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs import matching as matching_module
 from repro.graphs import (
     Graph,
     all_maximal_matchings,
@@ -16,6 +17,7 @@ from repro.graphs import (
     is_matching,
     is_maximal_matching,
     is_valid_matching,
+    is_vertex_cover,
     matched_vertices,
     maximum_matching,
     path_graph,
@@ -48,8 +50,16 @@ class TestValidity:
         assert not is_valid_matching(g, [(0, 2)])
 
     def test_accepts_unordered_edges(self):
-        g = path_graph(2)
-        assert is_valid_matching(g, [(1, 0)])
+        for g in (path_graph(2), path_graph(2).freeze()):
+            assert is_valid_matching(g, [(1, 0)])
+            assert is_maximal_matching(g, [(1, 0)])
+
+    def test_self_loop_pair_is_invalid(self):
+        # Section 2.1 lets a referee output pairs that are not a valid
+        # matching; a self-loop is one of them, not a crash.
+        for g in (path_graph(3), path_graph(3).freeze()):
+            assert not is_valid_matching(g, [(1, 1)])
+            assert not is_valid_matching(g, [(0, 1), (2, 2)])
 
 
 class TestMaximality:
@@ -65,6 +75,11 @@ class TestMaximality:
     def test_invalid_matching_not_maximal(self):
         g = path_graph(4)
         assert not is_maximal_matching(g, [(0, 2)])
+
+    def test_self_loop_pair_is_not_maximal(self):
+        for g in (path_graph(3), path_graph(3).freeze()):
+            assert not is_maximal_matching(g, [(1, 1)])
+            assert is_maximal_matching(g, [(0, 1)])
 
 
 class TestGreedy:
@@ -140,6 +155,20 @@ class TestAllMaximalMatchings:
         g = erdos_renyi(7, 0.5, random.Random(3))
         for m in all_maximal_matchings(g):
             assert is_maximal_matching(g, m)
+
+    def test_disjoint_edges_reach_one_leaf(self, monkeypatch):
+        # Skipping any of these edges leaves it uncoverable, so every
+        # branch but the one taking all of them stops before its leaf.
+        leaves = []
+
+        def counting_cover(graph, vertices):
+            leaves.append(set(vertices))
+            return is_vertex_cover(graph, vertices)
+
+        monkeypatch.setattr(matching_module, "is_vertex_cover", counting_cover)
+        g = Graph(edges=[(2 * i, 2 * i + 1) for i in range(12)])
+        assert all_maximal_matchings(g) == [set(g.edges())]
+        assert leaves == [set(range(24))]
 
     def test_contains_greedy_result(self):
         g = erdos_renyi(7, 0.5, random.Random(4))

@@ -2,7 +2,10 @@
 
 import random
 
-from repro.graphs import is_maximal_matching
+import pytest
+
+from repro.experiments.claim31 import default_configurations
+from repro.graphs import all_maximal_matchings, is_maximal_matching
 from repro.lowerbound import (
     claim31_holds,
     count_unique_unique,
@@ -128,3 +131,79 @@ class TestClaim31:
         # Micro graphs have few edges: the exhaustive branch runs.
         value = min_unique_unique_edges(inst, exhaustive_limit=100)
         assert 0 <= value <= hd.k * hd.r
+
+    def test_zero_heuristic_trials_rejected(self):
+        # Above the exhaustive limit, no heuristic run means no matching:
+        # the search must refuse rather than report 0 and refute the claim.
+        inst = sample_dmm(scaled_distribution(m=8, k=150), random.Random(0))
+        assert inst.graph.num_edges() > 14
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="heuristic_trials"):
+                min_unique_unique_edges(inst, heuristic_trials=trials)
+            with pytest.raises(ValueError, match="heuristic_trials"):
+                claim31_holds(inst, heuristic_trials=trials)
+        assert min_unique_unique_edges(inst, heuristic_trials=1) == 141
+        assert claim31_holds(inst, heuristic_trials=1)
+
+
+#: min_unique_unique_edges(sample_dmm(hard, Random(s)), heuristic_trials=h,
+#: seed=seed) for C31's default configurations, s = 0, 1, 2; each tuple is
+#: (h=1 seed=0, h=1 seed=5, h=4 seed=0, h=4 seed=5).  Every instance is
+#: above the exhaustive limit, so these pin the heuristic's shuffles.
+SEARCH_VALUES = {
+    "scaled m=10 k=3 (below regime)": ((1, 2, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    "scaled m=12 k=4 (below regime)": ((1, 2, 1, 0), (1, 1, 1, 0), (2, 2, 1, 1)),
+    "micro r=1 t=2 k=40 (in regime)": ((23,) * 4, (25,) * 4, (22,) * 4),
+    "micro r=2 t=2 k=30 (in regime)": ((30,) * 4, (33,) * 4, (32,) * 4),
+    "micro r=2 t=3 k=60 (in regime)": ((66,) * 4, (64,) * 4, (76,) * 4),
+    "scaled m=8 k=150 (in regime)": (
+        (141, 141, 141, 139),
+        (154, 154, 154, 153),
+        (152, 152, 152, 150),
+    ),
+}
+
+#: (number of maximal matchings, min unique-unique edges) of
+#: sample_dmm(scaled_distribution(m, k), Random(s)), s = 0, 1, 2: graphs of
+#: 7-11 edges, so the search is exhaustive at the default limit.
+EXHAUSTIVE_VALUES = {
+    (4, 2): ((6, 1), (3, 1), (8, 0)),
+    (5, 1): ((11, 0), (8, 0), (6, 1)),
+    (6, 1): ((18, 0), (17, 0), (11, 0)),
+}
+
+
+CONFIGS = default_configurations()
+
+
+class TestSearchPins:
+    """Literal values of the Claim 3.1 search away from C31's defaults."""
+
+    @pytest.mark.parametrize(
+        "name, hard",
+        CONFIGS,
+        ids=[name.split(" (")[0].replace(" ", "-") for name, _ in CONFIGS],
+    )
+    def test_heuristic_search_is_pinned(self, name, hard):
+        got = []
+        for s in range(3):
+            inst = sample_dmm(hard, random.Random(s))
+            got.append(
+                tuple(
+                    min_unique_unique_edges(inst, heuristic_trials=h, seed=seed)
+                    for h in (1, 4)
+                    for seed in (0, 5)
+                )
+            )
+        assert tuple(got) == SEARCH_VALUES[name]
+
+    @pytest.mark.parametrize("m, k", sorted(EXHAUSTIVE_VALUES))
+    def test_exhaustive_search_is_pinned(self, m, k):
+        got = []
+        for s in range(3):
+            inst = sample_dmm(scaled_distribution(m=m, k=k), random.Random(s))
+            assert inst.graph.num_edges() <= 14
+            got.append(
+                (len(all_maximal_matchings(inst.graph)), min_unique_unique_edges(inst))
+            )
+        assert tuple(got) == EXHAUSTIVE_VALUES[(m, k)]

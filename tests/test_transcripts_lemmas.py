@@ -91,6 +91,23 @@ class LabelPadded(SketchProtocol):
         return self.inner.decode(n, trimmed, coins)
 
 
+class ExtraPairs(SketchProtocol):
+    """The inner referee's output plus pairs the adversary scores invalid."""
+
+    name = "extra-pairs-sampled"
+
+    def __init__(self, inner, extra):
+        self.inner = inner
+        self.extra = extra
+
+    def sketch(self, view, coins):
+        return self.inner.sketch(view, coins)
+
+    def decode(self, n, sketches, coins):
+        output = sorted(self.inner.decode(n, sketches, coins))
+        return output + self.extra(output)
+
+
 class Counting(SketchProtocol):
     """Records every sketched view and every decoded transcript."""
 
@@ -174,6 +191,32 @@ class TestCheapProtocolAnalysis:
     def test_worst_case_bits_zero(self, cheap_analysis):
         # encode_vertex_set of an empty list still writes a varint header.
         assert cheap_analysis.worst_case_bits <= 8
+
+
+class TestInvalidOutputs:
+    """Section 2.1 lets the referee output pairs that are not a valid
+    matching; the exact lemma path scores them as the adversary does."""
+
+    def analyze(self, extra):
+        return analyze_protocol(
+            MICRO, ExtraPairs(FullNeighborhoodMatching(), extra), COINS, exact=True
+        )
+
+    def test_self_loop_is_an_error(self, full_analysis):
+        analysis = self.analyze(lambda output: [(0, 0)])
+        assert analysis.error_probability == 1
+        # A self-loop is no slot: the slots hit stay the inner protocol's.
+        assert analysis.expected_mu == pytest.approx(full_analysis.expected_mu)
+
+    def test_pair_given_twice_is_an_error(self, full_analysis):
+        analysis = self.analyze(lambda output: [(v, u) for u, v in output])
+        # The inner protocol is always right, so its output is empty
+        # exactly on an edgeless G; every other output repeats a pair.
+        outcomes = exact_outcomes(MICRO, identity_sigma(MICRO))
+        with_edges = sum(o.graph.num_edges() > 0 for o in outcomes)
+        assert 0 < with_edges < len(outcomes)
+        assert analysis.error_probability == Fraction(with_edges, len(outcomes))
+        assert analysis.expected_mu == pytest.approx(full_analysis.expected_mu)
 
 
 class TestIntermediateBudgets:
