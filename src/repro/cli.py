@@ -2,7 +2,7 @@
 
     python -m repro list                 # all experiments
     python -m repro run T1b [--kw m=16 k=4 trials=10] [--store DIR]
-    python -m repro run-all
+    python -m repro run-all [ID ...] [--store DIR] [--trace PATH]
     python -m repro sweep T1b --grid m=8,12,16 k=2,4 --trials 20
     python -m repro report [--out REPORT.md]
     python -m repro runs list|show|diff  # inspect stored run records
@@ -19,8 +19,15 @@ with the declared vocabulary before anything runs.
 ``run``, ``run-all``, ``sweep``, ``report``, and ``attack`` take the
 shared engine flags: ``--workers N`` (or ``auto``) parallelizes over a
 process pool, ``--cache-dir PATH`` persists the construction cache on
-disk, and ``--no-cache`` disables caching.  Each experiment prints a
-summary line with its wall clock, backend policy, and cache traffic.
+disk, and ``--no-cache`` disables caching; without ``--workers`` the
+``REPRO_WORKERS`` variable applies, and a malformed value is a usage
+error.  Each experiment prints a summary line with its wall clock,
+backend policy, and cache traffic.
+
+``run-all`` runs the experiments it names (all of them by default) the
+way ``run`` runs one.  With ``--store DIR`` both record every run in a
+run store, or serve it from there when it is already stored.  An
+unknown experiment id is a usage error, raised before anything runs.
 
 ``run`` and ``run-all`` additionally accept ``--exact``: runners that
 support it (the L33/L34/L35 lemma checkers) then enumerate their joint
@@ -43,10 +50,10 @@ The runs pipeline (see ``docs/runs.md``):
 Telemetry (see ``docs/observability.md``): ``repro trace EXP`` runs an
 experiment at its declared smoke scale under a recorder and prints the
 aggregated span tree, the counter table and the bits-by-role table
-(``--out`` exports the raw trace); ``run`` and ``sweep`` take ``--trace
-PATH`` to export a Chrome trace-event JSON (``.json``, loadable in
-Perfetto / chrome://tracing) or a JSONL event log (``.jsonl``) of the
-whole invocation.
+(``--out`` exports the raw trace); ``run``, ``run-all`` and ``sweep``
+take ``--trace PATH`` to export a Chrome trace-event JSON (``.json``,
+loadable in Perfetto / chrome://tracing) or a JSONL event log
+(``.jsonl``) of the whole invocation.
 
 ``repro conformance {run,shrink,list}`` drives the conformance
 subsystem: deterministic differential/metamorphic fuzzing of every
@@ -60,10 +67,11 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
+from typing import NoReturn
 
-from . import __version__
+from . import __version__, obs
 from .engine import ExecutionEngine
-from .experiments import all_experiments, get_experiment
+from .experiments import Experiment, all_experiments, get_experiment
 from .runs import (
     RunStore,
     build_engine,
@@ -72,7 +80,6 @@ from .runs import (
     parse_value,
     parse_workers,
     run_sweep,
-    run_with_engine,
 )
 from .runs.report import (
     diff_records,
@@ -130,14 +137,16 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_flag(parser: argparse.ArgumentParser) -> None:
+def _add_store_flag(
+    parser: argparse.ArgumentParser,
+    help: str = "run-store root (default: $REPRO_RUNS_DIR or .repro_runs)",
+) -> None:
     """Attach the run-store root flag to a subcommand."""
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="run-store root (default: $REPRO_RUNS_DIR or .repro_runs)",
-    )
+    parser.add_argument("--store", default=None, metavar="DIR", help=help)
+
+
+#: ``--store`` on ``run`` and ``run-all``, where no flag means no store.
+_RUN_STORE_HELP = "record each run in (or serve it from) this run store"
 
 
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -171,13 +180,88 @@ def _tracing(path: str | None):
     )
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with one ``repro: error:`` line on stderr, no traceback."""
+    sys.stderr.write(f"repro: error: {message}\n")
+    raise SystemExit(2)
+
+
 def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
-    """Build the engine the flags describe and install it as the default."""
-    return build_engine(
-        workers=getattr(args, "workers", None),
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
-    )
+    """Build the engine the flags describe and install it as the default.
+
+    A malformed ``REPRO_WORKERS`` (read when ``--workers`` is absent) is
+    a usage error.
+    """
+    try:
+        return build_engine(
+            workers=getattr(args, "workers", None),
+            cache_dir=getattr(args, "cache_dir", None),
+            no_cache=getattr(args, "no_cache", False),
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def _experiments(ids: list[str]) -> list[Experiment]:
+    """The experiments ``ids`` name, every one when ``ids`` is empty.
+
+    An unknown id is a usage error listing the known ids, raised before
+    any experiment runs.
+    """
+    try:
+        return [get_experiment(i) for i in ids] if ids else all_experiments()
+    except KeyError as exc:
+        _usage_error(exc.args[0])
+
+
+def _run_experiment(
+    experiment: Experiment,
+    overrides: dict,
+    engine: ExecutionEngine,
+    exact: bool,
+    store: RunStore | None,
+    as_json: bool = False,
+    tag: str = "",
+) -> None:
+    """Run one experiment and print its report, then a summary line.
+
+    With a store the run goes through ``execute_run``: it is recorded,
+    or served from the store when already there.  Without one the
+    experiment runs in memory, under the ``run`` span ``execute_run``
+    opens, so a ``--trace`` holds one ``run`` span per experiment either
+    way.  ``as_json`` prints the structured data dict instead of the
+    report; ``tag`` prefixes the summary line.
+    """
+    if store is not None:
+        outcome = execute_run(
+            experiment.experiment_id, overrides, engine=engine, exact=exact,
+            store=store,
+        )
+        report = outcome.record
+        origin = "stored record" if outcome.cached else "recorded"
+        summary = (
+            f"({origin} {report.key[:12]}; ran in {report.wall_time:.2f}s; "
+            f"backend {report.engine.get('backend', '?')}; cache "
+            f"{report.cache_hits} hits / {report.cache_misses} misses)"
+        )
+    else:
+        before = engine.cache.stats.snapshot()
+        start = time.time()
+        with obs.span("run", experiment=experiment.experiment_id):
+            report = experiment.run(engine=engine, exact=exact, **overrides)
+        summary = engine_summary(engine, time.time() - start, before)
+    if as_json:
+        import json
+
+        print(json.dumps(
+            {"experiment": report.experiment_id, "title": report.title,
+             "data": report.data},
+            indent=2, default=str,
+        ))
+        return
+    print(report.render())
+    print()
+    print(tag + summary)
 
 
 def cmd_list() -> int:
@@ -191,78 +275,29 @@ def cmd_list() -> int:
     return 0
 
 
-def cmd_run(
-    experiment_id: str,
-    overrides: dict,
-    as_json: bool = False,
-    engine: ExecutionEngine | None = None,
-    exact: bool = False,
-    store_dir: str | None = None,
-) -> int:
+def cmd_run(args: argparse.Namespace, experiment: Experiment) -> int:
     """Run one experiment with keyword overrides and print its report.
 
-    With ``as_json`` the structured data dict is printed instead of the
+    With ``--json`` the structured data dict is printed instead of the
     rendered tables — for downstream plotting pipelines.  With a store
     the run is recorded (or served from the store when already present).
     """
-    experiment = get_experiment(experiment_id)
-    engine = engine or ExecutionEngine()
-    if store_dir is not None:
-        outcome = execute_run(
-            experiment_id, overrides, engine=engine, exact=exact,
-            store=RunStore(store_dir),
-        )
-        record = outcome.record
-        if as_json:
-            import json
-
-            print(json.dumps(
-                {"experiment": record.experiment_id, "title": record.title,
-                 "data": record.data},
-                indent=2, default=str,
-            ))
-            return 0
-        print(record.render())
-        print()
-        origin = "stored record" if outcome.cached else "recorded"
-        print(
-            f"({origin} {record.key[:12]}; ran in {record.wall_time:.2f}s; "
-            f"backend {record.engine.get('backend', '?')}; cache "
-            f"{record.cache_hits} hits / {record.cache_misses} misses)"
-        )
-        return 0
-    before = engine.cache.stats.snapshot()
-    start = time.time()
-    report = run_with_engine(experiment, overrides, engine, exact)
-    elapsed = time.time() - start
-    if as_json:
-        import json
-
-        print(json.dumps(
-            {"experiment": report.experiment_id, "title": report.title,
-             "data": report.data},
-            indent=2, default=str,
-        ))
-        return 0
-    print(report.render())
-    print()
-    print(engine_summary(engine, elapsed, before))
+    overrides = _parse_kwargs(args.kw)
+    store = RunStore(args.store) if args.store is not None else None
+    _run_experiment(
+        experiment, overrides, _build_engine(args), args.exact, store, args.json
+    )
     return 0
 
 
-def cmd_run_all(
-    engine: ExecutionEngine | None = None, exact: bool = False
-) -> int:
-    """Run every experiment in id order with a per-experiment summary."""
-    engine = engine or ExecutionEngine()
-    for exp in all_experiments():
-        before = engine.cache.stats.snapshot()
-        start = time.time()
-        report = run_with_engine(exp, {}, engine, exact)
-        elapsed = time.time() - start
-        print(report.render())
-        print(f"[{exp.experiment_id}] {engine_summary(engine, elapsed, before)}")
-        print()
+def cmd_run_all(args: argparse.Namespace, experiments: list[Experiment]) -> int:
+    """Run the selected experiments in order, each as ``run`` would."""
+    engine = _build_engine(args)
+    store = RunStore(args.store) if args.store is not None else None
+    for exp in experiments:
+        _run_experiment(
+            exp, {}, engine, args.exact, store, tag=f"[{exp.experiment_id}] "
+        )
     return 0
 
 
@@ -415,7 +450,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine = _build_engine(args)
     start = time.time()
     with recording(TelemetryRecorder()) as recorder:
-        report = run_with_engine(experiment, overrides, engine, args.exact)
+        report = experiment.run(engine=engine, exact=args.exact, **overrides)
     elapsed = time.time() - start
     print(f"[{experiment.experiment_id}] {report.title} (traced, {elapsed:.2f}s)")
     print()
@@ -466,20 +501,22 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="Fraction-backed probabilities for runners that support it",
     )
-    run_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="record the run in (or serve it from) this run store",
-    )
+    _add_store_flag(run_parser, help=_RUN_STORE_HELP)
     _add_trace_flag(run_parser)
     _add_engine_flags(run_parser)
-    run_all_parser = sub.add_parser("run-all", help="run every experiment")
+    run_all_parser = sub.add_parser(
+        "run-all", help="run every experiment, or the ones named"
+    )
+    run_all_parser.add_argument(
+        "experiments", nargs="*", help="experiment ids (default: all)"
+    )
     run_all_parser.add_argument(
         "--exact",
         action="store_true",
         help="Fraction-backed probabilities for runners that support it",
     )
+    _add_store_flag(run_all_parser, help=_RUN_STORE_HELP)
+    _add_trace_flag(run_all_parser)
     _add_engine_flags(run_all_parser)
     sweep_parser = sub.add_parser(
         "sweep", help="run a resumable parameter grid through the store"
@@ -577,14 +614,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return cmd_list()
     if args.command == "run":
+        (experiment,) = _experiments([args.experiment_id])
         with _tracing(args.trace):
-            return cmd_run(
-                args.experiment_id, _parse_kwargs(args.kw), args.json,
-                engine=_build_engine(args), exact=args.exact,
-                store_dir=args.store,
-            )
+            return cmd_run(args, experiment)
     if args.command == "run-all":
-        return cmd_run_all(engine=_build_engine(args), exact=args.exact)
+        experiments = _experiments(args.experiments)
+        with _tracing(args.trace):
+            return cmd_run_all(args, experiments)
     if args.command == "sweep":
         with _tracing(args.trace):
             return cmd_sweep(args)

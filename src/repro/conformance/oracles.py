@@ -14,8 +14,8 @@ inventory of those pairs:
                    ``JointDistribution`` oracle;
 * ``sketches``   — ``BatchSketchProtocol.sketch_batch`` vs per-view
                    ``sketch`` calls, player by player;
-* ``engine``     — the process-pool backend vs the serial backend on an
-                   identical trial plan;
+* ``engine``     — the process-pool backend vs the serial backend on one
+                   protocol batch (the same derived-seed items);
 * ``lemmas``     — exact Lemma 3.5 one copy at a time
                    (``analyze_copies``) vs the full joint
                    (``analyze_protocol``).

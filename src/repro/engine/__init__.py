@@ -3,8 +3,8 @@
 Infrastructure layer depending only on :mod:`repro.obs` (telemetry) —
 ``model``, ``lowerbound``, and ``experiments`` all sit on top of it.
 See ``docs/engine.md`` for the backend, determinism, and cache-key
-contracts, and ``docs/observability.md`` for how trial batches are
-traced and merged.
+contracts, and ``docs/observability.md`` for how batches are traced
+and merged.
 """
 
 from .backends import (
@@ -25,35 +25,30 @@ from .core import (
     AUTO_PARALLEL_THRESHOLD,
     ExecutionEngine,
     default_engine,
+    parse_worker_setting,
     resolve_engine,
     set_default_engine,
     workers_from_env,
 )
-from .plan import BatchResult, TrialPlan, TrialResult, execute_task
-from .seeds import derive_seed, trial_seed, trial_seeds
+from .seeds import derive_seed
 
 __all__ = [
     "AUTO_PARALLEL_THRESHOLD",
-    "BatchResult",
     "CacheStats",
     "ConstructionCache",
     "ExecutionBackend",
     "ExecutionEngine",
     "ProcessPoolBackend",
     "SerialBackend",
-    "TrialPlan",
-    "TrialResult",
     "cache_key",
     "configure_cache",
     "construction_cache",
     "default_engine",
     "default_worker_count",
     "derive_seed",
-    "execute_task",
     "in_worker_process",
+    "parse_worker_setting",
     "resolve_engine",
     "set_default_engine",
-    "trial_seed",
-    "trial_seeds",
     "workers_from_env",
 ]

@@ -1,9 +1,10 @@
 """Execution backends: where a batch of independent tasks actually runs.
 
 A backend is an ordered ``map``: results come back in task order no
-matter how the work was scheduled, which together with hash-derived
-per-trial seeds (``engine.seeds``) gives the determinism contract —
-serial and parallel execution of the same plan are bit-identical.
+matter how the work was scheduled, which together with items that
+carry hash-derived seeds (``engine.seeds``) gives the determinism
+contract — serial and parallel execution of the same items are
+bit-identical.
 
 ``SerialBackend`` runs in-process.  ``ProcessPoolBackend`` fans out over
 ``concurrent.futures.ProcessPoolExecutor``; tasks and their arguments

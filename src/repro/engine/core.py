@@ -6,25 +6,25 @@
   (pool only when the workload is large enough to amortize fork cost);
 * the construction cache (``engine.cache``), shared by every layer that
   builds Behrend sets, RS graphs, or D_MM families;
-* the :class:`~repro.engine.plan.TrialPlan` batch API with hash-derived
-  per-trial seeds, so results never depend on which backend ran them.
+* :meth:`ExecutionEngine.map`, the one batch API: an ordered map over
+  items that carry their own hash-derived seeds (``engine.seeds``), so
+  results never depend on which backend ran them.
 
 One engine serves a whole experiment run.  ``default_engine()`` is the
 process-global instance used when callers don't pass one; the CLI
 replaces it according to ``--workers`` / ``--cache-dir`` / ``--no-cache``,
 and the ``REPRO_WORKERS`` environment variable configures it for test
-and CI runs.
+and CI runs (a malformed value is an error, as a bad ``--workers`` is).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Iterable
+from functools import partial
 from typing import Any
 
 from .. import obs
-from ..obs import ENGINE_TRIALS
 from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -33,7 +33,6 @@ from .backends import (
     in_worker_process,
 )
 from .cache import ConstructionCache, construction_cache
-from .plan import BatchResult, TrialPlan, TrialResult, execute_task
 
 #: In auto mode, batches smaller than this stay serial.
 AUTO_PARALLEL_THRESHOLD = 32
@@ -54,7 +53,6 @@ class ExecutionEngine:
         self,
         workers: int | str | None = None,
         cache: ConstructionCache | None = None,
-        parallel_threshold: int = AUTO_PARALLEL_THRESHOLD,
     ) -> None:
         self._auto = workers == "auto"
         if self._auto:
@@ -66,7 +64,6 @@ class ExecutionEngine:
             if worker_count < 1:
                 raise ValueError("workers must be positive")
         self.workers = worker_count
-        self.parallel_threshold = parallel_threshold
         self._cache = cache
         self._serial = SerialBackend()
         self._pool: ProcessPoolBackend | None = None
@@ -87,7 +84,7 @@ class ExecutionEngine:
         """Select the backend for a batch of ``num_tasks`` tasks."""
         if not self.parallel_capable or num_tasks <= 1 or in_worker_process():
             return self._serial
-        if self._auto and num_tasks < self.parallel_threshold:
+        if self._auto and num_tasks < AUTO_PARALLEL_THRESHOLD:
             return self._serial
         if self._pool is None:
             self._pool = ProcessPoolBackend(workers=self.workers)
@@ -103,81 +100,37 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_trials(self, plan: TrialPlan) -> BatchResult:
-        """Execute a trial plan; results are backend-independent.
-
-        Traced, the batch runs under an ``engine.dispatch`` span with one
-        ``engine.trial`` span per task (see :meth:`_dispatch`), so counter
-        totals are bit-identical between serial and pooled execution,
-        and span trees differ only in timings.
-        """
-        start = time.perf_counter()
-        with obs.span("engine.plan", trials=plan.trials, namespace=plan.namespace):
-            tasks = plan.tasks()
-        plan_time = time.perf_counter() - start
-        backend = self.backend_for(len(tasks))
-        obs.count(ENGINE_TRIALS, len(tasks))
-        dispatch_start = time.perf_counter()
-        results: list[TrialResult] = self._dispatch(
-            execute_task, tasks, backend, "engine.dispatch", "engine.trial",
-            _trial_attrs, tasks=len(tasks),
-        )
-        dispatch_time = time.perf_counter() - dispatch_start
-        return BatchResult(
-            results=tuple(results),
-            wall_time=time.perf_counter() - start,
-            backend_name=backend.name,
-            plan_time=plan_time,
-            dispatch_time=dispatch_time,
-        )
-
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Ordered map of ``fn`` over prebuilt items (no seed derivation)."""
+        """``fn`` over ``items``, results in item order, on the chosen backend.
+
+        Every item carries whatever seed it needs (``derive_seed(base,
+        namespace, trial)``), so results never depend on the backend.
+        Traced, the batch runs under an ``engine.map`` span and each item
+        under an ``engine.item`` span.  On the serial backend the items
+        record in place, in the caller's recorder.  On the pool each item
+        records into an item-local recorder whose snapshot merges here in
+        item order, rebased onto a sequential timeline; merge order
+        follows span start order, so span ids, parents and attrs come out
+        as the serial path's.
+        """
         items = list(items)
         backend = self.backend_for(len(items))
-        return self._dispatch(
-            fn, items, backend, "engine.map", "engine.item", _no_attrs,
-            items=len(items),
-        )
-
-    def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        items: list,
-        backend: ExecutionBackend,
-        name: str,
-        item_name: str,
-        item_attrs: Callable[[Any], dict],
-        /,
-        **attrs: Any,
-    ) -> list[Any]:
-        """``backend.map(fn, items)``, traced when a recorder is installed.
-
-        Traced, the batch runs under a ``name`` span and each item under
-        an ``item_name`` span carrying ``item_attrs(item)``.  On the
-        serial backend the items record in place, in the caller's
-        recorder.  On the pool each item records into an item-local
-        recorder whose snapshot merges here in item order, rebased onto
-        a sequential timeline; merge order follows span start order, so
-        span ids, parents and attrs come out as the serial path's.
-        """
         recorder = obs.active()
         if recorder is None:
             return backend.map(fn, items)
-        with obs.span(name, backend=backend.name, **attrs) as dispatch:
+        with obs.span("engine.map", backend=backend.name, items=len(items)) as batch:
             if backend is self._serial:
                 results = []
                 for item in items:
-                    with obs.span(item_name, **item_attrs(item)):
+                    with obs.span("engine.item"):
                         results.append(fn(item))
                 return results
-            packed = [(fn, item_name, item_attrs(item), item) for item in items]
-            pairs = backend.map(_traced_item, packed)
+            pairs = backend.map(partial(_traced_item, fn), items)
             results = []
-            offset = dispatch.start
+            offset = batch.start
             for result, snapshot in pairs:
                 recorder.merge_snapshot(
-                    snapshot, parent_id=dispatch.span_id, time_offset=offset
+                    snapshot, parent_id=batch.span_id, time_offset=offset
                 )
                 offset += _snapshot_extent(snapshot)
                 results.append(result)
@@ -190,14 +143,6 @@ class ExecutionEngine:
             self._pool = None
 
 
-def _trial_attrs(task: tuple) -> dict:
-    return {"trial": task[1]}
-
-
-def _no_attrs(item: Any) -> dict:
-    return {}
-
-
 def _snapshot_extent(snapshot: dict) -> float:
     """How much timeline a merged snapshot occupies (its furthest end)."""
     return max(
@@ -206,11 +151,10 @@ def _snapshot_extent(snapshot: dict) -> float:
     )
 
 
-def _traced_item(packed: tuple) -> tuple[Any, dict]:
+def _traced_item(fn: Callable[[Any], Any], item: Any) -> tuple[Any, dict]:
     """Run one pooled item under an item-local recorder; return its snapshot."""
-    fn, name, attrs, item = packed
     with obs.recording(obs.TelemetryRecorder()) as recorder:
-        with obs.span(name, **attrs):
+        with obs.span("engine.item"):
             result = fn(item)
         return result, recorder.snapshot()
 
@@ -221,31 +165,44 @@ def _traced_item(packed: tuple) -> tuple[Any, dict]:
 _default_engine: ExecutionEngine | None = None
 
 
+def parse_worker_setting(raw: str) -> int | str:
+    """A worker setting: a positive integer, or ``"auto"``.
+
+    The one rule for ``--workers`` and ``REPRO_WORKERS``; anything else
+    raises ``ValueError``.
+    """
+    if raw == "auto":
+        return raw
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"expected a positive integer or 'auto', got {raw!r}"
+        ) from None
+    if value < 1:
+        raise ValueError("workers must be positive")
+    return value
+
+
 def workers_from_env() -> int | str | None:
-    """The ``REPRO_WORKERS`` setting: an int, ``"auto"``, or ``None``."""
+    """The ``REPRO_WORKERS`` setting, or ``None`` when it is unset or empty.
+
+    A malformed value raises ``ValueError`` naming the variable.
+    """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if not raw:
         return None
-    if raw.lower() == "auto":
-        return "auto"
     try:
-        return int(raw)
-    except ValueError:
-        return None
-
-
-def _engine_from_env() -> ExecutionEngine:
-    try:
-        return ExecutionEngine(workers=workers_from_env())
-    except ValueError:
-        return ExecutionEngine()
+        return parse_worker_setting(raw)
+    except ValueError as exc:
+        raise ValueError(f"REPRO_WORKERS={raw!r}: {exc}") from None
 
 
 def default_engine() -> ExecutionEngine:
     """The process-global engine (configured from ``REPRO_WORKERS`` once)."""
     global _default_engine
     if _default_engine is None:
-        _default_engine = _engine_from_env()
+        _default_engine = ExecutionEngine(workers=workers_from_env())
     return _default_engine
 
 

@@ -12,7 +12,8 @@ path of labels.  Distinct paths give independent-looking 63-bit seeds,
 the mapping is stable across processes and platforms (no salted
 ``hash``), and — crucially for the parallel backends — the seed of trial
 ``i`` depends only on ``(base_seed, path, i)``, never on execution order,
-so serial and process-pool runs are bit-identical.
+so serial and process-pool runs are bit-identical.  A batch's items
+carry their seeds, ``derive_seed(base_seed, namespace, trial)`` each.
 """
 
 from __future__ import annotations
@@ -35,16 +36,3 @@ def derive_seed(base_seed: int, *path: object) -> int:
     digest = hashlib.sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
-
-def trial_seed(base_seed: int, trial: int, namespace: str = "trial") -> int:
-    """The seed of one trial of a batch (the engine's per-trial scheme)."""
-    if trial < 0:
-        raise ValueError("trial index must be non-negative")
-    return derive_seed(base_seed, namespace, trial)
-
-
-def trial_seeds(base_seed: int, trials: int, namespace: str = "trial") -> list[int]:
-    """All per-trial seeds of a batch, in trial order."""
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    return [trial_seed(base_seed, t, namespace) for t in range(trials)]

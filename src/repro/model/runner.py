@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Collection, Mapping
 
 from .. import obs
-from ..engine import ExecutionEngine, TrialPlan, resolve_engine
+from ..engine import ExecutionEngine, derive_seed, resolve_engine
 from ..graphs import FrozenGraph, GraphLike
 from ..obs import TRANSCRIPT_BITS, TRANSCRIPT_MESSAGES
 from .coins import PublicCoins
@@ -226,10 +226,20 @@ def run_adaptive_protocol(
     )
 
 
-def _batch_trial(trial: int, seed: int, make_graph, protocol) -> ProtocolRun:
+def _batch_items(trials: int, base_seed: int, *args) -> list[tuple]:
+    """One ``(trial, seed, *args)`` item per trial, seeds hash-derived."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    return [
+        (trial, derive_seed(base_seed, "protocol-batch", trial), *args)
+        for trial in range(trials)
+    ]
+
+
+def _batch_trial(item: tuple) -> ProtocolRun:
     """One trial of a protocol batch (module-level for process pools)."""
-    graph = make_graph(trial)
-    return run_protocol(graph, protocol, PublicCoins(seed=seed))
+    trial, seed, make_graph, protocol = item
+    return run_protocol(make_graph(trial), protocol, PublicCoins(seed=seed))
 
 
 def run_protocol_batch(
@@ -248,20 +258,13 @@ def run_protocol_batch(
     backend, ``make_graph`` and ``protocol`` must be picklable; the
     engine degrades to serial execution otherwise.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    plan = TrialPlan(
-        fn=_batch_trial,
-        trials=trials,
-        base_seed=base_seed,
-        namespace="protocol-batch",
-        args=(make_graph, protocol),
-    )
-    return resolve_engine(engine).run_trials(plan).values
+    items = _batch_items(trials, base_seed, make_graph, protocol)
+    return resolve_engine(engine).map(_batch_trial, items)
 
 
-def _success_trial(trial: int, seed: int, make_graph, protocol, check) -> bool:
+def _success_trial(item: tuple) -> bool:
     """One success-probability trial (module-level for process pools)."""
+    trial, seed, make_graph, protocol, check = item
     graph = make_graph(trial)
     run = run_protocol(graph, protocol, PublicCoins(seed=seed))
     return bool(check(graph, run.output))
@@ -281,18 +284,10 @@ def estimate_success_probability(
     ``check(graph, output)`` decides correctness.  Fresh public coins per
     trial, hash-derived from ``base_seed`` through the engine's seed
     scheme (the old ``base_seed * 1_000_003 + trial`` arithmetic collided
-    across base seeds).  A thin wrapper over a batched
-    :class:`~repro.engine.plan.TrialPlan`; pass ``engine`` to control the
-    backend, default is the process-global engine.
+    across base seeds) — the coins :func:`run_protocol_batch` uses.  Pass
+    ``engine`` to control the backend, default is the process-global
+    engine.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    plan = TrialPlan(
-        fn=_success_trial,
-        trials=trials,
-        base_seed=base_seed,
-        namespace="protocol-batch",
-        args=(make_graph, protocol, check),
-    )
-    outcomes = resolve_engine(engine).run_trials(plan).values
+    items = _batch_items(trials, base_seed, make_graph, protocol, check)
+    outcomes = resolve_engine(engine).map(_success_trial, items)
     return sum(outcomes) / trials

@@ -25,7 +25,6 @@ from .counters import (
     CACHE_MISSES,
     CACHE_STORES,
     COUNTERS,
-    ENGINE_TRIALS,
     SKETCH_BYTES,
     SKETCH_CELLS_PACKED,
     SKETCH_CELLS_UNPACKED,
@@ -73,7 +72,6 @@ __all__ = [
     "CACHE_STORES",
     "COUNTERS",
     "CounterDef",
-    "ENGINE_TRIALS",
     "SKETCH_BYTES",
     "SKETCH_CELLS_PACKED",
     "SKETCH_CELLS_UNPACKED",

@@ -12,7 +12,7 @@ Stability classes:
 
 * ``stable`` counters are pure functions of the workload: for a fixed
   experiment/seed their totals are bit-identical across backends,
-  worker counts, and cache temperature (communication bits, trials).
+  worker counts, and cache temperature (communication bits, records).
 * Unstable counters measure *execution*, not the workload: cache
   traffic depends on what is already warm, and sketch cells are only
   packed when the construction cache misses.  They are still merged
@@ -33,8 +33,6 @@ from dataclasses import dataclass
 TRANSCRIPT_BITS = "transcript.bits"
 #: Messages delivered to the referee (labels: protocol, role [, round]).
 TRANSCRIPT_MESSAGES = "transcript.messages"
-#: Trials executed through the engine's trial plans.
-ENGINE_TRIALS = "engine.trials"
 #: Sketch cells serialized through the packed codec.
 SKETCH_CELLS_PACKED = "sketch.cells_packed"
 #: Sketch cells unpacked from the wire by the referees (one label
@@ -81,12 +79,6 @@ COUNTERS: dict[str, CounterDef] = {
             "messages delivered to the referee",
             stable=True,
             labels=("protocol", "role", "round"),
-        ),
-        CounterDef(
-            ENGINE_TRIALS,
-            "trials",
-            "trials executed through trial plans",
-            stable=True,
         ),
         CounterDef(
             SKETCH_CELLS_PACKED,

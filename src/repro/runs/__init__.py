@@ -9,7 +9,7 @@ durable pipeline:
 * :mod:`~repro.runs.store` — the :class:`RunStore` of
   :class:`RunRecord` s, one checksum-framed file per run key;
 * :mod:`~repro.runs.api` — the public dispatch surface
-  (:func:`execute_run`, :func:`run_with_engine`, engine-flag helpers);
+  (:func:`execute_run`, engine-flag helpers);
 * :mod:`~repro.runs.sweep` — grid expansion and the resumable
   :func:`run_sweep` orchestrator;
 * :mod:`~repro.runs.report` — REPORT.md generation and record
@@ -27,7 +27,6 @@ from .api import (
     ensure_json_data,
     execute_run,
     parse_workers,
-    run_with_engine,
 )
 from .report import (
     diff_records,
@@ -75,5 +74,4 @@ __all__ = [
     "record_verdicts",
     "run_key",
     "run_sweep",
-    "run_with_engine",
 ]

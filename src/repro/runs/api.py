@@ -2,19 +2,16 @@
 
 This module is the supported surface for anything outside the package
 (scripts, CI jobs, notebooks) that wants to execute registered
-experiments — the CLI routes through it too, so ``repro run``,
-``scripts/run_experiments.py``, and the sweep orchestrator all share
-one dispatch path:
+experiments durably — the CLI routes through it too, so ``repro run``,
+``repro run-all`` and the sweep orchestrator all share one dispatch
+path (``Experiment.run`` is the in-memory form):
 
-* :func:`run_with_engine` — call a runner with ``engine=`` / ``exact=``
-  injected according to its *declared* spec (no signature
-  introspection);
 * :func:`execute_run` — the durable form: resolve the full parameter
   dict, compute the content address, serve the stored record if the
   store already has it, otherwise run, measure (wall clock + cache
   delta), and append a :class:`~repro.runs.store.RunRecord`;
 * :func:`build_engine` / :func:`parse_workers` / :func:`engine_summary`
-  — the engine-flag plumbing the CLI and scripts share.
+  — the engine-flag plumbing of the CLI.
 
 Imports of :mod:`repro.experiments` happen inside functions: the
 registry imports this package for its spec types, so the dependency
@@ -32,6 +29,7 @@ from .. import __version__, obs
 from ..engine import (
     ExecutionEngine,
     configure_cache,
+    parse_worker_setting,
     resolve_engine,
     set_default_engine,
     workers_from_env,
@@ -45,17 +43,10 @@ def parse_workers(raw: str):
     """Validate a ``--workers`` value: a positive integer or ``'auto'``."""
     import argparse
 
-    if raw == "auto":
-        return raw
     try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be positive")
-    return value
+        return parse_worker_setting(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_engine(
@@ -63,7 +54,11 @@ def build_engine(
     cache_dir: str | None = None,
     no_cache: bool = False,
 ) -> ExecutionEngine:
-    """Build an engine from the shared CLI flags and install it as default."""
+    """Build an engine from the shared CLI flags and install it as default.
+
+    Without ``workers`` the engine follows ``REPRO_WORKERS``; a malformed
+    value raises ``ValueError`` naming the variable.
+    """
     cache = configure_cache(directory=cache_dir, enabled=not no_cache)
     if workers is None:
         workers = workers_from_env()
@@ -78,25 +73,6 @@ def engine_summary(
     hits, misses = after[0] - before[0], after[1] - before[1]
     cache = "off" if not engine.cache.enabled else f"{hits} hits / {misses} misses"
     return f"(ran in {elapsed:.2f}s; backend {engine.describe()}; cache {cache})"
-
-
-def run_with_engine(
-    experiment,
-    overrides: Mapping[str, Any],
-    engine: ExecutionEngine | None = None,
-    exact: bool = False,
-):
-    """Run an experiment (object or id) with spec-declared injection.
-
-    The experiment's :class:`~repro.runs.spec.ExperimentSpec` says
-    whether the runner accepts ``engine=`` / ``exact=``; overrides are
-    validated against the declared parameters before dispatch.
-    """
-    if isinstance(experiment, str):
-        from ..experiments import get_experiment
-
-        experiment = get_experiment(experiment)
-    return experiment.run(engine=engine, exact=exact, **overrides)
 
 
 def ensure_json_data(data: dict, experiment_id: str) -> dict:

@@ -3,7 +3,22 @@
 import pytest
 
 from repro.cli import _parse_kwargs, main
+from repro.experiments import Experiment
+from repro.obs import validate_chrome_trace
 from repro.runs import parse_value
+
+
+def _refuse_to_run(monkeypatch):
+    """Make any experiment run fail the test."""
+
+    def refuse(self, **kwargs):
+        raise AssertionError(f"{self.experiment_id} ran")
+
+    monkeypatch.setattr(Experiment, "run", refuse)
+
+
+def _without_timings(text: str) -> list[str]:
+    return [line for line in text.splitlines() if "ran in" not in line]
 
 
 class TestParsing:
@@ -56,9 +71,13 @@ class TestCommands:
         assert "[F1]" in out
         assert "ran in" in out
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown_experiment(self, capsys):
+        """A usage error naming the known ids, not a ``KeyError``."""
+        with pytest.raises(SystemExit) as exc:
             main(["run", "NOPE"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'NOPE'" in err and "'T1b'" in err
 
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -67,6 +86,49 @@ class TestCommands:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+
+class TestRunAllCommand:
+    def test_subset_prints_what_run_prints(self, capsys):
+        assert main(["run-all", "F1", "P21"]) == 0
+        out = capsys.readouterr().out
+        assert "[F1] (ran in" in out and "[P21] (ran in" in out
+        assert main(["run", "F1"]) == 0
+        single = capsys.readouterr().out
+        assert _without_timings(out)[: len(_without_timings(single))] == (
+            _without_timings(single)
+        )
+
+    def test_second_stored_run_executes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        args = ["run-all", "F1", "P21", "--store", str(tmp_path / "runs")]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert "[F1] (recorded" in first and "[P21] (recorded" in first
+        _refuse_to_run(monkeypatch)
+        assert main(args) == 0
+        second = capsys.readouterr().out
+        assert "[F1] (stored record" in second
+        assert "[P21] (stored record" in second
+        assert _without_timings(first) == _without_timings(second)
+
+    def test_trace_exports_a_valid_chrome_trace(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        assert main(["run-all", "F1", "P21", "--trace", str(out_path)]) == 0
+        assert "(trace:" in capsys.readouterr().out
+        info = validate_chrome_trace(out_path)
+        assert info["events"] > 0
+
+    def test_unknown_id_is_a_usage_error(self, capsys, monkeypatch):
+        _refuse_to_run(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["run-all", "F1", "NOPE"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'NOPE'" in captured.err
+        assert "'F1'" in captured.err
 
 
 class TestSweepCommand:
@@ -305,3 +367,36 @@ class TestEngineFlags:
                 main(["run", "F1", "--workers", bad])
             assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_malformed_repro_workers_is_a_usage_error(
+        self, command, raw, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        _refuse_to_run(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "F1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro: error: REPRO_WORKERS={raw!r}: ")
+        assert "positive" in err[0]
+
+    def test_workers_flag_overrides_a_malformed_repro_workers(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        assert main(["run", "F1", "--kw", "m=8", "k=2", "--workers", "2"]) == 0
+        assert "backend process-pool(2, fixed)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "raw, policy",
+        [("2", "backend process-pool(2, fixed)"), ("auto", ", auto);")],
+    )
+    def test_valid_repro_workers_is_accepted(
+        self, raw, policy, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        assert main(["run", "F1", "--kw", "m=8", "k=2"]) == 0
+        assert policy in capsys.readouterr().out

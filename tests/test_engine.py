@@ -1,11 +1,12 @@
 """Tests for the execution engine: seeds, cache, backends, determinism.
 
 The engine's contract is that *scheduling never touches results*: the
-same plan under the serial backend and under a process pool returns
-bit-identical values, and a warm construction cache changes timings
-only, never outputs.  These tests pin both halves of that contract,
-plus the seed-derivation scheme that replaced the colliding
-``base_seed * 1_000_003 + trial`` arithmetic.
+same items, each carrying its derived seed, mapped under the serial
+backend and under a process pool return bit-identical values, and a
+warm construction cache changes timings only, never outputs.  These
+tests pin both halves of that contract, plus the seed-derivation scheme
+that replaced the colliding ``base_seed * 1_000_003 + trial``
+arithmetic, and the ``REPRO_WORKERS`` rule.
 """
 
 import os
@@ -18,15 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    AUTO_PARALLEL_THRESHOLD,
     ConstructionCache,
     ExecutionEngine,
     ProcessPoolBackend,
     SerialBackend,
-    TrialPlan,
     cache_key,
+    default_engine,
     derive_seed,
-    trial_seed,
-    trial_seeds,
+    workers_from_env,
 )
 from repro.engine.backends import in_worker_process
 from repro.graphs import erdos_renyi, is_maximal_matching
@@ -42,12 +43,14 @@ from repro.protocols import FullNeighborhoodMatching
 # ----------------------------------------------------------------------
 # Module-level task functions (process pools must pickle them).
 # ----------------------------------------------------------------------
-def _square_task(trial: int, seed: int) -> tuple:
-    return (trial, seed % 97, trial * trial)
+def _seeded_items(base: int, namespace: str, trials: int) -> list[tuple]:
+    """One ``(trial, seed)`` item per trial, as the experiments build them."""
+    return [(t, derive_seed(base, namespace, t)) for t in range(trials)]
 
 
-def _rng_task(trial: int, seed: int) -> float:
-    return random.Random(seed).random()
+def _rng_task(item: tuple) -> tuple:
+    trial, seed = item
+    return (trial, seed, random.Random(seed).random())
 
 
 def _item_double(item: int) -> int:
@@ -82,16 +85,19 @@ class TestSeedDerivation:
 
     def test_old_scheme_collision_resolved(self):
         """(0, 1000003) and (1, 0) collided under base*1_000_003+trial."""
-        assert trial_seed(0, 1_000_003) != trial_seed(1, 0)
+        assert derive_seed(0, "trial", 1_000_003) != derive_seed(1, "trial", 0)
 
     def test_trial_seeds_match_trial_seed(self):
-        seeds = trial_seeds(5, 4, namespace="x")
-        assert seeds == [trial_seed(5, t, "x") for t in range(4)]
-        assert len(set(seeds)) == 4
+        """A batch's item seeds are the per-trial derivations, all distinct."""
+        items = _seeded_items(5, "x", 4)
+        assert [seed for _t, seed in items] == [
+            derive_seed(5, "x", t) for t in range(4)
+        ]
+        assert len({seed for _t, seed in items}) == 4
 
     def test_seeds_fit_rng_range(self):
         for t in range(50):
-            s = trial_seed(0, t)
+            s = derive_seed(0, "trial", t)
             assert 0 <= s < 2**63
 
     @given(
@@ -103,7 +109,7 @@ class TestSeedDerivation:
     )
     @settings(max_examples=50, deadline=None)
     def test_no_collisions_within_namespace(self, base, trials):
-        seeds = {trial_seed(base, t) for t in trials}
+        seeds = {derive_seed(base, "trial", t) for t in trials}
         assert len(seeds) == len(trials)
 
 
@@ -226,10 +232,12 @@ class TestExecutionEngine:
         assert engine.backend_for(1000) is engine._serial
 
     def test_auto_thresholds_by_batch_size(self):
-        engine = ExecutionEngine(workers="auto", parallel_threshold=8)
+        engine = ExecutionEngine(workers="auto")
         try:
-            assert engine.backend_for(4).name == "serial"
-            assert engine.backend_for(8).name == "process-pool"
+            assert engine.backend_for(AUTO_PARALLEL_THRESHOLD - 1).name == "serial"
+            assert (
+                engine.backend_for(AUTO_PARALLEL_THRESHOLD).name == "process-pool"
+            )
         finally:
             engine.close()
 
@@ -242,33 +250,88 @@ class TestExecutionEngine:
             ExecutionEngine(workers=0)
 
     def test_run_trials_serial_parallel_identical(self, pool_engine):
-        plan = TrialPlan(fn=_rng_task, trials=24, base_seed=9, namespace="t")
-        serial = ExecutionEngine().run_trials(plan)
-        parallel = pool_engine.run_trials(plan)
-        assert serial.values == parallel.values
-        assert [r.seed for r in serial.results] == [
-            r.seed for r in parallel.results
-        ]
+        """One list of derived-seed items maps identically on both backends."""
+        items = _seeded_items(9, "t", 24)
+        assert pool_engine.backend_for(len(items)).name == "process-pool"
+        serial = ExecutionEngine().map(_rng_task, items)
+        parallel = pool_engine.map(_rng_task, items)
+        assert serial == parallel
+        assert [(t, seed) for t, seed, _value in parallel] == items
 
-    def test_trial_results_tagged_with_plan_seeds(self):
-        plan = TrialPlan(fn=_square_task, trials=5, base_seed=3, namespace="q")
-        batch = ExecutionEngine().run_trials(plan)
-        for r in batch.results:
-            assert r.seed == plan.seed_for(r.trial)
+    def test_trial_results_tagged_with_plan_seeds(self, pool_engine):
+        """Results come back in item order, each with its item's seed."""
+        items = _seeded_items(3, "q", 5)
+        for engine in (ExecutionEngine(), pool_engine):
+            results = engine.map(_rng_task, items)
+            assert [(t, seed) for t, seed, _value in results] == items
+            assert [value for _t, _seed, value in results] == [
+                random.Random(seed).random() for _t, seed in items
+            ]
+
+
+@pytest.fixture
+def fresh_default_engine(monkeypatch):
+    """Let ``default_engine()`` read REPRO_WORKERS afresh; restored after."""
+    import repro.engine.core as core
+
+    monkeypatch.setattr(core, "_default_engine", None)
+    yield
+    if core._default_engine is not None:
+        core._default_engine.close()
+
+
+class TestWorkersFromEnv:
+    """``REPRO_WORKERS`` follows the ``--workers`` rule; a bad value raises."""
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+    def test_malformed_value_names_the_variable(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match=f"REPRO_WORKERS='{raw}'"):
+            workers_from_env()
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+    def test_default_engine_refuses_a_malformed_value(
+        self, raw, monkeypatch, fresh_default_engine
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            default_engine()
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+    def test_build_engine_refuses_a_malformed_value(
+        self, raw, monkeypatch, fresh_default_engine
+    ):
+        from repro.runs import build_engine
+
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            build_engine()
+
+    @pytest.mark.parametrize(
+        "raw, workers, policy",
+        [
+            ("2", 2, "process-pool(2, fixed)"),
+            ("auto", "auto", "auto)"),
+            ("", None, "serial"),
+        ],
+    )
+    def test_valid_values_are_accepted(
+        self, raw, workers, policy, monkeypatch, fresh_default_engine
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        assert workers_from_env() == workers
+        assert policy in default_engine().describe()
 
 
 class TestModelBatchAPI:
     def test_run_protocol_batch_matches_manual_runs(self):
         protocol = FullNeighborhoodMatching()
-        plan = TrialPlan(
-            fn=_square_task, trials=3, base_seed=5, namespace="protocol-batch"
-        )
         runs = run_protocol_batch(_make_graph, protocol, trials=3, base_seed=5)
         for trial, run in enumerate(runs):
             expected = run_protocol(
                 _make_graph(trial),
                 protocol,
-                PublicCoins(seed=plan.seed_for(trial)),
+                PublicCoins(seed=derive_seed(5, "protocol-batch", trial)),
             )
             assert run.output == expected.output
             assert run.transcript == expected.transcript

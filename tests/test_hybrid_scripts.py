@@ -59,8 +59,13 @@ class TestHybridMatching:
 
 class TestScripts:
     def test_run_experiments_subset(self):
+        """``python -m repro run-all F1 P21``, which runs the reproduction.
+
+        The id is older than the command: it named the script that
+        ``run-all`` replaced.
+        """
         out = subprocess.run(
-            [sys.executable, "scripts/run_experiments.py", "F1", "P21"],
+            [sys.executable, "-m", "repro", "run-all", "F1", "P21"],
             cwd=REPO,
             capture_output=True,
             text=True,

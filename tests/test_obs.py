@@ -2,8 +2,8 @@
 
 Covers the recorder contract (span trees, counter taxonomy, snapshots
 and merges), the zero-overhead disabled path, all three exporters, and
-the instrumentation satellites this PR pins: ``CacheStats.summary``
-including stores, ``BatchResult``'s phase timings, and the
+the instrumentation around them: ``CacheStats.summary`` including
+stores, what a traced ``ExecutionEngine.map`` records, and the
 ``RunRecord.telemetry`` provenance block.
 """
 
@@ -12,19 +12,13 @@ import json
 import pytest
 
 from repro import obs
-from repro.engine import (
-    BatchResult,
-    CacheStats,
-    ConstructionCache,
-    ExecutionEngine,
-    TrialPlan,
-)
+from repro.engine import CacheStats, ConstructionCache, ExecutionEngine
 from repro.obs import (
     CACHE_HITS,
     CACHE_MISSES,
     CACHE_STORES,
     COUNTERS,
-    ENGINE_TRIALS,
+    STORE_RECORDS,
     TRANSCRIPT_BITS,
     TelemetryRecorder,
     aggregate_spans,
@@ -60,9 +54,9 @@ class TestRecorderSpans:
     def test_attrs_travel_with_the_span(self):
         rec = TelemetryRecorder()
         with recording(rec):
-            with obs.span("engine.plan", trials=7):
+            with obs.span("engine.map", items=7):
                 pass
-        assert rec.spans[0].attrs == {"trials": 7}
+        assert rec.spans[0].attrs == {"items": 7}
 
     def test_end_span_closes_abandoned_children(self):
         rec = TelemetryRecorder()
@@ -99,7 +93,7 @@ class TestRecorderCounters:
     def test_taxonomy_is_self_consistent(self):
         for name, d in COUNTERS.items():
             assert d.name == name and d.unit and d.description
-        assert counter_def(ENGINE_TRIALS).stable
+        assert counter_def(STORE_RECORDS).stable
         assert TRANSCRIPT_BITS in stable_names()
         assert CACHE_HITS not in stable_names()
         with pytest.raises(KeyError):
@@ -140,29 +134,29 @@ class TestSnapshots:
                 with obs.span("trial"):
                     pass  # recorded on parent; fine
                 child.start_span("work")
-                child.count(ENGINE_TRIALS, 2)
+                child.count(STORE_RECORDS, 2)
                 snap = child.snapshot()
-                parent.count(ENGINE_TRIALS, 1)
+                parent.count(STORE_RECORDS, 1)
                 parent.merge_snapshot(snap)
         merged = [s for s in parent.spans if s.name == "work"]
         assert len(merged) == 1
         assert merged[0].parent_id == host.span_id
         ids = [s.span_id for s in parent.spans]
         assert len(ids) == len(set(ids))
-        assert parent.totals()[ENGINE_TRIALS] == 3
+        assert parent.totals()[STORE_RECORDS] == 3
 
     def test_merge_order_cannot_change_totals(self):
         snaps = []
         for value in (1, 10, 100):
             child = TelemetryRecorder()
-            child.count(ENGINE_TRIALS, value)
+            child.count(STORE_RECORDS, value)
             snaps.append(child.snapshot())
         forward, backward = TelemetryRecorder(), TelemetryRecorder()
         for snap in snaps:
             forward.merge_snapshot(snap)
         for snap in reversed(snaps):
             backward.merge_snapshot(snap)
-        assert forward.totals() == backward.totals() == {ENGINE_TRIALS: 111}
+        assert forward.totals() == backward.totals() == {STORE_RECORDS: 111}
 
     def test_merge_offsets_times(self):
         child = TelemetryRecorder()
@@ -177,13 +171,13 @@ def _recorded_workload() -> TelemetryRecorder:
     """A small recorder with a two-level tree and labeled counters."""
     rec = TelemetryRecorder()
     with recording(rec):
-        with obs.span("engine.dispatch", backend="serial"):
-            for trial in range(3):
-                with obs.span("engine.trial", trial=trial):
+        with obs.span("engine.map", backend="serial", items=3):
+            for _item in range(3):
+                with obs.span("engine.item"):
                     pass
         _bits(rec, 8, player=0, protocol="p")
         _bits(rec, 4, player=1, protocol="p")
-        rec.count(ENGINE_TRIALS, 3)
+        rec.count(STORE_RECORDS, 3)
     return rec
 
 
@@ -205,8 +199,8 @@ class TestExporters:
         trace = to_chrome_trace(rec)
         info = validate_chrome_trace(json.dumps(trace))
         assert info["events"] == len(rec.spans)
-        assert "engine.trial" in info["names"]
-        assert info["counters"]["engine.trials"] == 3
+        assert "engine.item" in info["names"]
+        assert info["counters"]["store.records"] == 3
         key = "transcript.bits{player=0,protocol=p}"
         assert info["counters"][key] == 8
 
@@ -242,15 +236,15 @@ class TestExporters:
     def test_aggregate_groups_by_name_path(self):
         rec = _recorded_workload()
         forest = aggregate_spans(rec.spans)
-        assert [n["name"] for n in forest] == ["engine.dispatch"]
-        trial = forest[0]["children"][0]
-        assert trial["name"] == "engine.trial" and trial["count"] == 3
+        assert [n["name"] for n in forest] == ["engine.map"]
+        item = forest[0]["children"][0]
+        assert item["name"] == "engine.item" and item["count"] == 3
 
     def test_render_tree_and_counter_table(self):
         rec = _recorded_workload()
         tree = render_tree(rec)
-        assert tree[0].startswith("engine.dispatch")
-        assert "engine.trial" in tree[1]
+        assert tree[0].startswith("engine.map")
+        assert "engine.item" in tree[1]
         table = "\n".join(counter_table(rec))
         assert "player=0,protocol=p" in table and "bits" in table
         empty = TelemetryRecorder()
@@ -263,7 +257,7 @@ class TestExporters:
         assert summary["detail"]["transcript.bits{player=1,protocol=p}"] == 4
         assert summary["span_count"] == 4
         paths = [path for path, _count, _total in summary["top_spans"]]
-        assert "engine.dispatch>engine.trial" in paths
+        assert "engine.map>engine.item" in paths
         # The block must survive the store's JSON round-trip untouched.
         assert json.loads(json.dumps(summary)) == summary
 
@@ -290,29 +284,44 @@ class TestCacheStatsSatellite:
         )
 
 
-def _square(trial, seed):
-    return trial * trial
+def _square(item):
+    return item * item
 
 
 class TestBatchResultSatellite:
+    """What a traced ``ExecutionEngine.map`` records.
+
+    The ids are older than the one batch API: they named the trial-plan
+    batch result that ``map`` replaced.
+    """
+
     def test_legacy_constructor_still_works(self):
-        batch = BatchResult(results=(), wall_time=0.1, backend_name="serial")
-        assert batch.plan_time == 0.0 and batch.dispatch_time == 0.0
+        """An empty map returns [], traced or not."""
+        engine = ExecutionEngine()
+        assert engine.map(_square, []) == []
+        with recording(TelemetryRecorder()) as rec:
+            assert engine.map(_square, []) == []
+        assert [s.name for s in rec.spans] == ["engine.map"]
 
     def test_run_trials_records_phases(self):
-        plan = TrialPlan(fn=_square, trials=4, base_seed=1)
-        batch = ExecutionEngine().run_trials(plan)
-        assert batch.plan_time >= 0.0 and batch.dispatch_time >= 0.0
-        assert batch.plan_time + batch.dispatch_time <= batch.wall_time + 1e-9
+        """One ``engine.map`` span encloses one ``engine.item`` per item."""
+        with recording(TelemetryRecorder()) as rec:
+            with obs.span("caller") as caller:
+                ExecutionEngine().map(_square, range(4))
+        (batch,) = [s for s in rec.spans if s.name == "engine.map"]
+        items = [s for s in rec.spans if s.name == "engine.item"]
+        assert batch.parent_id == caller.span_id
+        assert batch.attrs == {"backend": "serial", "items": 4}
+        assert len(items) == 4
+        assert {s.parent_id for s in items} == {batch.span_id}
+        assert all(s.attrs == {} for s in items)
 
     def test_traced_run_counts_trials(self):
-        plan = TrialPlan(fn=_square, trials=4, base_seed=1)
+        """Traced results come back in item order."""
         with recording(TelemetryRecorder()) as rec:
-            batch = ExecutionEngine().run_trials(plan)
-        assert batch.values == [0, 1, 4, 9]
-        assert rec.totals()[ENGINE_TRIALS] == 4
-        names = {s.name for s in rec.spans}
-        assert {"engine.plan", "engine.dispatch", "engine.trial"} <= names
+            values = ExecutionEngine().map(_square, [3, 1, 2, 0])
+        assert values == [9, 1, 4, 0]
+        assert [s.name for s in rec.spans].count("engine.item") == 4
 
 
 def _record(telemetry=None) -> RunRecord:

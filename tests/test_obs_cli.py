@@ -33,7 +33,7 @@ class TestTraceCommand:
         assert main(["trace", "T1b"]) == 0
         out = capsys.readouterr().out
         assert "(traced" in out
-        assert "engine.map" in out or "engine.dispatch" in out
+        assert "engine.map" in out
         assert "transcript.bits" in out and "role=" in out
 
     def test_trace_exports_a_valid_chrome_trace(self, capsys, tmp_path):

@@ -8,8 +8,8 @@ totals are integer sums, so a 2-worker pool must reproduce the serial
 totals bit-for-bit; span trees must agree in structure (ids, names,
 parents, attrs), differing only in timings; the per-role transcript
 summaries (bucket sums, max) must match exactly as well.  That holds
-for trial plans, for ``engine.map`` and for the telemetry block a
-stored run keeps.
+for ``engine.map`` over items carrying derived seeds, over plain
+items, and for the telemetry block a stored run keeps.
 
 The construction cache is disabled for the cross-backend runs: workers
 carry their own process-global caches, so cache *temperature* (hits vs
@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.engine import ExecutionEngine, TrialPlan, configure_cache
+from repro.engine import ExecutionEngine, configure_cache, derive_seed
 from repro.experiments import get_experiment
 from repro.lowerbound import sample_dmm, scaled_distribution
 from repro.model import PublicCoins, run_protocol
@@ -40,8 +40,9 @@ from repro.runs import execute_run
 _TRIALS = 6
 
 
-def _dmm_trial(trial, seed):
+def _dmm_trial(item):
     """One protocol run against a fresh D_MM sample (cache-exercising)."""
+    _trial, seed = item
     hard = scaled_distribution(m=8, k=2)
     instance = sample_dmm(hard, random.Random(seed))
     run = run_protocol(
@@ -63,23 +64,22 @@ def cache_disabled():
 
 
 def _traced_run(workers) -> tuple[TelemetryRecorder, list]:
-    plan = TrialPlan(fn=_dmm_trial, trials=_TRIALS, base_seed=5, namespace="obs")
+    items = [(t, derive_seed(5, "obs", t)) for t in range(_TRIALS)]
     engine = ExecutionEngine(workers=workers)
     try:
         with recording(TelemetryRecorder()) as recorder:
-            batch = engine.run_trials(plan)
+            values = engine.map(_dmm_trial, items)
     finally:
         engine.close()
-    return recorder, batch.values
+    return recorder, values
 
 
 def _stripped_tree(recorder: TelemetryRecorder) -> list[tuple]:
     """Span structure without timings: (id, parent, name, sorted attrs).
 
-    The ``backend`` attribute on the dispatch span (``engine.dispatch``
-    or ``engine.map``) is the one value that legitimately names the
-    executing backend — dropped here so the comparison checks
-    structure, not policy.
+    The ``backend`` attribute on the ``engine.map`` span is the one
+    value that legitimately names the executing backend — dropped here
+    so the comparison checks structure, not policy.
     """
     return [
         (
@@ -112,24 +112,26 @@ class TestBackendIndependence:
         assert json.loads(trace_text)["traceEvents"]
         info = validate_chrome_trace(trace_text)
         assert info["events"] == len(pooled.spans)
-        assert {"engine.plan", "engine.dispatch", "engine.trial"} <= set(
-            info["names"]
-        )
-        # Merged trial timelines stay monotonic per track by construction;
+        assert {"engine.map", "engine.item"} <= set(info["names"])
+        # Merged item timelines stay monotonic per track by construction;
         # validate_chrome_trace raised otherwise.  Totals ride along:
-        assert info["counters"]["engine.trials"] == _TRIALS
+        messages = sum(
+            value
+            for key, value in info["counters"].items()
+            if key.split("{")[0] == "transcript.messages"
+        )
+        assert messages == pooled.totals()["transcript.messages"] > 0
 
     def test_trial_spans_rebase_sequentially(self, cache_disabled):
         pooled, _values = _traced_run(workers=2)
-        trials = [s for s in pooled.spans if s.name == "engine.trial"]
-        assert len(trials) == _TRIALS
-        assert [s.attrs["trial"] for s in trials] == list(range(_TRIALS))
-        starts = [s.start for s in trials]
+        items = [s for s in pooled.spans if s.name == "engine.item"]
+        assert len(items) == _TRIALS
+        starts = [s.start for s in items]
         assert starts == sorted(starts)
 
 
 def _dmm_item(seed):
-    return _dmm_trial(seed, seed)
+    return _dmm_trial((seed, seed))
 
 
 def _traced_map(workers) -> tuple[TelemetryRecorder, list]:
