@@ -424,7 +424,7 @@ def cmd_attack(
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace, experiment: Experiment) -> int:
     """Run one experiment at smoke scale under telemetry and show the trace.
 
     Smoke overrides come from the experiment's declared spec (the same
@@ -444,7 +444,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_trace,
     )
 
-    experiment = get_experiment(args.experiment_id)
     overrides = dict(experiment.spec.smoke)
     overrides.update(_parse_kwargs(args.kw))
     engine = _build_engine(args)
@@ -622,11 +621,14 @@ def main(argv: list[str] | None = None) -> int:
         with _tracing(args.trace):
             return cmd_run_all(args, experiments)
     if args.command == "sweep":
+        _experiments([args.experiment_id])
         with _tracing(args.trace):
             return cmd_sweep(args)
     if args.command == "trace":
-        return cmd_trace(args)
+        (experiment,) = _experiments([args.experiment_id])
+        return cmd_trace(args, experiment)
     if args.command == "report":
+        _experiments(args.experiments)
         return cmd_report(args)
     if args.command == "runs":
         if args.runs_command is None:

@@ -50,8 +50,9 @@ class CheckContext:
     Layer-specific attributes (set via plain attribute assignment):
 
     * codec: ``fast_message``, ``legacy_message``, ``ops``,
-      ``writer_bits``, and for the one-message forms ``fast_set``,
-      ``legacy_set``, ``fast_row``, ``legacy_row``;
+      ``writer_bits``, for the one-message forms ``fast_set``,
+      ``legacy_set``, ``fast_row``, ``legacy_row``, and for the batch
+      forms ``batch_rows``, ``fast_batch``, ``legacy_batch``;
     * graphs: ``builder`` (mutable Graph), ``frozen`` (FrozenGraph);
     * infotheory: ``table`` (TableDistribution), ``ref``
       (JointDistribution), ``variables``;

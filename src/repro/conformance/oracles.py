@@ -57,9 +57,11 @@ from ..model import (
     adjacency_row_message,
     id_width_for,
     read_vertex_set,
+    read_vertex_sets,
     run_protocol,
     run_protocol_batch,
     vertex_set_message,
+    vertex_set_messages,
     views_of,
 )
 from ..model.reference import LegacyBitReader, LegacyBitWriter, LegacyMessage
@@ -323,8 +325,10 @@ def _codec_differential(ctx: CheckContext) -> "str | None":
 
 
 # One-message forms: a whole message is one vertex set or one n-bit row,
-# checked against the legacy writer's per-id and per-position loops.
+# checked against the legacy writer's per-id and per-position loops, and
+# a delivery's vertex sets through the batch encoder and reader.
 _MAX_ROW_BITS = 300
+_MAX_BATCH_ROWS = 6
 
 
 def _legacy_vertex_set(vertices, width: int) -> LegacyMessage:
@@ -350,12 +354,17 @@ def _raises(error: type[Exception], fn) -> bool:
     return False
 
 
+def _set_size(rng) -> int:
+    """Empty, small, or past 127 ids, where the count's varint takes a
+    second group."""
+    return rng.choice((0, rng.randint(1, 12), rng.randint(120, 136)))
+
+
 def _one_message_build(ctx: CheckContext) -> None:
     rng = ctx.case.rng("one-message")
     n = rng.randint(1, _MAX_ROW_BITS)
     width = id_width_for(n)
-    # Past 127 ids the count's varint takes a second group.
-    count = rng.choice((0, rng.randint(1, 12), rng.randint(120, 136)))
+    count = _set_size(rng)
     vertices = [rng.randrange(n) for _ in range(count)]
     row = sorted(rng.sample(range(n), rng.randint(0, n)))
     ctx.n, ctx.id_width, ctx.vertices = n, width, vertices
@@ -370,6 +379,19 @@ def _one_message_build(ctx: CheckContext) -> None:
     ctx.set_cut = rng.randrange(ctx.fast_set.num_bits)
     ctx.too_wide = rng.choice((1 << width, -1))
     ctx.messages.extend([ctx.fast_set, ctx.fast_row])
+    # A batch on its own stream, so the one-message draws above hold.
+    rng = ctx.case.rng("vertex-set-batch")
+    rows = [
+        (player, [rng.randrange(n) for _ in range(_set_size(rng))])
+        for player in range(rng.randint(1, _MAX_BATCH_ROWS))
+    ]
+    ctx.batch_rows = rows
+    ctx.fast_batch = vertex_set_messages(rows, n)
+    ctx.legacy_batch = {p: _legacy_vertex_set(ids, width) for p, ids in rows}
+    cut_player = rng.randrange(len(rows))
+    ctx.batch_cut = (cut_player, rng.randrange(ctx.fast_batch[cut_player].num_bits))
+    ctx.batch_bad_player = rng.randrange(len(rows))
+    ctx.messages.extend(ctx.fast_batch.values())
 
 
 def _one_message_differential(ctx: CheckContext) -> "str | None":
@@ -398,6 +420,39 @@ def _one_message_differential(ctx: CheckContext) -> "str | None":
         return f"vertex_set_message accepted id {ctx.too_wide} at width {width}"
     if not _raises(ValueError, lambda: _legacy_vertex_set(bad, width)):
         return f"the legacy writer accepted id {ctx.too_wide} at width {width}"
+    return _batch_differential(ctx)
+
+
+def _batch_differential(ctx: CheckContext) -> "str | None":
+    width, rows, batch = ctx.id_width, ctx.batch_rows, ctx.fast_batch
+    if list(batch) != [player for player, _ in rows]:
+        return f"vertex_set_messages keyed {list(batch)!r}, not the rows' players"
+    for player, _ in rows:
+        if batch[player].bits != tuple(ctx.legacy_batch[player].bits):
+            return f"vertex_set_messages row {player} differs from the legacy writer"
+    legacy_reports = {
+        player: _legacy_read_vertex_set(message, width)
+        for player, message in ctx.legacy_batch.items()
+    }
+    for label, got in (
+        ("read_vertex_sets", read_vertex_sets(batch, width)),
+        ("legacy reader", legacy_reports),
+    ):
+        if got != dict(rows):
+            return f"{label} decoded {got!r}, expected {dict(rows)!r}"
+    cut_player, cut = ctx.batch_cut
+    cut_batch = dict(batch)
+    cut_batch[cut_player] = Message.from_bits(batch[cut_player].bits[:cut])
+    if not _raises(EOFError, lambda: read_vertex_sets(cut_batch, width)):
+        return f"read_vertex_sets read row {cut_player} cut to {cut} bits"
+    bad_rows = list(rows)
+    player, ids = bad_rows[ctx.batch_bad_player]
+    bad_rows[ctx.batch_bad_player] = (player, [*ids, ctx.too_wide])
+    if not _raises(ValueError, lambda: vertex_set_messages(bad_rows, ctx.n)):
+        return (
+            f"vertex_set_messages accepted id {ctx.too_wide} in row {player} "
+            f"at width {width}"
+        )
     return None
 
 

@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 from .graph import Edge, Graph, normalize_edge
 
@@ -248,6 +248,16 @@ class FrozenGraph:
         """N(v) as an ascending tuple straight from the CSR slice."""
         i = self._index[v]
         return tuple(self._nbrs[self._offsets[i] : self._offsets[i + 1]])
+
+    def rows(self) -> Iterator[tuple[int, array]]:
+        """Each vertex with its ascending neighbors, in vertex order: for
+        every ``v`` of :meth:`sorted_vertices`, ``v`` and a fresh
+        ``array('q')`` slice of the CSR buffer holding the values of
+        ``neighbors_sorted(v)``.  No neighbor is boxed up front, so a
+        batch pass holds one row at a time."""
+        nbrs, offsets = self._nbrs, self._offsets
+        slices = map(slice, offsets, islice(offsets, 1, None))
+        return zip(self._verts, map(nbrs.__getitem__, slices))
 
     def adjacency(self) -> dict[int, frozenset[int]]:
         """The whole adjacency structure as a read-only shared dict.

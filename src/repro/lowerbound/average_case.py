@@ -61,7 +61,7 @@ def _profile_trial(item: tuple) -> dict[int, int]:
     run = run_protocol(
         instance.graph, protocol, PublicCoins(seed=coins_seed), n=instance.hard.n
     )
-    return {v: m.num_bits for v, m in run.transcript.sketches.items()}
+    return run.transcript.bits
 
 
 def symmetrized_cost_profile(

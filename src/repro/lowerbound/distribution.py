@@ -154,14 +154,27 @@ class DMMInstance:
         """G: the union of the k relabeled subsampled copies (step 5).
 
         Frozen CSR form: the instance is immutable, so the graph is
-        built once directly from the edge list — deterministic edge
-        order, digest-addressed, and cheap per-player neighbor slices
-        for ``views_of``.
+        built once — deterministic edge order, digest-addressed, and
+        cheap per-player neighbor slices for ``views_of``.  Each
+        surviving edge (a set bit of an indicator mask) adds its two
+        labels straight into per-vertex neighbor sets, which also
+        collapse the public-public edges several copies share; the
+        graph equals ``FrozenGraph.from_edges`` over every copy's
+        :meth:`copy_edges`.
         """
-        edges: list[Edge] = []
+        neighbors: list[set[int]] = [set() for _ in range(self.hard.n)]
+        matchings = self.hard.rs.matchings
         for i in range(self.hard.k):
-            edges.extend(self.copy_edges(i))
-        return FrozenGraph.from_edges(range(self.hard.n), edges)
+            labels = self.copy_labels(i)
+            for matching, mask in zip(matchings, self.indicators[i]):
+                while mask:
+                    low = mask & -mask
+                    u, v = matching[low.bit_length() - 1]
+                    a, b = labels[u], labels[v]
+                    neighbors[a].add(b)
+                    neighbors[b].add(a)
+                    mask ^= low
+        return FrozenGraph.from_neighbor_lists(dict(enumerate(neighbors)))
 
     def special_slot_pairs(self, i: int) -> list[Edge]:
         """M^RS_{i,j*} of Section 4: the labeled pairs of the special

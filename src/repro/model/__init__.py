@@ -4,6 +4,7 @@ from .clique import BCCRound, BCCRun, as_one_round_bcc
 from .coins import PublicCoins
 from .messages import (
     EMPTY_MESSAGE,
+    EMPTY_SET_MESSAGE,
     BitReader,
     BitWriter,
     Message,
@@ -13,7 +14,9 @@ from .messages import (
     encode_vertex_set,
     id_width_for,
     read_vertex_set,
+    read_vertex_sets,
     vertex_set_message,
+    vertex_set_messages,
 )
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
 from .runner import (
@@ -36,6 +39,7 @@ __all__ = [
     "BitReader",
     "BitWriter",
     "EMPTY_MESSAGE",
+    "EMPTY_SET_MESSAGE",
     "Message",
     "ProtocolRun",
     "PublicCoins",
@@ -50,10 +54,12 @@ __all__ = [
     "estimate_success_probability",
     "id_width_for",
     "read_vertex_set",
+    "read_vertex_sets",
     "restricted_view",
     "run_adaptive_protocol",
     "run_protocol",
     "run_protocol_batch",
     "vertex_set_message",
+    "vertex_set_messages",
     "views_of",
 ]

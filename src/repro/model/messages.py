@@ -5,9 +5,10 @@ protocols to genuinely serialize their sketches: a :class:`Message` wraps
 a bit string produced by :class:`BitWriter` and its length is the
 communication charged to the player.  The referee decodes with
 :class:`BitReader`.  A message that is exactly one vertex set or one
-adjacency row skips both objects: :func:`vertex_set_message`,
-:func:`adjacency_row_message` and :func:`read_vertex_set` pack and read
-its one payload as one integer, to the same bits.  No structured Python
+adjacency row skips both objects: :func:`vertex_set_messages` packs a
+whole delivery's vertex sets and :func:`read_vertex_sets` reads them
+back, each payload as one integer, to the same bits, and
+:func:`adjacency_row_message` packs one row.  No structured Python
 objects travel from players to the referee — if it is not in the bits,
 the referee does not know it.
 
@@ -25,7 +26,7 @@ packing is purely a change of engine.  See ``docs/codec.md``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class BitWriter:
@@ -330,7 +331,7 @@ def _pack_bits(bits: Iterable[int]) -> tuple[bytes, int]:
 EMPTY_MESSAGE = Message()
 
 
-def assert_packed_accounting(messages: Iterable[Message]) -> None:
+def assert_packed_accounting(messages: Iterable[Message]) -> list[int]:
     """Trusted-boundary check that packed bytes and charged bits agree.
 
     For every message, the payload must be exactly ``ceil(num_bits / 8)``
@@ -338,21 +339,26 @@ def assert_packed_accounting(messages: Iterable[Message]) -> None:
     packed form of precisely the bits the player is charged for, no more
     and no fewer.  The runners call this on every transcript so a buggy
     (or adversarial test) protocol cannot smuggle information past the
-    cost accounting.
+    cost accounting.  Returns each message's ``num_bits``, in order: the
+    counts the check has read, so a transcript sizes each message once.
     """
+    counts: list[int] = []
     for m in messages:
-        payload, num_bits = m.payload, m.num_bits
-        if len(payload) != (num_bits + 7) // 8:
+        payload, num_bits = m._payload, m._num_bits
+        # ``len(payload) == ceil(num_bits / 8)`` exactly when 0 <= pad < 8.
+        pad = len(payload) * 8 - num_bits
+        if not 0 <= pad < 8:
             raise AssertionError(
                 f"message payload of {len(payload)} bytes does not pack "
                 f"the charged {num_bits} bits"
             )
-        pad = len(payload) * 8 - num_bits
         if pad and payload[-1] & ((1 << pad) - 1):
             raise AssertionError(
                 "message padding bits are nonzero — uncharged information "
                 "beyond num_bits"
             )
+        counts.append(num_bits)
+    return counts
 
 
 def encode_vertex_set(writer: BitWriter, vertices: list[int], id_width: int) -> None:
@@ -378,59 +384,117 @@ def _message_of_word(word: int, num_bits: int) -> Message:
     return Message((word << pad).to_bytes((num_bits + pad) >> 3, "big"), num_bits)
 
 
-def vertex_set_message(vertices: Sequence[int], n: int) -> Message:
-    """A message holding exactly one vertex set, at ``id_width_for(n)``.
+#: The message of every empty vertex set: a one-group varint count of 0.
+EMPTY_SET_MESSAGE = Message(b"\x00", 8)
 
-    Bit-identical to :func:`encode_vertex_set` on a fresh writer: the
-    varint count, then each id in the given order.  An id outside the
-    width raises ``ValueError`` as ``write_uint_array`` does.
-    """
-    width = id_width_for(n)
-    count = len(vertices)
-    word, num_bits, rest = 0, 0, count
+
+def _varint_word(value: int) -> tuple[int, int]:
+    """``write_varint(value)``'s bits as one word, and their number."""
+    word, num_bits = 0, 0
     while True:
-        group = rest & 0x7F
-        rest >>= 7
-        word = (word << 8) | (0x80 if rest else 0) | group
+        group = value & 0x7F
+        value >>= 7
+        word = (word << 8) | (0x80 if value else 0) | group
         num_bits += 8
-        if not rest:
-            break
-    bound = 1 << width
-    for v in vertices:
-        if v < 0 or v >= bound:
-            raise ValueError(f"value {v} does not fit in {width} bits")
-        word = (word << width) | v
-    return _message_of_word(word, num_bits + width * count)
+        if not value:
+            return word, num_bits
 
 
-def read_vertex_set(message: Message, id_width: int) -> list[int]:
-    """The vertex set at the start of ``message``: one ``int.from_bytes``.
-
-    Reads what ``decode_vertex_set(message.reader(), id_width)`` reads
-    and raises where it raises: ``EOFError`` when the header or the ids
-    run past ``num_bits``, ``ValueError`` for a negative width.  Bits
-    after the set are ignored, as that call leaves them unread.
-    """
-    payload, num_bits = message.payload, message.num_bits
-    # The count's varint groups are the payload's leading bytes.
-    count = shift = pos = 0
+def _read_varint_prefix(payload: bytes, num_bits: int) -> tuple[int, int]:
+    """The varint at the start of a payload, and the bits it takes."""
+    value = shift = pos = 0
     while True:
         if pos + 8 > num_bits:
             raise EOFError("message exhausted")
         group = payload[pos >> 3]
         pos += 8
-        count |= (group & 0x7F) << shift
+        value |= (group & 0x7F) << shift
         shift += 7
         if not group & 0x80:
-            break
-    if id_width < 0:
-        raise ValueError("width must be non-negative")
-    end = pos + id_width * count
-    if end > num_bits:
-        raise EOFError("message exhausted")
-    block = int.from_bytes(payload, "big") >> (len(payload) * 8 - end)
-    mask = (1 << id_width) - 1
-    return [(block >> (id_width * i)) & mask for i in range(count - 1, -1, -1)]
+            return value, pos
+
+
+def vertex_set_messages(
+    rows: Iterable[tuple[int, Sequence[int]]], n: int
+) -> dict[int, Message]:
+    """One message per ``(player, ids)`` row, each holding exactly one
+    vertex set at ``id_width_for(n)``.
+
+    Each message is bit-identical to :func:`encode_vertex_set` on a
+    fresh writer: the varint count, then each id in the given order.
+    Every empty row gets the one shared :data:`EMPTY_SET_MESSAGE`
+    (messages are immutable and compare by value).  An id outside the
+    width raises ``ValueError`` naming the row's first such id, as
+    ``write_uint_array`` does.
+    """
+    width = id_width_for(n)
+    bound = 1 << width
+    messages: dict[int, Message] = {}
+    for player, ids in rows:
+        count = len(ids)
+        if not count:
+            messages[player] = EMPTY_SET_MESSAGE
+            continue
+        if min(ids) < 0 or max(ids) >= bound:
+            for v in ids:
+                if v < 0 or v >= bound:
+                    raise ValueError(f"value {v} does not fit in {width} bits")
+        if count < 0x80:  # the count's varint is one group
+            word, num_bits = count, 8
+        else:
+            word, num_bits = _varint_word(count)
+        for v in ids:
+            word = (word << width) | v
+        messages[player] = _message_of_word(word, num_bits + width * count)
+    return messages
+
+
+def vertex_set_message(vertices: Sequence[int], n: int) -> Message:
+    """A message holding exactly one vertex set, at ``id_width_for(n)``:
+    the one-row case of :func:`vertex_set_messages`."""
+    return vertex_set_messages(((0, vertices),), n)[0]
+
+
+def read_vertex_sets(
+    sketches: Mapping[int, Message], id_width: int
+) -> dict[int, list[int]]:
+    """Each player's vertex set at the start of its message.
+
+    Reads what ``decode_vertex_set(message.reader(), id_width)`` reads,
+    with one ``int.from_bytes`` per nonempty set, and raises where that
+    call raises: ``EOFError`` when a header or its ids run past
+    ``num_bits``, ``ValueError`` for a negative width.  Bits after a set
+    are ignored, as that call leaves them unread.
+    """
+    mask = (1 << id_width) - 1 if id_width >= 0 else 0
+    reports: dict[int, list[int]] = {}
+    for player, message in sketches.items():
+        payload, num_bits = message._payload, message._num_bits
+        # The count's varint groups are the payload's leading bytes.
+        if num_bits < 8:
+            raise EOFError("message exhausted")
+        count, pos = payload[0], 8
+        if count & 0x80:
+            count, pos = _read_varint_prefix(payload, num_bits)
+        if id_width < 0:
+            raise ValueError("width must be non-negative")
+        if not count:
+            reports[player] = []
+            continue
+        end = pos + id_width * count
+        if end > num_bits:
+            raise EOFError("message exhausted")
+        block = int.from_bytes(payload, "big") >> (len(payload) * 8 - end)
+        reports[player] = [
+            (block >> (id_width * i)) & mask for i in range(count - 1, -1, -1)
+        ]
+    return reports
+
+
+def read_vertex_set(message: Message, id_width: int) -> list[int]:
+    """The vertex set at the start of ``message``: the one-message case
+    of :func:`read_vertex_sets`, raising what it raises."""
+    return read_vertex_sets({0: message}, id_width)[0]
 
 
 def adjacency_row_message(row: Iterable[int], n: int) -> Message:

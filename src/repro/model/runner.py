@@ -11,8 +11,7 @@ player is Ω(sqrt n / e^Θ(sqrt(log n)))") refers to it.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Mapping
 
 from .. import obs
@@ -27,8 +26,6 @@ from .views import VertexView, views_of
 #: The one role of every player when the caller names none (a graph
 #: with no hard instance behind it).
 ALL_ROLE = "all"
-
-_num_bits = operator.attrgetter("num_bits")
 
 
 def charge_transcript(
@@ -46,22 +43,22 @@ def charge_transcript(
     sets covering every player), and without it every player is
     :data:`ALL_ROLE`.  Each (protocol, role[, round]) key gets the
     role's message count, its bit sum, and a summary entry holding the
-    per-player max and a log2-bucket histogram.  Per-player bits stay in
-    the transcript itself.  A no-op when telemetry is disabled;
+    per-player max and a log2-bucket histogram, all read from the
+    transcript's per-player ``bits``.  A no-op when telemetry is disabled;
     ``roles`` is only called when a recorder is installed.
     """
     recorder = obs.active()
     if recorder is None:
         return
-    sketches = transcript.sketches
+    counts = transcript.bits
     if roles is None:
-        by_role = {ALL_ROLE: list(map(_num_bits, sketches.values()))}
+        by_role = {ALL_ROLE: list(counts.values())}
     else:
         by_role = {
-            role: list(map(_num_bits, map(sketches.get, sketches.keys() & players)))
+            role: list(map(counts.__getitem__, counts.keys() & players))
             for role, players in roles().items()
         }
-        if sum(map(len, by_role.values())) != len(sketches):
+        if sum(map(len, by_role.values())) != len(counts):
             raise ValueError("roles() must give every player exactly one role")
     extra = () if round_index is None else (("round", round_index),)
     for role, bits in by_role.items():
@@ -73,23 +70,26 @@ def charge_transcript(
 
 @dataclass(frozen=True)
 class Transcript:
-    """All messages of one protocol execution, with cost accounting."""
+    """All messages of one protocol execution, with cost accounting.
+
+    Each message is sized once, by the packing check: ``bits`` maps each
+    player to its message's ``num_bits``, and ``max_bits`` and
+    ``total_bits`` are computed from those counts at construction.
+    """
 
     sketches: dict[int, Message]
+    bits: dict[int, int] = field(init=False, repr=False, compare=False)
+    #: Worst-case message length — the paper's communication cost.
+    max_bits: int = field(init=False, repr=False, compare=False)
+    total_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The transcript is where communication is charged: every player's
         # packed payload must account for exactly its num_bits.
-        assert_packed_accounting(self.sketches.values())
-
-    @property
-    def max_bits(self) -> int:
-        """Worst-case message length — the paper's communication cost."""
-        return max((m.num_bits for m in self.sketches.values()), default=0)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(m.num_bits for m in self.sketches.values())
+        counts = assert_packed_accounting(self.sketches.values())
+        object.__setattr__(self, "bits", dict(zip(self.sketches, counts)))
+        object.__setattr__(self, "max_bits", max(counts, default=0))
+        object.__setattr__(self, "total_bits", sum(counts))
 
     @property
     def average_bits(self) -> float:
@@ -182,8 +182,8 @@ class AdaptiveRun:
         """Worst-case *total* bits sent by any single player across rounds."""
         totals: dict[int, int] = {}
         for t in self.transcripts:
-            for v, m in t.sketches.items():
-                totals[v] = totals.get(v, 0) + m.num_bits
+            for v, bits in t.bits.items():
+                totals[v] = totals.get(v, 0) + bits
         return max(totals.values(), default=0)
 
 

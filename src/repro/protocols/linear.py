@@ -76,9 +76,9 @@ class LinearL0Matching(BatchSketchProtocol):
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
         messages: dict[int, Message] = {}
-        for v in graph.sorted_vertices():
+        for v, row in graph.rows():
             state = L0FamilyState(self._vertex_family(v, n, coins))
-            for u in graph.neighbors_sorted(v):
+            for u in row:
                 state.update(edge_coordinate(v, u, n), 1)
             messages[v] = state.to_message()
         return messages

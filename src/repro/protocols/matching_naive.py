@@ -27,10 +27,7 @@ from .referee import reported_edges, reported_greedy_mis, row_reports
 
 
 def _batch_adjacency_rows(graph: FrozenGraph, n: int) -> dict[int, Message]:
-    return {
-        v: adjacency_row_message(graph.neighbors_sorted(v), n)
-        for v in graph.sorted_vertices()
-    }
+    return {v: adjacency_row_message(row, n) for v, row in graph.rows()}
 
 
 class FullNeighborhoodMatching(BatchSketchProtocol):

@@ -30,6 +30,7 @@ from ..model import (
     PublicCoins,
     VertexView,
     vertex_set_message,
+    vertex_set_messages,
 )
 from .referee import reported_edges, reported_greedy_mis, vertex_set_reports
 
@@ -40,7 +41,7 @@ def _sample_sorted(
     """Deterministic public-coin sample of up to ``budget`` neighbors
     from an ascending neighbor sequence.  ``rng.sample`` depends only on
     the sequence's order and length, so the per-view sorted list and the
-    CSR tuple draw identically.  A zero budget draws no stream, since
+    CSR row draw identically.  A zero budget draws no stream, since
     its sample is empty whatever the coins."""
     if len(sorted_neighbors) <= budget:
         return sorted_neighbors
@@ -58,13 +59,16 @@ def _sample_neighbors(view: VertexView, coins: PublicCoins, budget: int, label: 
 def _batch_sampled_messages(
     graph: FrozenGraph, n: int, coins: PublicCoins, budget: int, label: str
 ) -> dict[int, Message]:
-    """Every player's sampled-neighbor message straight off the CSR rows."""
-    return {
-        v: vertex_set_message(
-            _sample_sorted(v, graph.neighbors_sorted(v), coins, budget, label), n
-        )
-        for v in graph.sorted_vertices()
-    }
+    """Every player's sampled-neighbor message straight off the CSR rows
+    (a row within the budget is its own sample)."""
+    return vertex_set_messages(
+        (
+            (v, row) if len(row) <= budget
+            else (v, _sample_sorted(v, row, coins, budget, label))
+            for v, row in graph.rows()
+        ),
+        n,
+    )
 
 
 class SampledEdgesMatching(BatchSketchProtocol):
@@ -189,12 +193,11 @@ class LowDegreeOnlyMatching(BatchSketchProtocol):
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
-        messages: dict[int, Message] = {}
-        for v in graph.sorted_vertices():
-            row = graph.neighbors_sorted(v)
-            chosen = row if len(row) <= self.degree_threshold else ()
-            messages[v] = vertex_set_message(chosen, n)
-        return messages
+        threshold = self.degree_threshold
+        return vertex_set_messages(
+            ((v, row if len(row) <= threshold else ()) for v, row in graph.rows()),
+            n,
+        )
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
@@ -219,25 +222,21 @@ class HybridMatching(BatchSketchProtocol):
         self.sample_budget = sample_budget
         self.name = f"hybrid-matching({degree_threshold},{sample_budget})"
 
+    def _chosen(self, vertex: int, row, coins: PublicCoins):
+        if len(row) <= self.degree_threshold:
+            return row
+        return _sample_sorted(vertex, row, coins, self.sample_budget, "hybrid-mm")
+
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        if view.degree <= self.degree_threshold:
-            chosen = view.sorted_neighbors
-        else:
-            chosen = _sample_neighbors(view, coins, self.sample_budget, "hybrid-mm")
+        chosen = self._chosen(view.vertex, view.sorted_neighbors, coins)
         return vertex_set_message(chosen, view.n)
 
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
-        messages: dict[int, Message] = {}
-        for v in graph.sorted_vertices():
-            row = graph.neighbors_sorted(v)
-            if len(row) <= self.degree_threshold:
-                chosen = row
-            else:
-                chosen = _sample_sorted(v, row, coins, self.sample_budget, "hybrid-mm")
-            messages[v] = vertex_set_message(chosen, n)
-        return messages
+        return vertex_set_messages(
+            ((v, self._chosen(v, row, coins)) for v, row in graph.rows()), n
+        )
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins

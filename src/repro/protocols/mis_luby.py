@@ -57,10 +57,8 @@ class OneRoundLocalMinMIS(BatchSketchProtocol):
         # One priority draw per vertex instead of one per directed edge.
         priorities = {v: _priority(coins, v) for v in graph.sorted_vertices()}
         return {
-            v: _one_bit(
-                all(priorities[v] < priorities[u] for u in graph.neighbors_sorted(v))
-            )
-            for v in graph.sorted_vertices()
+            v: _one_bit(all(priorities[v] < priorities[u] for u in row))
+            for v, row in graph.rows()
         }
 
     def decode(

@@ -35,6 +35,7 @@ from ..model import (
     encode_vertex_set,
     id_width_for,
     vertex_set_message,
+    vertex_set_messages,
 )
 from .mis_luby import _priority
 from .referee import reported_edges, reported_greedy_mis, vertex_set_reports
@@ -71,14 +72,12 @@ class PriorityEdgeMatching(BatchSketchProtocol):
         # One rng stream per undirected edge, not per (vertex, neighbor)
         # direction — halves the stream setup versus the per-view path.
         priority = {edge: edge_priority(coins, edge) for edge in graph.edges()}
-        messages: dict[int, Message] = {}
-        for v in graph.sorted_vertices():
-            ranked = sorted(
-                graph.neighbors_sorted(v),
-                key=lambda u: priority[normalize_edge(v, u)],
-            )[: self.budget]
-            messages[v] = vertex_set_message(sorted(ranked), n)
-        return messages
+
+        def top(v: int, row) -> list[int]:
+            ranked = sorted(row, key=lambda u: priority[normalize_edge(v, u)])
+            return sorted(ranked[: self.budget])
+
+        return vertex_set_messages(((v, top(v, row)) for v, row in graph.rows()), n)
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
@@ -126,10 +125,8 @@ class PatchedLocalMinMIS(BatchSketchProtocol):
         # Derive each vertex priority once instead of once per endpoint.
         priorities = {v: _priority(coins, v) for v in graph.sorted_vertices()}
         return {
-            v: self._encode(
-                v, graph.neighbors_sorted(v), n, coins, priorities.__getitem__
-            )
-            for v in graph.sorted_vertices()
+            v: self._encode(v, row, n, coins, priorities.__getitem__)
+            for v, row in graph.rows()
         }
 
     def decode(

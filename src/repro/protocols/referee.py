@@ -24,15 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ..graphs import Edge
-from ..model import Message, id_width_for, read_vertex_set
+from ..model import Message, id_width_for, read_vertex_sets
 
 
 def vertex_set_reports(
     n: int, sketches: Mapping[int, Message]
 ) -> dict[int, list[int]]:
     """Each player's reported ids, when its message is one vertex set."""
-    width = id_width_for(n)
-    return {v: read_vertex_set(message, width) for v, message in sketches.items()}
+    return read_vertex_sets(sketches, id_width_for(n))
 
 
 def _row_ids(message: Message, n: int) -> list[int]:

@@ -32,8 +32,9 @@ from ..model import (
     PublicCoins,
     VertexView,
     id_width_for,
-    read_vertex_set,
+    read_vertex_sets,
     vertex_set_message,
+    vertex_set_messages,
 )
 from .core import write_adjacency_row
 
@@ -105,26 +106,21 @@ class PaletteSparsificationColoring(BatchSketchProtocol):
             v: sample_palette(v, self.max_degree, size, coins)
             for v in graph.sorted_vertices()
         }
-        return {
-            v: vertex_set_message(
-                [
-                    u
-                    for u in graph.neighbors_sorted(v)
-                    if u > v and palettes[v] & palettes[u]
-                ],
-                n,
-            )
-            for v in graph.sorted_vertices()
-        }
+        return vertex_set_messages(
+            (
+                (v, [u for u in row if u > v and palettes[v] & palettes[u]])
+                for v, row in graph.rows()
+            ),
+            n,
+        )
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> ColoringResult:
         size = self._list_size(n)
-        width = id_width_for(n)
         conflict = Graph(vertices=sketches.keys())
-        for v, message in sketches.items():
-            for u in read_vertex_set(message, width):
+        for v, ids in read_vertex_sets(sketches, id_width_for(n)).items():
+            for u in ids:
                 conflict.add_edge(v, u)
 
         palettes = {
@@ -201,10 +197,7 @@ class PrivateCoinColoring(BatchSketchProtocol):
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
-        return {
-            v: self._encode(v, graph.neighbors_sorted(v), n, coins)
-            for v in graph.sorted_vertices()
-        }
+        return {v: self._encode(v, row, n, coins) for v, row in graph.rows()}
 
     def _encode(
         self, vertex: int, sorted_neighbors, n: int, coins: PublicCoins

@@ -46,14 +46,16 @@ from functools import cached_property, lru_cache
 
 from .. import obs
 from ..engine import construction_cache
-from ..graphs import FrozenGraph
+from ..graphs import FrozenGraph, Graph
 from ..obs import SKETCH_BYTES, SKETCH_CELLS_PACKED, SKETCH_CELLS_UNPACKED
 from ..model import (
     BitReader,
     BitWriter,
     Message,
     PublicCoins,
-    vertex_set_message,
+    id_width_for,
+    read_vertex_sets,
+    vertex_set_messages,
 )
 from .incidence import edge_coordinate
 from .l0sampler import HASH_PRIME, L0Config, _derived_params
@@ -782,13 +784,27 @@ def sampled_lower_endpoint_messages(
     triangles): each kept edge is reported by its lower endpoint.
 
     ``keep(coins, u, v, probability)`` is the protocol's public-coin
-    inclusion predicate; one pass over the ascending edge list evaluates
-    it once per edge (the per-view path also pays once — only the lower
-    endpoint tests each edge — so the saving here is the views dict and
-    the per-player sort, not the hashing).
+    inclusion predicate; one pass over the CSR rows evaluates it once
+    per edge, at the lower endpoint (the per-view path also pays once,
+    so the saving here is the views dict and the per-player sort, not
+    the hashing).  Ascending rows make the reported lists ascending.
     """
-    reported: dict[int, list[int]] = {v: [] for v in graph.sorted_vertices()}
-    for u, v in graph.edges():  # ascending: reported lists come out sorted
-        if keep(coins, u, v, probability):
-            reported[u].append(v)
-    return {v: vertex_set_message(r, n) for v, r in reported.items()}
+    return vertex_set_messages(
+        (
+            (v, [u for u in row if v < u and keep(coins, v, u, probability)])
+            for v, row in graph.rows()
+        ),
+        n,
+    )
+
+
+def sampled_lower_endpoint_graph(n: int, sketches: Mapping[int, Message]) -> Graph:
+    """The referee's side of :func:`sampled_lower_endpoint_messages`:
+    the graph over the players of every reported edge whose other end
+    is a player."""
+    sampled = Graph(vertices=sketches.keys())
+    for v, ids in read_vertex_sets(sketches, id_width_for(n)).items():
+        for u in ids:
+            if u in sampled:
+                sampled.add_edge(v, u)
+    return sampled

@@ -69,8 +69,7 @@ class CrossingEdgeProtocol(BatchSketchProtocol):
             s_values[u] += term
             s_values[v] -= term
         return {
-            v: self._encode(v, graph.neighbors_sorted(v), n, coins, s_values[v])
-            for v in graph.sorted_vertices()
+            v: self._encode(v, row, n, coins, s_values[v]) for v, row in graph.rows()
         }
 
     def _encode(
@@ -79,7 +78,7 @@ class CrossingEdgeProtocol(BatchSketchProtocol):
         """One player's message from its ascending neighbor sequence.
 
         ``rng.sample`` depends only on the sequence's length and order,
-        so the CSR tuple and the per-view sorted list draw identically.
+        so the CSR row and the per-view sorted list draw identically.
         """
         rng = coins.rng(f"crossing/samples/{vertex}")
         take = min(self.samples_per_vertex, len(neighbors))

@@ -13,18 +13,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..graphs import FrozenGraph, Graph
+from ..graphs import FrozenGraph
 from ..graphs.degeneracy import degeneracy as exact_degeneracy
 from ..model import (
     BatchSketchProtocol,
     Message,
     PublicCoins,
     VertexView,
-    id_width_for,
-    read_vertex_set,
     vertex_set_message,
 )
-from .core import sampled_lower_endpoint_messages
+from .core import sampled_lower_endpoint_graph, sampled_lower_endpoint_messages
 from .densest import edge_sampled
 
 
@@ -63,12 +61,7 @@ class DegeneracySketch(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> DegeneracyEstimate:
-        width = id_width_for(n)
-        sampled = Graph(vertices=sketches.keys())
-        for v, message in sketches.items():
-            for u in read_vertex_set(message, width):
-                if u in sampled:
-                    sampled.add_edge(v, u)
+        sampled = sampled_lower_endpoint_graph(n, sketches)
         value = exact_degeneracy(sampled)
         return DegeneracyEstimate(
             sampled_degeneracy=value,

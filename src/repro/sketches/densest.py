@@ -15,18 +15,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..graphs import FrozenGraph, Graph, normalize_edge
+from ..graphs import FrozenGraph, normalize_edge
 from ..graphs.densest import charikar_peeling
 from ..model import (
     BatchSketchProtocol,
     Message,
     PublicCoins,
     VertexView,
-    id_width_for,
-    read_vertex_set,
     vertex_set_message,
 )
-from .core import sampled_lower_endpoint_messages
+from .core import sampled_lower_endpoint_graph, sampled_lower_endpoint_messages
 
 
 def edge_sampled(coins: PublicCoins, u: int, v: int, probability: float) -> bool:
@@ -71,12 +69,7 @@ class DensestSubgraphSketch(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> DensestSubgraphResult:
-        width = id_width_for(n)
-        sampled = Graph(vertices=sketches.keys())
-        for v, message in sketches.items():
-            for u in read_vertex_set(message, width):
-                if u in sampled:
-                    sampled.add_edge(v, u)
+        sampled = sampled_lower_endpoint_graph(n, sketches)
         best_set, density = charikar_peeling(sampled)
         return DensestSubgraphResult(
             vertices=frozenset(best_set),

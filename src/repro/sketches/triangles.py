@@ -15,18 +15,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..graphs import FrozenGraph, Graph
+from ..graphs import FrozenGraph
 from ..graphs.triangles import count_triangles
 from ..model import (
     BatchSketchProtocol,
     Message,
     PublicCoins,
     VertexView,
-    id_width_for,
-    read_vertex_set,
     vertex_set_message,
 )
-from .core import sampled_lower_endpoint_messages
+from .core import sampled_lower_endpoint_graph, sampled_lower_endpoint_messages
 from .densest import edge_sampled
 
 
@@ -65,12 +63,7 @@ class TriangleCountSketch(BatchSketchProtocol):
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> TriangleEstimate:
-        width = id_width_for(n)
-        sampled = Graph(vertices=sketches.keys())
-        for v, message in sketches.items():
-            for u in read_vertex_set(message, width):
-                if u in sampled:
-                    sampled.add_edge(v, u)
+        sampled = sampled_lower_endpoint_graph(n, sketches)
         found = count_triangles(sampled)
         return TriangleEstimate(
             sampled_triangles=found,

@@ -131,6 +131,36 @@ class TestRunAllCommand:
         assert "'F1'" in captured.err
 
 
+class TestUnknownIds:
+    """Every command that names experiments refuses an unknown id with a
+    usage error, before anything runs or any store is opened."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "NOPE"],
+            ["sweep", "NOPE", "--grid", "m=8"],
+            ["report", "F1", "NOPE"],
+        ],
+        ids=["trace", "sweep", "report"],
+    )
+    def test_unknown_id_is_a_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        _refuse_to_run(monkeypatch)
+        store = tmp_path / "runs"
+        if argv[0] != "trace":
+            argv = [*argv, "--store", str(store)]
+        if argv[0] == "report":
+            argv = [*argv, "--out", str(tmp_path / "REPORT.md")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment 'NOPE'; known: " in captured.err
+        assert "'F1'" in captured.err and "'T1b'" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_sweep_executes_and_resumes(self, tmp_path, capsys):
         store = str(tmp_path / "runs")

@@ -2,12 +2,14 @@
 
 import pickle
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import cache_key
+from repro.graphs import FrozenGraph
 from repro.lowerbound import (
     DMMInstance,
     HardDistribution,
@@ -178,6 +180,23 @@ PER_COPY_IDS = [
     "special_slot_pairs",
     "special_surviving_edges",
 ]
+
+
+class TestGraphConstruction:
+    """``DMMInstance.graph`` builds per-vertex neighbor sets from the
+    indicator bits; it must be the graph of every copy's edge list."""
+
+    @pytest.mark.parametrize("m,k", [(8, 2), (12, 4), (20, 4), (24, 6)])
+    def test_equals_the_graph_of_the_copy_edges(self, m, k):
+        hard = scaled_distribution(m=m, k=k)
+        for seed in range(4):
+            instance = sample_dmm(hard, random.Random(seed))
+            edges = chain.from_iterable(
+                instance.copy_edges(i) for i in range(hard.k)
+            )
+            reference = FrozenGraph.from_edges(range(hard.n), edges)
+            assert instance.graph == reference
+            assert instance.graph.digest == reference.digest
 
 
 class TestCopyBookkeeping:

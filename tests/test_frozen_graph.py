@@ -108,6 +108,15 @@ class TestReadAPI:
         assert f.neighbors_sorted(9) == (3, 5)
         assert f.neighbors(9) == frozenset({3, 5})
 
+    def test_rows_are_the_sorted_neighbor_slices(self):
+        f = FrozenGraph.from_edges(
+            vertices=[5, 3, 9, 12], edges=[(9, 3), (5, 9), (12, 3)]
+        )
+        rows = [(v, tuple(row)) for v, row in f.rows()]
+        assert rows == [(v, f.neighbors_sorted(v)) for v in f.sorted_vertices()]
+        assert rows == [(3, (9, 12)), (5, (9,)), (9, (3, 5)), (12, (3,))]
+        assert list(FrozenGraph().rows()) == []
+
     def test_degree_and_max_degree(self):
         f = petersen_builder().freeze()
         assert all(f.degree(v) == 3 for v in f.vertices)
