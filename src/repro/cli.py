@@ -27,7 +27,8 @@ backend policy, and cache traffic.
 ``run-all`` runs the experiments it names (all of them by default) the
 way ``run`` runs one.  With ``--store DIR`` both record every run in a
 run store, or serve it from there when it is already stored.  An
-unknown experiment id is a usage error, raised before anything runs.
+unknown experiment id is a usage error, raised before anything runs, and
+so is a malformed ``attack`` protocol spec.
 
 ``run`` and ``run-all`` additionally accept ``--exact``: runners that
 support it (the L33/L34/L35 lemma checkers) then enumerate their joint
@@ -72,6 +73,7 @@ from typing import NoReturn
 from . import __version__, obs
 from .engine import ExecutionEngine
 from .experiments import Experiment, all_experiments, get_experiment
+from .model import SketchProtocol
 from .runs import (
     RunStore,
     build_engine,
@@ -386,14 +388,17 @@ def cmd_runs(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown runs command {args.runs_command!r}")
 
 
-def cmd_attack(
-    spec: str,
-    m: int,
-    k: int,
-    trials: int,
-    seed: int,
-    engine: ExecutionEngine | None = None,
-) -> int:
+def _protocol(spec: str) -> SketchProtocol:
+    """The protocol ``spec`` names; a malformed spec is a usage error."""
+    from .protocols import make_protocol
+
+    try:
+        return make_protocol(spec)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def cmd_attack(args: argparse.Namespace, protocol: SketchProtocol) -> int:
     """Run one named protocol against D_MM and print the attack summary."""
     from .lowerbound import (
         attack_with_matching_protocol,
@@ -401,15 +406,18 @@ def cmd_attack(
         proof_chain_bound,
         scaled_distribution,
     )
-    from .protocols import is_mis_spec, make_protocol
+    from .protocols import is_mis_spec
 
-    engine = engine or ExecutionEngine()
+    m, k, trials = args.m, args.k, args.trials
+    engine = _build_engine(args)
     before = engine.cache.stats.snapshot()
     start = time.time()
     hard = scaled_distribution(m=m, k=k)
-    protocol = make_protocol(spec)
-    attack = attack_with_mis_protocol if is_mis_spec(spec) else attack_with_matching_protocol
-    result = attack(hard, protocol, trials=trials, seed=seed, engine=engine)
+    attack = (
+        attack_with_mis_protocol if is_mis_spec(args.spec)
+        else attack_with_matching_protocol
+    )
+    result = attack(hard, protocol, trials=trials, seed=args.seed, engine=engine)
     elapsed = time.time() - start
     chain = proof_chain_bound(hard)
     print(f"distribution : m={m}, k={k} -> N={hard.N}, r={hard.r}, t={hard.t}, n={hard.n}")
@@ -636,10 +644,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return cmd_runs(args)
     if args.command == "attack":
-        return cmd_attack(
-            args.spec, args.m, args.k, args.trials, args.seed,
-            engine=_build_engine(args),
-        )
+        return cmd_attack(args, _protocol(args.spec))
     if args.command == "info":
         return cmd_info()
     if args.command == "conformance":

@@ -18,7 +18,12 @@ from .messages import (
     vertex_set_message,
     vertex_set_messages,
 )
-from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
+from .protocol import (
+    AdaptiveProtocol,
+    BatchSketchProtocol,
+    RowSketchProtocol,
+    SketchProtocol,
+)
 from .runner import (
     AdaptiveRun,
     ProtocolRun,
@@ -43,6 +48,7 @@ __all__ = [
     "Message",
     "ProtocolRun",
     "PublicCoins",
+    "RowSketchProtocol",
     "SketchProtocol",
     "Transcript",
     "VertexView",

@@ -8,6 +8,10 @@ A one-round protocol (Section 2.1) has two halves:
 * ``decode(n, sketches, coins)`` — run by the referee on the received
   messages (plus public coins), returns the protocol's output object.
 
+:class:`BatchSketchProtocol` adds a whole-graph ``sketch_batch``, and
+:class:`RowSketchProtocol` writes the player half once, over
+``(player, ascending neighbors)`` rows, for both paths.
+
 The paper also references *adaptive* sketches (Section 1.1: one extra
 round gives O(sqrt n) maximal matching / MIS).  :class:`AdaptiveProtocol`
 models R rounds where the referee broadcasts feedback between rounds; a
@@ -17,7 +21,7 @@ one-round adaptive protocol degenerates to :class:`SketchProtocol`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from .coins import PublicCoins
@@ -57,10 +61,15 @@ class BatchSketchProtocol(SketchProtocol):
 
         ``sketch_batch(graph, n, coins)[v] == sketch(views_of(graph, n)[v], coins)``
 
-    for all players v.  The per-view path is the differential oracle
-    (the oracle registry's ``sketches`` pair and tests/test_sketch_core.py
-    fuzz the equality; the golden vectors pin it on fixed instances), and the runner takes it
-    for mutable builders or caller-supplied views.
+    for all players v.  The runner takes the per-view path for mutable
+    builders or caller-supplied views.  The oracle registry's
+    ``sketches`` pair and tests/test_sketch_core.py fuzz the equality,
+    and the golden vectors pin it on fixed instances.  Where the two
+    paths are written separately (the batch path draws a shared palette,
+    priority or sampler family once, or builds another sampler
+    structure), the per-view ``sketch`` is the differential oracle.  A
+    protocol whose message is a function of the player's own row alone
+    writes it once, as a :class:`RowSketchProtocol`.
     """
 
     @abstractmethod
@@ -68,6 +77,34 @@ class BatchSketchProtocol(SketchProtocol):
         self, graph: "FrozenGraph", n: int, coins: PublicCoins
     ) -> dict[int, Message]:
         """Every player's message, keyed by vertex, built in one pass."""
+
+
+class RowSketchProtocol(BatchSketchProtocol):
+    """A batch protocol whose rule is written once, over neighbor rows.
+
+    ``sketch_rows(rows, n, coins)`` maps ``(player, ascending
+    neighbors)`` rows to each player's message.  The batch path feeds it
+    every CSR row (``graph.rows()``), and the per-view ``sketch`` is its
+    one-row case, as ``vertex_set_message`` is the one-row case of
+    ``vertex_set_messages``.  The batch-vs-per-view comparison then
+    checks views against CSR rows, and that the rule reads nothing
+    beyond each player's own row (the model's locality).
+    """
+
+    @abstractmethod
+    def sketch_rows(
+        self, rows: Iterable[tuple[int, Sequence[int]]], n: int, coins: PublicCoins
+    ) -> dict[int, Message]:
+        """The message of each row's player, keyed by vertex."""
+
+    def sketch_batch(
+        self, graph: "FrozenGraph", n: int, coins: PublicCoins
+    ) -> dict[int, Message]:
+        return self.sketch_rows(graph.rows(), n, coins)
+
+    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
+        rows = ((view.vertex, view.sorted_neighbors),)
+        return self.sketch_rows(rows, view.n, coins)[view.vertex]
 
 
 class AdaptiveProtocol(ABC):

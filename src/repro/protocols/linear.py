@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
+from ..graphs import Edge, FrozenGraph
 from ..model import (
     BatchSketchProtocol,
     BitWriter,
@@ -35,7 +35,7 @@ from ..model import (
 )
 from ..sketches import L0Block, L0Config, L0FamilyState, L0Sampler, derive_family
 from ..sketches.incidence import coordinate_edge, edge_coordinate
-from .referee import reported_edges
+from .referee import reported_greedy_matching
 
 
 class LinearL0Matching(BatchSketchProtocol):
@@ -104,4 +104,4 @@ class LinearL0Matching(BatchSketchProtocol):
                     continue
                 if u in reports:
                     reports[u].append(w)
-        return greedy_maximal_matching(None, reported_edges(reports))
+        return reported_greedy_matching(reports)

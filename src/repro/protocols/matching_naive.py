@@ -15,53 +15,29 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
-from ..model import (
-    BatchSketchProtocol,
-    Message,
-    PublicCoins,
-    VertexView,
-    adjacency_row_message,
-)
-from .referee import reported_edges, reported_greedy_mis, row_reports
+from ..graphs import Edge
+from ..model import Message, PublicCoins, RowSketchProtocol, adjacency_row_message
+from .referee import reported_greedy_matching, reported_greedy_mis, row_reports
 
 
-def _batch_adjacency_rows(graph: FrozenGraph, n: int) -> dict[int, Message]:
-    return {v: adjacency_row_message(row, n) for v, row in graph.rows()}
-
-
-class FullNeighborhoodMatching(BatchSketchProtocol):
+class FullNeighborhoodMatching(RowSketchProtocol):
     """Referee reconstructs G exactly and outputs a greedy maximal matching."""
 
     name = "full-neighborhood-matching"
 
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        return adjacency_row_message(view.sorted_neighbors, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return _batch_adjacency_rows(graph, n)
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
+        return {v: adjacency_row_message(row, n) for v, row in rows}
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> set[Edge]:
-        edges = reported_edges(row_reports(n, sketches))
-        return greedy_maximal_matching(None, edges)
+        return reported_greedy_matching(row_reports(n, sketches))
 
 
-class FullNeighborhoodMIS(BatchSketchProtocol):
+class FullNeighborhoodMIS(FullNeighborhoodMatching):
     """Referee reconstructs G exactly and outputs a greedy MIS."""
 
     name = "full-neighborhood-mis"
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        return adjacency_row_message(view.sorted_neighbors, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return _batch_adjacency_rows(graph, n)
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins

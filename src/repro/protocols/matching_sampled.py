@@ -7,32 +7,26 @@ and the adversary harness (experiment T1) sweeps the knob to show the
 success probability climbing only once the budget approaches the sketch
 sizes the theorem predicts are necessary.
 
-Two sketch policies are provided:
+Each protocol is one rule over a player's ascending neighbor row
+(:class:`~repro.model.RowSketchProtocol`):
 
 * :class:`SampledEdgesMatching` — uniform incident-edge sampling; the
-  honest baseline.
-* :class:`DegreeAdaptiveMatching` — low-degree vertices (deg <= cap)
-  send their whole neighborhood, others sample.  On D_MM the unique
-  vertices have degree ~ |A|/2 while the public vertices are dense, so
-  this policy spends the budget where the hard instance hides its
-  matching — it is the natural "smart" attack and still fails when the
-  budget is small, because the unique-vertex degree itself scales with r.
+  honest baseline.  A vertex of degree at most the budget sends its
+  whole neighborhood, any other samples that many neighbors.
+  :class:`DegreeAdaptiveMatching` and :class:`SampledEdgesMIS` are the
+  same rule on their own coin streams.
+* :class:`LowDegreeOnlyMatching` and :class:`HybridMatching` — a degree
+  threshold picks who speaks in full: only low-degree players, or low
+  degree in full and the rest by sampling.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, greedy_maximal_matching
-from ..model import (
-    BatchSketchProtocol,
-    Message,
-    PublicCoins,
-    VertexView,
-    vertex_set_message,
-    vertex_set_messages,
-)
-from .referee import reported_edges, reported_greedy_mis, vertex_set_reports
+from ..graphs import Edge
+from ..model import Message, PublicCoins, RowSketchProtocol, vertex_set_messages
+from .referee import reported_greedy_matching, reported_greedy_mis, vertex_set_reports
 
 
 def _sample_sorted(
@@ -51,82 +45,58 @@ def _sample_sorted(
     return sorted(rng.sample(sorted_neighbors, budget))
 
 
-def _sample_neighbors(view: VertexView, coins: PublicCoins, budget: int, label: str):
-    """Deterministic public-coin sample of up to ``budget`` neighbors."""
-    return _sample_sorted(view.vertex, view.sorted_neighbors, coins, budget, label)
+class _VertexSetMatching(RowSketchProtocol):
+    """Each player sends one vertex set; the referee greedily matches
+    the reported edges."""
+
+    def decode(
+        self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
+    ) -> set[Edge]:
+        return reported_greedy_matching(vertex_set_reports(n, sketches))
 
 
-def _batch_sampled_messages(
-    graph: FrozenGraph, n: int, coins: PublicCoins, budget: int, label: str
-) -> dict[int, Message]:
-    """Every player's sampled-neighbor message straight off the CSR rows
-    (a row within the budget is its own sample)."""
-    return vertex_set_messages(
-        (
-            (v, row) if len(row) <= budget
-            else (v, _sample_sorted(v, row, coins, budget, label))
-            for v, row in graph.rows()
-        ),
-        n,
-    )
-
-
-class SampledEdgesMatching(BatchSketchProtocol):
+class SampledEdgesMatching(_VertexSetMatching):
     """Send ``edges_per_vertex`` random incident edges; greedy MM on the union.
 
-    Per-player cost: about edges_per_vertex * log2(n) bits.
+    Per-player cost: about edges_per_vertex * log2(n) bits.  A row
+    within the budget is its own sample.
     """
+
+    #: The coin stream the players sample from, and the name's prefix.
+    stream = "sampled-mm"
+    prefix = "sampled-edges-matching"
 
     def __init__(self, edges_per_vertex: int) -> None:
         if edges_per_vertex < 0:
             raise ValueError("edges_per_vertex must be non-negative")
         self.edges_per_vertex = edges_per_vertex
-        self.name = f"sampled-edges-matching({edges_per_vertex})"
+        self.name = f"{self.prefix}({edges_per_vertex})"
 
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        sampled = _sample_neighbors(view, coins, self.edges_per_vertex, "sampled-mm")
-        return vertex_set_message(sampled, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return _batch_sampled_messages(
-            graph, n, coins, self.edges_per_vertex, "sampled-mm"
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
+        budget, stream = self.edges_per_vertex, self.stream
+        return vertex_set_messages(
+            (
+                (v, row) if len(row) <= budget
+                else (v, _sample_sorted(v, row, coins, budget, stream))
+                for v, row in rows
+            ),
+            n,
         )
 
-    def decode(
-        self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
-    ) -> set[Edge]:
-        edges = reported_edges(vertex_set_reports(n, sketches))
-        return greedy_maximal_matching(None, edges)
+
+class DegreeAdaptiveMatching(SampledEdgesMatching):
+    """Full neighborhood when deg <= degree_cap, else sample that many:
+    :class:`SampledEdgesMatching` with budget ``degree_cap``, on its own
+    coin stream."""
+
+    stream = "adaptive-mm"
+    prefix = "degree-adaptive-matching"
+
+    def __init__(self, degree_cap: int) -> None:  # keeps its keyword
+        super().__init__(degree_cap)
 
 
-class DegreeAdaptiveMatching(BatchSketchProtocol):
-    """Full neighborhood when deg <= degree_cap, else sample that many."""
-
-    def __init__(self, degree_cap: int) -> None:
-        if degree_cap < 0:
-            raise ValueError("degree_cap must be non-negative")
-        self.degree_cap = degree_cap
-        self.name = f"degree-adaptive-matching({degree_cap})"
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        sampled = _sample_neighbors(view, coins, self.degree_cap, "adaptive-mm")
-        return vertex_set_message(sampled, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return _batch_sampled_messages(graph, n, coins, self.degree_cap, "adaptive-mm")
-
-    def decode(
-        self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
-    ) -> set[Edge]:
-        edges = reported_edges(vertex_set_reports(n, sketches))
-        return greedy_maximal_matching(None, edges)
-
-
-class SampledEdgesMIS(BatchSketchProtocol):
+class SampledEdgesMIS(SampledEdgesMatching):
     """MIS twin of :class:`SampledEdgesMatching`: greedy MIS on the union.
 
     Note the failure mode difference: a sampled-graph MIS can be *invalid*
@@ -135,22 +105,8 @@ class SampledEdgesMIS(BatchSketchProtocol):
     be allowed to make.
     """
 
-    def __init__(self, edges_per_vertex: int) -> None:
-        if edges_per_vertex < 0:
-            raise ValueError("edges_per_vertex must be non-negative")
-        self.edges_per_vertex = edges_per_vertex
-        self.name = f"sampled-edges-mis({edges_per_vertex})"
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        sampled = _sample_neighbors(view, coins, self.edges_per_vertex, "sampled-mis")
-        return vertex_set_message(sampled, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return _batch_sampled_messages(
-            graph, n, coins, self.edges_per_vertex, "sampled-mis"
-        )
+    stream = "sampled-mis"
+    prefix = "sampled-edges-mis"
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
@@ -158,7 +114,7 @@ class SampledEdgesMIS(BatchSketchProtocol):
         return reported_greedy_mis(vertex_set_reports(n, sketches))
 
 
-class LowDegreeOnlyMatching(BatchSketchProtocol):
+class LowDegreeOnlyMatching(_VertexSetMatching):
     """Only low-degree players speak: full neighborhood iff deg <= threshold.
 
     The sharpest known attack on D_MM-style instances: unique vertices
@@ -186,27 +142,14 @@ class LowDegreeOnlyMatching(BatchSketchProtocol):
         self.degree_threshold = degree_threshold
         self.name = f"low-degree-only-matching({degree_threshold})"
 
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        chosen = view.sorted_neighbors if view.degree <= self.degree_threshold else ()
-        return vertex_set_message(chosen, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
         threshold = self.degree_threshold
         return vertex_set_messages(
-            ((v, row if len(row) <= threshold else ()) for v, row in graph.rows()),
-            n,
+            ((v, row if len(row) <= threshold else ()) for v, row in rows), n
         )
 
-    def decode(
-        self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
-    ) -> set[Edge]:
-        edges = reported_edges(vertex_set_reports(n, sketches))
-        return greedy_maximal_matching(None, edges)
 
-
-class HybridMatching(BatchSketchProtocol):
+class HybridMatching(_VertexSetMatching):
     """Full neighborhood below the threshold, sampling above it.
 
     Dominates both pure policies: low-degree vertices (the unique block
@@ -222,24 +165,13 @@ class HybridMatching(BatchSketchProtocol):
         self.sample_budget = sample_budget
         self.name = f"hybrid-matching({degree_threshold},{sample_budget})"
 
-    def _chosen(self, vertex: int, row, coins: PublicCoins):
-        if len(row) <= self.degree_threshold:
-            return row
-        return _sample_sorted(vertex, row, coins, self.sample_budget, "hybrid-mm")
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        chosen = self._chosen(view.vertex, view.sorted_neighbors, coins)
-        return vertex_set_message(chosen, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
+        threshold, budget = self.degree_threshold, self.sample_budget
         return vertex_set_messages(
-            ((v, self._chosen(v, row, coins)) for v, row in graph.rows()), n
+            (
+                (v, row) if len(row) <= threshold
+                else (v, _sample_sorted(v, row, coins, budget, "hybrid-mm"))
+                for v, row in rows
+            ),
+            n,
         )
-
-    def decode(
-        self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
-    ) -> set[Edge]:
-        edges = reported_edges(vertex_set_reports(n, sketches))
-        return greedy_maximal_matching(None, edges)

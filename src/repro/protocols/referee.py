@@ -10,20 +10,21 @@ player's message into the ids it reports, then hands the reports to
 * duplicates collapse: an edge named by both endpoints appears once;
 * a player reporting itself raises ``ValueError("self-loop ...")``.
 
-One-round referees need nothing more.  A matching referee replays the
-ascending list through ``greedy_maximal_matching(None, edges)``, which
-is the greedy scan of the graph those edges span, and an MIS referee
-runs the greedy scan in :func:`reported_greedy_mis`.  Neither freezes
-a CSR graph that one scan would read and drop.  The adaptive referees
-in :mod:`.two_round` still freeze one from the list, since
-``SampleAndPruneMIS`` takes induced subgraphs of it.
+One-round referees need nothing more.  A matching referee calls
+:func:`reported_greedy_matching`, which replays the ascending list
+through ``greedy_maximal_matching(None, edges)``, the greedy scan of
+the graph those edges span, and an MIS referee calls
+:func:`reported_greedy_mis`.  Neither freezes a CSR graph that one scan
+would read and drop.  The adaptive referees in :mod:`.two_round` still
+freeze one from the list, since ``SampleAndPruneMIS`` takes induced
+subgraphs of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from ..graphs import Edge
+from ..graphs import Edge, greedy_maximal_matching
 from ..model import Message, id_width_for, read_vertex_sets
 
 
@@ -78,6 +79,12 @@ def reported_edges(reports: Mapping[int, Iterable[int]]) -> list[Edge]:
                         f"self-loop ({u}, {v}) not allowed in a simple graph"
                     )
     return sorted(edges)
+
+
+def reported_greedy_matching(reports: Mapping[int, Iterable[int]]) -> set[Edge]:
+    """The greedy maximal matching of the reported graph, scanning
+    :func:`reported_edges` in ascending order."""
+    return greedy_maximal_matching(None, reported_edges(reports))
 
 
 def reported_greedy_mis(

@@ -42,14 +42,25 @@ def available_protocols() -> list[str]:
 
 
 def make_protocol(spec: str) -> SketchProtocol:
-    """Build a protocol from a ``family[:args]`` spec string."""
-    family, _, raw_args = spec.partition(":")
+    """Build a protocol from a ``family[:args]`` spec string.
+
+    Each argument is one or more ASCII digits.  An unknown family, an
+    empty or non-numeric argument and a wrong argument count each raise
+    ``ValueError``.
+    """
+    family, colon, raw_args = spec.partition(":")
     if family not in _FACTORIES:
         raise ValueError(
             f"unknown protocol family {family!r}; known: {available_protocols()}"
         )
     cls, arity = _FACTORIES[family]
-    args = [int(a) for a in raw_args.split(",") if a] if raw_args else []
+    raw = raw_args.split(",") if colon else []
+    if not all(a.isascii() and a.isdigit() for a in raw):
+        raise ValueError(
+            f"protocol {family!r} takes comma-separated non-negative "
+            f"integer arguments, got {raw_args!r}"
+        )
+    args = [int(a) for a in raw]
     if len(args) != arity:
         raise ValueError(
             f"protocol {family!r} takes {arity} integer argument(s), got {args}"

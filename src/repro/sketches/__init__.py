@@ -3,10 +3,16 @@
 These are the problems that *do* admit polylog(n)-bit sketches
 (introduction of the paper): spanning forest / connectivity via AGM,
 the footnote-1 crossing-edge protocol, and (Δ+1)-coloring via palette
-sparsification.  They share the L0-sampling machinery built here, and
-all run on the mergeable :mod:`~repro.sketches.core` runtime: batched
-whole-graph construction on frozen graphs, per-view construction as the
-differential oracle (see ``docs/sketches.md``).
+sparsification.  They share the L0-sampling machinery built here, whose
+families run on the mergeable :mod:`~repro.sketches.core` runtime.
+Every sketch builds all players' messages in one batched pass on a
+frozen graph.  Where that pass shares work between players (an L0
+family, a public palette), per-view construction is the differential
+oracle.  The sketches whose message depends on the player's own row
+alone (private-coin coloring and the consistent-sampling
+densest-subgraph, degeneracy and triangle sketches) write that rule
+once, as a :class:`~repro.model.RowSketchProtocol` whose per-view
+``sketch`` is its one-row case (see ``docs/sketches.md``).
 """
 
 from .agm import AGMParameters, AGMSpanningForest
@@ -23,7 +29,6 @@ from .core import (
     L0Block,
     L0FamilyParams,
     L0FamilyState,
-    LinearSketch,
     SketchFamily,
     derive_family,
 )
@@ -53,7 +58,6 @@ __all__ = [
     "L0FamilyParams",
     "L0FamilyState",
     "L0Sampler",
-    "LinearSketch",
     "OneSparse",
     "SketchFamily",
     "PaletteSparsificationColoring",

@@ -24,6 +24,7 @@ remains the differential oracle — both paths emit identical bits.
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -73,37 +74,39 @@ class AGMParameters:
         return AGMParameters(num_rounds=rounds, repetitions=repetitions)
 
 
-class AGMSpanningForest(BatchSketchProtocol):
-    """One-round public-coin sketching protocol for spanning forests."""
+class IncidenceSamplerSketch(BatchSketchProtocol):
+    """Each player sends one L0 sampler of its signed incidence vector
+    per label, all dimensioned by :class:`AGMParameters`.
 
-    name = "agm-spanning-forest"
+    A subclass declares its ``_labels`` and its ``decode``.  The
+    per-view ``sketch`` builds each label's :class:`L0Sampler` chain,
+    while ``sketch_batch`` builds the whole :class:`SketchFamily` from
+    one list of the CSR edges: two independent implementations of one
+    wire format, so the per-view path is the differential oracle.
+    """
 
     def __init__(self, params: AGMParameters | None = None) -> None:
         self._params = params
 
+    @abstractmethod
+    def _labels(self, params: AGMParameters) -> list[str]:
+        """The sampler labels, in wire order."""
+
     def _resolve(self, n: int) -> tuple[AGMParameters, L0Config]:
         params = self._params or AGMParameters.for_n(n)
-        config = L0Config.for_universe(n * n)
-        return params, config
-
-    def _sampler_labels(self, params: AGMParameters) -> list[str]:
-        return [
-            f"agm/round{r}/rep{c}"
-            for r in range(params.num_rounds)
-            for c in range(params.repetitions)
-        ]
+        return params, L0Config.for_universe(n * n)
 
     def _family(self, n: int, coins: PublicCoins) -> SketchFamily:
         params, config = self._resolve(n)
         return SketchFamily.incidence(
-            config, coins, self._sampler_labels(params), magnitude=n
+            config, coins, self._labels(params), magnitude=n
         )
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
         params, config = self._resolve(view.n)
         entries = incidence_entries(view)
         writer = BitWriter()
-        for label in self._sampler_labels(params):
+        for label in self._labels(params):
             sampler = L0Sampler(config, coins, label)
             for coord, value in entries:
                 sampler.update(coord, value)
@@ -114,6 +117,19 @@ class AGMSpanningForest(BatchSketchProtocol):
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
         return self._family(n, coins).build_messages(graph, n)
+
+
+class AGMSpanningForest(IncidenceSamplerSketch):
+    """One-round public-coin sketching protocol for spanning forests."""
+
+    name = "agm-spanning-forest"
+
+    def _labels(self, params: AGMParameters) -> list[str]:
+        return [
+            f"agm/round{r}/rep{c}"
+            for r in range(params.num_rounds)
+            for c in range(params.repetitions)
+        ]
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins

@@ -20,34 +20,23 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from ..graphs import Edge, FrozenGraph, Graph, GraphLike
+from ..graphs import Edge, Graph, GraphLike
 from ..graphs.builders import connected_components
-from ..model import (
-    BatchSketchProtocol,
-    BitWriter,
-    Message,
-    PublicCoins,
-    VertexView,
-)
-from .agm import AGMParameters, _UnionFind
+from ..model import Message, PublicCoins
+from .agm import AGMParameters, IncidenceSamplerSketch, _UnionFind
 from .core import SketchFamily
-from .incidence import coordinate_edge, edge_coordinate, incidence_entries
-from .l0sampler import L0Config, L0Sampler
+from .incidence import coordinate_edge, edge_coordinate
 
 
-class ConnectivityCertificate(BatchSketchProtocol):
+class ConnectivityCertificate(IncidenceSamplerSketch):
     """Sketching protocol producing a k-edge-connectivity certificate."""
 
     def __init__(self, k: int, params: AGMParameters | None = None) -> None:
         if k < 1:
             raise ValueError("k must be positive")
+        super().__init__(params)
         self.k = k
-        self._params = params
         self.name = f"connectivity-certificate(k={k})"
-
-    def _resolve(self, n: int) -> tuple[AGMParameters, L0Config]:
-        params = self._params or AGMParameters.for_n(n)
-        return params, L0Config.for_universe(n * n)
 
     def _labels(self, params: AGMParameters) -> list[str]:
         return [
@@ -56,28 +45,6 @@ class ConnectivityCertificate(BatchSketchProtocol):
             for r in range(params.num_rounds)
             for c in range(params.repetitions)
         ]
-
-    def _family(self, n: int, coins: PublicCoins) -> SketchFamily:
-        params, config = self._resolve(n)
-        return SketchFamily.incidence(
-            config, coins, self._labels(params), magnitude=n
-        )
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        params, config = self._resolve(view.n)
-        entries = incidence_entries(view)
-        writer = BitWriter()
-        for label in self._labels(params):
-            sampler = L0Sampler(config, coins, label)
-            for coord, value in entries:
-                sampler.update(coord, value)
-            sampler.encode(writer, max_value_magnitude=view.n)
-        return writer.to_message()
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return self._family(n, coins).build_messages(graph, n)
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins

@@ -30,6 +30,7 @@ from ..model import (
     BitWriter,
     Message,
     PublicCoins,
+    RowSketchProtocol,
     VertexView,
     id_width_for,
     read_vertex_sets,
@@ -156,7 +157,7 @@ def is_proper_coloring(graph: GraphLike, colors: dict[int, int], num_colors: int
     return all(colors[u] != colors[v] for u, v in graph.edges())
 
 
-class PrivateCoinColoring(BatchSketchProtocol):
+class PrivateCoinColoring(RowSketchProtocol):
     """(Δ+1)-coloring WITHOUT the public-coin trick — the [18] contrast.
 
     Related work ([18]) separates private-coin from public-coin
@@ -191,27 +192,20 @@ class PrivateCoinColoring(BatchSketchProtocol):
         take = min(self._list_size(n), num_colors)
         return frozenset(rng.sample(range(num_colors), take))
 
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        return self._encode(view.vertex, view.sorted_neighbors, view.n, coins)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return {v: self._encode(v, row, n, coins) for v, row in graph.rows()}
-
-    def _encode(
-        self, vertex: int, sorted_neighbors, n: int, coins: PublicCoins
-    ) -> Message:
-        palette = sorted(self._private_palette(vertex, n, coins))
-        writer = BitWriter()
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
         color_width = max(1, self.max_degree.bit_length() + 1)
-        writer.write_varint(len(palette))
-        for color in palette:
-            writer.write_uint(color, color_width)
-        # The adjacency row: without shared palettes the referee cannot
-        # prune any neighbor, so all of them must be shipped.
-        write_adjacency_row(writer, sorted_neighbors, n)
-        return writer.to_message()
+        messages = {}
+        for v, row in rows:
+            palette = sorted(self._private_palette(v, n, coins))
+            writer = BitWriter()
+            writer.write_varint(len(palette))
+            for color in palette:
+                writer.write_uint(color, color_width)
+            # The adjacency row: without shared palettes the referee
+            # cannot prune any neighbor, so all of them must be shipped.
+            write_adjacency_row(writer, row, n)
+            messages[v] = writer.to_message()
+        return messages
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins

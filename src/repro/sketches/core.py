@@ -13,8 +13,9 @@ endpoint.  This module hoists the family to a first-class runtime:
   parameters of a whole family, derived once per ``(coins, labels)``
   and memoized process-wide;
 * :class:`L0FamilyState` — one player's entire family as three flat
-  ``array('q')`` columns (totals / index sums / fingerprints), a
-  :class:`LinearSketch`: ``update`` / ``merge`` / ``encode`` / ``decode``;
+  ``array('q')`` columns (totals / index sums / fingerprints), a linear
+  sketch: ``update`` / ``merge`` / ``encode`` / ``decode``, where
+  ``x.merge(y)`` is the state of the summed inputs;
 * :class:`L0Block` — the referee-side accumulator for one label column:
   it reads that label's cells straight from each member's wire word, so
   a referee unpacks only the columns it sums, never a whole family;
@@ -38,7 +39,6 @@ equality against the per-view oracle.
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
 from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -46,47 +46,11 @@ from functools import cached_property, lru_cache
 
 from .. import obs
 from ..engine import construction_cache
-from ..graphs import FrozenGraph, Graph
+from ..graphs import FrozenGraph
 from ..obs import SKETCH_BYTES, SKETCH_CELLS_PACKED, SKETCH_CELLS_UNPACKED
-from ..model import (
-    BitReader,
-    BitWriter,
-    Message,
-    PublicCoins,
-    id_width_for,
-    read_vertex_sets,
-    vertex_set_messages,
-)
+from ..model import BitReader, BitWriter, Message, PublicCoins
 from .incidence import edge_coordinate
 from .l0sampler import HASH_PRIME, L0Config, _derived_params
-
-
-class LinearSketch(ABC):
-    """A sketch that is a linear function of its input vector.
-
-    The defining property: for states ``x`` and ``y`` built over the
-    same parameters, ``x.merge(y)`` equals the state built over the
-    coordinate-wise sum of their inputs.  The referee exploits this to
-    add whole components; the batch constructor exploits it to apply
-    updates in any order.
-    """
-
-    @abstractmethod
-    def update(self, coord: int, delta: int) -> None:
-        """Add ``delta`` at ``coord`` (mutates this state)."""
-
-    @abstractmethod
-    def merge(self, other: "LinearSketch") -> "LinearSketch":
-        """The state of the summed input vectors (a new state)."""
-
-    @abstractmethod
-    def encode(self, writer: BitWriter) -> None:
-        """Serialize through the packed codec (the wire contract)."""
-
-    @property
-    @abstractmethod
-    def cache_token(self) -> str:
-        """Content fingerprint for ``engine.cache_key`` parameter tuples."""
 
 
 @dataclass(frozen=True)
@@ -300,7 +264,7 @@ def _unpack_tree(word: int, num_chunks: int, chunk_width: int) -> list[int]:
     return out
 
 
-class L0FamilyState(LinearSketch):
+class L0FamilyState:
     """One player's whole sampler family in three flat int64 columns.
 
     Cell ``label_index * num_levels + level`` holds that sampler level's
@@ -755,7 +719,7 @@ class SketchFamily:
 
 
 # ----------------------------------------------------------------------
-# Shared batch-encoding helpers for the non-L0 protocols
+# An encoding helper for the non-L0 protocols
 # ----------------------------------------------------------------------
 def write_adjacency_row(writer: BitWriter, sorted_neighbors, n: int) -> None:
     """The n-bit adjacency row as run-length word writes, for messages
@@ -775,36 +739,3 @@ def write_adjacency_row(writer: BitWriter, sorted_neighbors, n: int) -> None:
         pos = u + 1
     if n > pos:
         writer.write_uint(0, n - pos)
-
-
-def sampled_lower_endpoint_messages(
-    graph: FrozenGraph, n: int, coins: PublicCoins, probability: float, keep
-) -> dict[int, Message]:
-    """The consistent-edge-sampling payload (densest / degeneracy /
-    triangles): each kept edge is reported by its lower endpoint.
-
-    ``keep(coins, u, v, probability)`` is the protocol's public-coin
-    inclusion predicate; one pass over the CSR rows evaluates it once
-    per edge, at the lower endpoint (the per-view path also pays once,
-    so the saving here is the views dict and the per-player sort, not
-    the hashing).  Ascending rows make the reported lists ascending.
-    """
-    return vertex_set_messages(
-        (
-            (v, [u for u in row if v < u and keep(coins, v, u, probability)])
-            for v, row in graph.rows()
-        ),
-        n,
-    )
-
-
-def sampled_lower_endpoint_graph(n: int, sketches: Mapping[int, Message]) -> Graph:
-    """The referee's side of :func:`sampled_lower_endpoint_messages`:
-    the graph over the players of every reported edge whose other end
-    is a player."""
-    sampled = Graph(vertices=sketches.keys())
-    for v, ids in read_vertex_sets(sketches, id_width_for(n)).items():
-        for u in ids:
-            if u in sampled:
-                sampled.add_edge(v, u)
-    return sampled

@@ -15,16 +15,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..graphs import FrozenGraph, normalize_edge
+from ..graphs import Graph, normalize_edge
 from ..graphs.densest import charikar_peeling
 from ..model import (
-    BatchSketchProtocol,
     Message,
     PublicCoins,
-    VertexView,
-    vertex_set_message,
+    RowSketchProtocol,
+    id_width_for,
+    read_vertex_sets,
+    vertex_set_messages,
 )
-from .core import sampled_lower_endpoint_graph, sampled_lower_endpoint_messages
 
 
 def edge_sampled(coins: PublicCoins, u: int, v: int, probability: float) -> bool:
@@ -34,6 +34,47 @@ def edge_sampled(coins: PublicCoins, u: int, v: int, probability: float) -> bool
     return coins.rng(f"densest/edge/{a}/{b}").random() < probability
 
 
+class EdgeSampledSketch(RowSketchProtocol):
+    """Consistent edge sampling, the payload of the densest-subgraph,
+    degeneracy and triangle sketches.
+
+    Each edge is kept with probability ``probability`` by
+    :func:`edge_sampled` and reported by its lower endpoint, so the
+    predicate is evaluated once per edge and ascending rows give
+    ascending reports.  A subclass sets the name's ``prefix`` and
+    decodes :meth:`sampled_graph`.
+    """
+
+    prefix: str
+
+    def __init__(self, probability: float) -> None:
+        if not 0.0 < probability <= 1.0:
+            raise ValueError("probability must lie in (0, 1]")
+        self.probability = probability
+        self.name = f"{self.prefix}(p={probability})"
+
+    def sketch_rows(self, rows, n: int, coins: PublicCoins) -> dict[int, Message]:
+        p = self.probability
+        return vertex_set_messages(
+            (
+                (v, [u for u in row if v < u and edge_sampled(coins, v, u, p)])
+                for v, row in rows
+            ),
+            n,
+        )
+
+    @staticmethod
+    def sampled_graph(n: int, sketches: Mapping[int, Message]) -> Graph:
+        """The referee's sampled graph: the players, and every reported
+        edge whose other end is a player."""
+        sampled = Graph(vertices=sketches.keys())
+        for v, ids in read_vertex_sets(sketches, id_width_for(n)).items():
+            for u in ids:
+                if u in sampled:
+                    sampled.add_edge(v, u)
+        return sampled
+
+
 @dataclass(frozen=True)
 class DensestSubgraphResult:
     vertices: frozenset[int]
@@ -41,36 +82,15 @@ class DensestSubgraphResult:
     estimated_density: float  # sampled density rescaled by 1/p
 
 
-class DensestSubgraphSketch(BatchSketchProtocol):
+class DensestSubgraphSketch(EdgeSampledSketch):
     """One-round densest subgraph: consistent sampling + referee peeling."""
 
-    def __init__(self, probability: float) -> None:
-        if not 0.0 < probability <= 1.0:
-            raise ValueError("probability must lie in (0, 1]")
-        self.probability = probability
-        self.name = f"densest-subgraph-sketch(p={probability})"
-
-    def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        reported = [
-            u
-            for u in view.sorted_neighbors
-            if view.vertex < u
-            and edge_sampled(coins, view.vertex, u, self.probability)
-        ]
-        return vertex_set_message(reported, view.n)
-
-    def sketch_batch(
-        self, graph: FrozenGraph, n: int, coins: PublicCoins
-    ) -> dict[int, Message]:
-        return sampled_lower_endpoint_messages(
-            graph, n, coins, self.probability, edge_sampled
-        )
+    prefix = "densest-subgraph-sketch"
 
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> DensestSubgraphResult:
-        sampled = sampled_lower_endpoint_graph(n, sketches)
-        best_set, density = charikar_peeling(sampled)
+        best_set, density = charikar_peeling(self.sampled_graph(n, sketches))
         return DensestSubgraphResult(
             vertices=frozenset(best_set),
             sampled_density=density,

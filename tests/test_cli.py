@@ -313,6 +313,21 @@ class TestProtocolRegistry:
             make_protocol("sampled")
         with pytest.raises(ValueError):
             make_protocol("full:3")
+        # Each argument is one or more ASCII digits: an empty one is an
+        # error, not dropped.
+        for spec in (
+            "sampled:9,,",
+            "sampled:2,",
+            "sampled:,2",
+            "hybrid:3,,2",
+            "sampled:x",
+            "sampled:-1",
+            "sampled: 2",
+            "sampled:\u0662",
+            "full:",
+        ):
+            with pytest.raises(ValueError):
+                make_protocol(spec)
 
     def test_is_mis_spec(self):
         from repro.protocols import is_mis_spec
@@ -332,6 +347,24 @@ class TestAttackCommand:
         out = capsys.readouterr().out
         assert "full-neighborhood-mis" in out
         assert "strict       : 1.00" in out
+
+    @pytest.mark.parametrize(
+        "spec", ["nope", "sampled", "sampled:x", "sampled:2,", "hybrid:3,,2"]
+    )
+    def test_bad_spec_is_a_usage_error(self, spec, capsys, monkeypatch):
+        import repro.lowerbound
+
+        def refuse(**kwargs):
+            raise AssertionError("the distribution was built")
+
+        monkeypatch.setattr(repro.lowerbound, "scaled_distribution", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", spec, "--m", "8", "--k", "2", "--trials", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: ")
 
 
 class TestJsonOutput:

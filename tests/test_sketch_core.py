@@ -13,7 +13,11 @@ Three layers of guarantees, all against executable oracles:
 * For every protocol in the registry and every sketch family,
   ``sketch_batch`` on a frozen graph is bit-identical to the per-view
   ``sketch`` oracle, player by player — the wire contract of
-  :class:`repro.model.BatchSketchProtocol`.
+  :class:`repro.model.BatchSketchProtocol`.  The eleven
+  :class:`repro.model.RowSketchProtocol` classes write their rule once,
+  so for them the comparison checks views against CSR rows and that the
+  rule reads only each player's own row; a test-local rule that reads
+  other rows fails it.
 
 ``run_protocol`` picks the batched or the per-view path from its inputs
 alone; the counting-wrapper test pins that rule.
@@ -32,10 +36,21 @@ from repro.model import (
     BatchSketchProtocol,
     Message,
     PublicCoins,
+    RowSketchProtocol,
     run_protocol,
+    vertex_set_message,
     views_of,
 )
 from repro.obs import SKETCH_CELLS_PACKED, SKETCH_CELLS_UNPACKED
+from repro.protocols import (
+    DegreeAdaptiveMatching,
+    FullNeighborhoodMatching,
+    FullNeighborhoodMIS,
+    HybridMatching,
+    LowDegreeOnlyMatching,
+    SampledEdgesMatching,
+    SampledEdgesMIS,
+)
 from repro.protocols.registry import make_protocol
 from repro.sketches import (
     AGMConnectivity,
@@ -385,6 +400,55 @@ def test_endpoint_outside_vertex_range_raises_on_both_paths():
     batch = protocol._family(10, coins).fresh_messages(frozen, 10)
     views = views_of(frozen, 10)
     assert {v: protocol.sketch(views[v], coins) for v in views} == batch
+
+
+#: The protocols whose message is a function of the player's own row:
+#: each writes its rule once, as ``sketch_rows``.
+ROW_RULE_PROTOCOLS = [
+    SampledEdgesMatching,
+    DegreeAdaptiveMatching,
+    SampledEdgesMIS,
+    LowDegreeOnlyMatching,
+    HybridMatching,
+    FullNeighborhoodMatching,
+    FullNeighborhoodMIS,
+    DensestSubgraphSketch,
+    DegeneracySketch,
+    TriangleCountSketch,
+    PrivateCoinColoring,
+]
+
+
+@pytest.mark.parametrize("cls", ROW_RULE_PROTOCOLS, ids=lambda cls: cls.__name__)
+def test_row_rule_is_written_once(cls):
+    assert issubclass(cls, RowSketchProtocol)
+    assert "sketch" not in vars(cls)
+    assert "sketch_batch" not in vars(cls)
+
+
+def test_incidence_sampler_protocols_share_one_per_view_sketch():
+    assert ConnectivityCertificate.sketch is AGMSpanningForest.sketch
+    assert ConnectivityCertificate.sketch_batch is AGMSpanningForest.sketch_batch
+
+
+class RowCountingProtocol(RowSketchProtocol):
+    """A non-local rule: each message names the rows read before it."""
+
+    name = "row-counting"
+
+    def sketch_rows(self, rows, n, coins):
+        return {v: vertex_set_message(range(i), n) for i, (v, _) in enumerate(rows)}
+
+    def decode(self, n, sketches, coins):
+        return None
+
+
+def test_batch_oracle_catches_a_rule_that_reads_other_rows():
+    graph = build_frozen(([0, 1], [(0, 1)]))
+    with pytest.raises(AssertionError):
+        assert_batch_matches_oracle(
+            RowCountingProtocol(), graph, PublicCoins(seed=0)
+        )
 
 
 @given(graph_spec, seeds)
