@@ -13,8 +13,9 @@
 Keyword overrides are parsed as ints when possible, floats next, the
 words ``true``/``false``/``none`` as the real Python values, and
 strings otherwise; each is then validated against the experiment's
-declared parameter spec, so an unknown name or a mistyped value fails
-with the declared vocabulary before anything runs.
+declared parameter spec, so an unknown name (listed against the
+declared names) or a mistyped value is a usage error, raised before the
+engine is built or anything runs.
 
 ``run``, ``run-all``, ``sweep``, ``report``, and ``attack`` take the
 shared engine flags: ``--workers N`` (or ``auto``) parallelizes over a
@@ -81,6 +82,7 @@ from .runs import (
     execute_run,
     parse_value,
     parse_workers,
+    plan_sweep,
     run_sweep,
 )
 from .runs.report import (
@@ -97,7 +99,7 @@ def _parse_kwargs(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"expected key=value, got {pair!r}")
+            _usage_error(f"expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         out[key] = parse_value(raw)
     return out
@@ -108,13 +110,13 @@ def _parse_grid(pairs: list[str]) -> dict:
     grid: dict[str, list] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"expected name=v1,v2,..., got {pair!r}")
+            _usage_error(f"expected name=v1,v2,..., got {pair!r}")
         name, raw = pair.split("=", 1)
         if name in grid:
-            raise SystemExit(f"duplicate grid axis {name!r}")
+            _usage_error(f"duplicate grid axis {name!r}")
         grid[name] = [parse_value(part) for part in raw.split(",") if part]
         if not grid[name]:
-            raise SystemExit(f"empty grid axis {name!r}")
+            _usage_error(f"empty grid axis {name!r}")
     return grid
 
 
@@ -204,6 +206,18 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         _usage_error(str(exc))
 
 
+def _check_overrides(experiment: Experiment, overrides: dict) -> None:
+    """Check overrides against the experiment's declared spec.
+
+    An unknown name or a mistyped value is a usage error, raised before
+    the engine is built or anything runs.
+    """
+    try:
+        experiment.spec.validate(overrides)
+    except ValueError as exc:
+        _usage_error(f"{experiment.experiment_id}: {exc}")
+
+
 def _experiments(ids: list[str]) -> list[Experiment]:
     """The experiments ``ids`` name, every one when ``ids`` is empty.
 
@@ -285,6 +299,7 @@ def cmd_run(args: argparse.Namespace, experiment: Experiment) -> int:
     the run is recorded (or served from the store when already present).
     """
     overrides = _parse_kwargs(args.kw)
+    _check_overrides(experiment, overrides)
     store = RunStore(args.store) if args.store is not None else None
     _run_experiment(
         experiment, overrides, _build_engine(args), args.exact, store, args.json
@@ -314,8 +329,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _parse_kwargs(args.set or [])
     if args.trials is not None:
         if "trials" in base or "trials" in grid:
-            raise SystemExit("--trials conflicts with a trials axis/--set")
+            _usage_error("--trials conflicts with a trials axis/--set")
         base["trials"] = args.trials
+    try:
+        plan_sweep(args.experiment_id, grid, base, exact=args.exact)
+    except ValueError as exc:
+        _usage_error(f"{args.experiment_id}: {exc}")
     store = RunStore(args.store)
     engine = _build_engine(args)
     result = run_sweep(
@@ -454,6 +473,7 @@ def cmd_trace(args: argparse.Namespace, experiment: Experiment) -> int:
 
     overrides = dict(experiment.spec.smoke)
     overrides.update(_parse_kwargs(args.kw))
+    _check_overrides(experiment, overrides)
     engine = _build_engine(args)
     start = time.time()
     with recording(TelemetryRecorder()) as recorder:

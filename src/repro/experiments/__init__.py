@@ -13,7 +13,7 @@ from .registry import (
     run_experiment,
 )
 from .stats import ProportionEstimate, intervals_overlap, wilson_interval
-from .tables import format_value, render_kv, render_table
+from .tables import format_value, render_kv, render_rows, render_table
 
 # Importing the runner modules registers them.
 from . import ablations as _ablations  # noqa: F401
@@ -47,6 +47,7 @@ __all__ = [
     "intervals_overlap",
     "register",
     "render_kv",
+    "render_rows",
     "render_table",
     "run_experiment",
     "wilson_interval",

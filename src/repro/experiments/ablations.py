@@ -30,7 +30,7 @@ from ..sketches import (
     is_proper_coloring,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -226,7 +226,7 @@ def _default_uniformization_maximizes_edges(data: dict, params: dict) -> bool:
         ),
     },
 )
-def run_ablations(trials: int = 6, seed: int = 0) -> ExperimentReport:
+def run_ablations(trials: int = 6, seed: int = 0) -> tuple[list[str], dict]:
     """Run every ablation sweep and tabulate the knees."""
     all_rows: list = []
     all_data: list[dict] = []
@@ -260,9 +260,4 @@ def run_ablations(trials: int = 6, seed: int = 0) -> ExperimentReport:
         "",
         *kernel_table,
     ]
-    return ExperimentReport(
-        experiment_id="ABL",
-        title="Design-choice ablations",
-        lines=tuple(lines),
-        data={"rows": all_data},
-    )
+    return lines, {"rows": all_data}

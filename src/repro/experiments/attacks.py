@@ -31,8 +31,8 @@ from ..protocols import (
     SampledEdgesMatching,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_kv, render_table
+from .registry import register
+from .tables import render_kv, render_rows
 
 
 @register(
@@ -62,7 +62,7 @@ from .tables import render_kv, render_table
 )
 def run_attacks(
     m: int = 12, k: int = 4, trials: int = 20, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Run every one-round attack family against one D_MM."""
     hard = scaled_distribution(m=m, k=k)
     # A threshold between the unique-vertex degree (~|A|/2) and the
@@ -78,20 +78,9 @@ def run_attacks(
         HybridMatching(unique_degree_cap, 2),
     ]
     rows = []
-    data_rows = []
     for protocol in protocols:
         result = attack_with_matching_protocol(hard, protocol, trials, seed)
         rows.append(
-            (
-                protocol.name,
-                result.max_bits,
-                result.mean_bits,
-                result.strict_success_rate,
-                result.relaxed_success_rate,
-                result.mean_unique_unique,
-            )
-        )
-        data_rows.append(
             {
                 "protocol": protocol.name,
                 "max_bits": result.max_bits,
@@ -111,13 +100,15 @@ def run_attacks(
             ("trials per protocol", trials),
         ]
     )
-    table = render_table(
-        ["protocol", "max bits", "avg bits", "strict", "relaxed", "mean UU"],
+    table = render_rows(
+        [
+            ("protocol", "protocol"),
+            ("max bits", "max_bits"),
+            ("avg bits", "mean_bits"),
+            ("strict", "strict_rate"),
+            ("relaxed", "relaxed_rate"),
+            ("mean UU", "mean_unique_unique"),
+        ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="ATK",
-        title="Attack landscape on D_MM",
-        lines=tuple([*info, "", *table]),
-        data={"rows": data_rows, "required_bits": chain.required_bits},
-    )
+    return [*info, "", *table], {"rows": rows, "required_bits": chain.required_bits}

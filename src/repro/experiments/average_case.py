@@ -29,8 +29,8 @@ from ..lowerbound.concentration import (
 )
 from ..protocols import LowDegreeOnlyMatching, SampledEdgesMatching
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .registry import register
+from .tables import render_rows, render_table
 
 
 def _profiles_flatten(data: dict, params: dict) -> bool:
@@ -65,33 +65,20 @@ def run_average_case(
     trials: tuple[int, ...] = (4, 32),
     seed: int = 0,
     engine: ExecutionEngine | None = None,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Measure the symmetrized cost profile and the exact Chernoff table."""
     hard = scaled_distribution(m=m, k=k)
-    rows = []
-    data_rows = []
     protocols = [
         SampledEdgesMatching(2),
         LowDegreeOnlyMatching(max(2, hard.rs.graph.max_degree() // 2)),
     ]
+    profiles = []
     for protocol in protocols:
         for t in trials:
             profile = symmetrized_cost_profile(
                 hard, protocol, trials=t, seed=seed, engine=engine
             )
-            share_entropy = cost_profile_entropy(profile)
-            rows.append(
-                (
-                    protocol.name,
-                    t,
-                    profile.mean,
-                    profile.max,
-                    profile.relative_spread,
-                    max_to_average_gap(profile),
-                    share_entropy,
-                )
-            )
-            data_rows.append(
+            profiles.append(
                 {
                     "protocol": protocol.name,
                     "trials": t,
@@ -99,36 +86,39 @@ def run_average_case(
                     "max_bits": profile.max,
                     "relative_spread": profile.relative_spread,
                     "max_to_average": max_to_average_gap(profile),
-                    "share_entropy_bits": share_entropy,
+                    "share_entropy_bits": cost_profile_entropy(profile),
                 }
             )
-    table = render_table(
+    table = render_rows(
         [
-            "protocol",
-            "trials",
-            "E[bits] mean",
-            "E[bits] max",
-            "spread",
-            "max/avg",
-            "share H (bits)",
+            ("protocol", "protocol"),
+            ("trials", "trials"),
+            ("E[bits] mean", "mean_bits"),
+            ("E[bits] max", "max_bits"),
+            ("spread", "relative_spread"),
+            ("max/avg", "max_to_average"),
+            ("share H (bits)", "share_entropy_bits"),
         ],
-        rows,
+        profiles,
     )
 
-    chernoff_rows = []
-    for kr in (10, 20, 40, 80):
-        chernoff_rows.append(
-            (
-                kr,
-                claim31_tail_exact(kr),
-                claim31_tail_paper_bound(kr),
-                claim31_tail_chernoff(kr),
-                claim31_tail_exact(kr) <= claim31_tail_paper_bound(kr),
-            )
-        )
+    chernoff = [
+        {
+            "kr": kr,
+            "exact": claim31_tail_exact(kr),
+            "paper": claim31_tail_paper_bound(kr),
+            "valid": claim31_tail_exact(kr) <= claim31_tail_paper_bound(kr),
+        }
+        for kr in (10, 20, 40, 80)
+    ]
+    # The Chernoff column is printed for contrast; no check reads it.
     chernoff_table = render_table(
         ["k*r", "exact P[<kr/3]", "paper 2^(-kr/10)", "Chernoff e^(-kr/36)", "paper bound valid"],
-        chernoff_rows,
+        [
+            (row["kr"], row["exact"], row["paper"], claim31_tail_chernoff(row["kr"]),
+             row["valid"])
+            for row in chernoff
+        ],
     )
     lines = [
         "Per-player expected cost under random sigma (symmetrization):",
@@ -141,20 +131,4 @@ def run_average_case(
         "",
         *chernoff_table,
     ]
-    return ExperimentReport(
-        experiment_id="AVG",
-        title="Average-case symmetrization + Chernoff constants",
-        lines=tuple(lines),
-        data={
-            "profiles": data_rows,
-            "chernoff": [
-                {
-                    "kr": kr,
-                    "exact": claim31_tail_exact(kr),
-                    "paper": claim31_tail_paper_bound(kr),
-                    "valid": claim31_tail_exact(kr) <= claim31_tail_paper_bound(kr),
-                }
-                for kr in (10, 20, 40, 80)
-            ],
-        },
-    )
+    return lines, {"profiles": profiles, "chernoff": chernoff}

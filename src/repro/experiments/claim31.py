@@ -29,8 +29,8 @@ from ..lowerbound import (
     union_matching_size,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .registry import register
+from .tables import render_rows
 
 
 def in_claim_regime(hard: HardDistribution) -> bool:
@@ -82,16 +82,14 @@ def run_claim31(
     configs: list[tuple[str, HardDistribution]] | None = None,
     trials: int = 30,
     seed: int = 0,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Monte-Carlo Claim 3.1 across parameter regimes."""
     if configs is None:
         configs = default_configurations()
     rows = []
-    data_rows = []
     rng = random.Random(seed)
     for name, hard in configs:
         threshold = hard.claim31_threshold
-        floor = hard.k * hard.r / 3.0 - hard.num_public
         hold = 0
         union_total = 0.0
         min_total = 0.0
@@ -103,24 +101,11 @@ def run_claim31(
             if min_uu >= threshold:
                 hold += 1
         rows.append(
-            (
-                name,
-                in_claim_regime(hard),
-                threshold,
-                floor,
-                min_total / trials,
-                union_total / trials,
-                hard.k * hard.r / 2.0,
-                hold / trials,
-                hard.claim31_probability_bound,
-            )
-        )
-        data_rows.append(
             {
                 "config": name,
                 "in_regime": in_claim_regime(hard),
                 "threshold": threshold,
-                "counting_floor": floor,
+                "counting_floor": hard.k * hard.r / 3.0 - hard.num_public,
                 "mean_min_unique_unique": min_total / trials,
                 "mean_union_size": union_total / trials,
                 "expected_union_size": hard.k * hard.r / 2.0,
@@ -128,23 +113,18 @@ def run_claim31(
                 "paper_probability_bound": hard.claim31_probability_bound,
             }
         )
-    table = render_table(
+    table = render_rows(
         [
-            "configuration",
-            "in regime",
-            "kr/4",
-            "kr/3-(N-2r)",
-            "mean min-UU",
-            "mean |∪M_i|",
-            "E=kr/2",
-            "holds",
-            "paper bound",
+            ("configuration", "config"),
+            ("in regime", "in_regime"),
+            ("kr/4", "threshold"),
+            ("kr/3-(N-2r)", "counting_floor"),
+            ("mean min-UU", "mean_min_unique_unique"),
+            ("mean |∪M_i|", "mean_union_size"),
+            ("E=kr/2", "expected_union_size"),
+            ("holds", "holds_rate"),
+            ("paper bound", "paper_probability_bound"),
         ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="C31",
-        title="Every maximal matching is unique-heavy (Claim 3.1)",
-        lines=tuple(table),
-        data={"rows": data_rows, "trials": trials},
-    )
+    return table, {"rows": rows, "trials": trials}

@@ -23,7 +23,7 @@ from ..lowerbound.edge_partition import (
 from ..model import PublicCoins, run_protocol
 from ..protocols import SampledEdgesMatching
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_kv, render_table
 
 
@@ -57,7 +57,7 @@ def run_edge_partition(
     budgets: list[int] | None = None,
     trials: int = 15,
     seed: int = 0,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Compare vertex- and edge-partition protocols on shared D_MM samples."""
     hard = scaled_distribution(m=m, k=k)
     if budgets is None:
@@ -152,9 +152,4 @@ def run_edge_partition(
         ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="EPART",
-        title="Vertex- vs edge-partition power (§1.2)",
-        lines=tuple([*info, "", *table]),
-        data={"rows": data_rows},
-    )
+    return [*info, "", *table], {"rows": data_rows}

@@ -23,7 +23,7 @@ from ..lowerbound.exhaustive import (
     shared_center_distribution,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -62,7 +62,7 @@ def _c4_distribution():
 )
 def run_exact_cc(
     include_c4: bool = False, max_strategies: int = 2_000_000
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Brute-force the optimal success of all b-bit protocols on micro D_MM."""
     instances = [
         ("micro r=1 t=2 k=1", micro_distribution(1, 2, 1)),
@@ -117,9 +117,4 @@ def run_exact_cc(
         "an owner whose whole view fits in one message.  The Ω(√n) bound",
         "is a scale phenomenon; see the lemma experiments for its engine.",
     ]
-    return ExperimentReport(
-        experiment_id="XCC",
-        title="Exact communication complexity of micro D_MM",
-        lines=tuple(lines),
-        data={"rows": data_rows},
-    )
+    return lines, {"rows": data_rows}

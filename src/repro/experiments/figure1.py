@@ -7,7 +7,7 @@ import random
 from ..lowerbound import sample_dmm, scaled_distribution
 from .ascii_art import render_figure1
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -31,7 +31,7 @@ from .tables import render_table
         "2rk_unique_vertices": lambda d, p: d["num_unique"] == 2 * d["r"] * p["k"],
     },
 )
-def run_figure1(m: int = 10, k: int = 2, seed: int = 0) -> ExperimentReport:
+def run_figure1(m: int = 10, k: int = 2, seed: int = 0) -> tuple[list[str], dict]:
     """Sample one instance at the requested scale and report the structure
     Figure 1 illustrates: shared public block, per-copy unique blocks,
     and each copy's special matching with its dropped edges."""
@@ -75,9 +75,4 @@ def run_figure1(m: int = 10, k: int = 2, seed: int = 0) -> ExperimentReport:
         "",
         *art,
     ]
-    return ExperimentReport(
-        experiment_id="F1",
-        title="Hard distribution D_MM (Figure 1)",
-        lines=tuple(lines),
-        data=data,
-    )
+    return lines, data

@@ -15,7 +15,7 @@ from ..lowerbound import (
 )
 from .ascii_art import render_figure2
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_kv
 
 
@@ -38,7 +38,7 @@ from .tables import render_kv
 )
 def run_figure2(
     m: int = 10, k: int = 2, seed: int = 0, side_trials: int = 8
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Build H from one D_MM sample, solve MIS on it exactly (greedy on
     the full graph — the referee-side ideal), and validate the Lemma 4.1
     decode round-trip Figure 2 illustrates.
@@ -91,14 +91,4 @@ def run_figure2(
         "side_entropy_bits": side_entropy,
         "iff_entropy_bits": iff_entropy,
     }
-    lines = [
-        *render_figure2(instance),
-        "",
-        *render_kv(list(data.items())),
-    ]
-    return ExperimentReport(
-        experiment_id="F2",
-        title="Reduction graph H (Figure 2)",
-        lines=tuple(lines),
-        data=data,
-    )
+    return [*render_figure2(instance), "", *render_kv(list(data.items()))], data

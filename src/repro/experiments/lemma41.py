@@ -15,7 +15,7 @@ from ..lowerbound import (
     scaled_distribution,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -44,7 +44,7 @@ from .tables import render_table
 )
 def run_lemma41(
     monte_carlo_trials: int = 20, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Two passes:
 
     * exhaustive — every maximal independent set of H for a micro
@@ -108,9 +108,4 @@ def run_lemma41(
         ["pass", "MIS checked", "clean sides", "iff holds", "easy-dir holds"],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="L41",
-        title="MIS -> matching decode correctness (Lemma 4.1)",
-        lines=tuple(table),
-        data=data,
-    )
+    return table, data

@@ -14,8 +14,9 @@ from ..lowerbound import analyze_copies, analyze_protocol, micro_distribution
 from ..model import PublicCoins
 from ..protocols import make_protocol
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .charts import bar_chart
+from .registry import register
+from .tables import render_rows, render_table
 
 _COINS = PublicCoins(seed=2020)
 
@@ -93,8 +94,11 @@ def run_lemma33(
     k: int = 2,
     engine: ExecutionEngine | None = None,
     exact: bool = False,
-) -> ExperimentReport:
-    """I(M;Π|Σ,J) vs the proof's implied bound E|M^U| - Pr[err]·kr - 1."""
+) -> tuple[list[str], dict]:
+    """I(M;Π|Σ,J) vs the proof's implied bound E|M^U| - Pr[err]·kr - 1.
+
+    The table prints the analysis's own values, Fractions in exact mode,
+    where the data rows hold floats."""
     hard, analyses = _analyses(r, t, k, engine, exact)
     rows = []
     data_rows = []
@@ -125,8 +129,6 @@ def run_lemma33(
         ["protocol", "b (bits)", "Pr[err]", "E|M^U|", "I(M;Π|J)", "bound", "holds"],
         rows,
     )
-    from .charts import bar_chart
-
     chart = bar_chart(
         labels=[row[0] for row in rows],
         values=[row[4] for row in rows],
@@ -142,12 +144,7 @@ def run_lemma33(
         "",
         *chart,
     ]
-    return ExperimentReport(
-        experiment_id="L33",
-        title="Information lower bound (Lemma 3.3)",
-        lines=tuple(lines),
-        data={"rows": data_rows},
-    )
+    return lines, {"rows": data_rows}
 
 
 @register(
@@ -169,24 +166,13 @@ def run_lemma34(
     k: int = 2,
     engine: ExecutionEngine | None = None,
     exact: bool = False,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """I(M;Π|Σ,J) <= H(Π(P)) + Σ_i I(M_{i,J};Π(U_i)|Σ,J), exactly."""
     hard, analyses = _analyses(r, t, k, engine, exact)
     rows = []
-    data_rows = []
     for protocol, a in analyses:
         unique_sum = sum(a.unique_information(i) for i in range(hard.k))
         rows.append(
-            (
-                protocol.name,
-                a.lemma34_lhs,
-                a.public_entropy,
-                unique_sum,
-                a.lemma34_rhs,
-                a.lemma34_holds(),
-            )
-        )
-        data_rows.append(
             {
                 "protocol": protocol.name,
                 "lhs": a.lemma34_lhs,
@@ -196,16 +182,18 @@ def run_lemma34(
                 "holds": a.lemma34_holds(),
             }
         )
-    table = render_table(
-        ["protocol", "I(M;Π|J)", "H(Π(P))", "Σ I(M_i;Π(U_i)|J)", "rhs", "holds"],
+    table = render_rows(
+        [
+            ("protocol", "protocol"),
+            ("I(M;Π|J)", "lhs"),
+            ("H(Π(P))", "public_entropy"),
+            ("Σ I(M_i;Π(U_i)|J)", "unique_information_sum"),
+            ("rhs", "rhs"),
+            ("holds", "holds"),
+        ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="L34",
-        title="Public/unique decomposition (Lemma 3.4)",
-        lines=tuple(table),
-        data={"rows": data_rows},
-    )
+    return table, {"rows": rows}
 
 
 @register(
@@ -238,29 +226,18 @@ def run_lemma35(
     k: int = 2,
     engine: ExecutionEngine | None = None,
     exact: bool = False,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Per copy i: I(M_{i,J};Π(U_i)|Σ,J) <= H(Π(U_i))/t — the 1/t factor
     is the direct-sum engine of the whole lower bound, so the table
     reports it per copy.  In exact mode each copy's table is enumerated
     on its own: the same Fractions, at t·2^(t·r) outcomes per copy."""
     hard, analyses = _analyses(r, t, k, engine, exact, per_copy=exact)
     rows = []
-    data_rows = []
     for protocol, a in analyses:
         for i in range(hard.k):
             info = a.unique_information(i)
             entropy = a.unique_entropy(i)
             rows.append(
-                (
-                    protocol.name,
-                    i,
-                    info,
-                    entropy,
-                    entropy / hard.t,
-                    a.lemma35_holds(i),
-                )
-            )
-            data_rows.append(
                 {
                     "protocol": protocol.name,
                     "copy": i,
@@ -270,13 +247,15 @@ def run_lemma35(
                     "holds": a.lemma35_holds(i),
                 }
             )
-    table = render_table(
-        ["protocol", "copy i", "I(M_i;Π(U_i)|J)", "H(Π(U_i))", "H/t", "holds"],
+    table = render_rows(
+        [
+            ("protocol", "protocol"),
+            ("copy i", "copy"),
+            ("I(M_i;Π(U_i)|J)", "information"),
+            ("H(Π(U_i))", "entropy"),
+            ("H/t", "entropy_over_t"),
+            ("holds", "holds"),
+        ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="L35",
-        title="Direct-sum for unique players (Lemma 3.5)",
-        lines=tuple(table),
-        data={"rows": data_rows},
-    )
+    return table, {"rows": rows}

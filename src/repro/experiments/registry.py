@@ -1,9 +1,12 @@
 """Experiment registry: one entry per paper figure / claim / theorem.
 
-Each experiment is a named callable producing an :class:`ExperimentReport`
-— a text rendering (what REPORT.md shows) plus a data dict (what tests
-assert on and EXPERIMENTS.md records).  The registry maps the experiment
-ids of DESIGN.md's per-experiment index to their runners.
+Each experiment is a named runner returning ``(lines, data)``: the
+report body (what REPORT.md and the CLI print) and the data dict (what
+the run store keeps, the checks judge and the tests assert on).
+:meth:`Experiment.run` stamps them with the registration's id and title
+into an :class:`ExperimentReport`, so a runner states neither.  The
+registry maps the experiment ids of DESIGN.md's per-experiment index to
+their runners.
 
 Every experiment also declares the paper claims its output must show
 as ``checks``: named predicates over a run's data and resolved params,
@@ -25,7 +28,7 @@ resolved parameter dict is what content-addresses each stored
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..engine import ExecutionEngine
@@ -36,6 +39,9 @@ RESERVED_PARAMS = ("engine", "exact")
 
 #: A declared paper claim: a predicate over a run's data and resolved params.
 Check = Callable[[dict, dict], bool]
+
+#: An experiment runner: keyword params in, ``(lines, data)`` out.
+Runner = Callable[..., tuple[Sequence[str], dict]]
 
 #: What a check raises on data without the keys, rows or types it reads.
 _DATA_SHAPE_ERRORS = (
@@ -65,7 +71,7 @@ class Experiment:
     experiment_id: str
     title: str
     paper_reference: str
-    runner: Callable[..., ExperimentReport]
+    runner: Runner
     spec: ExperimentSpec = field(default_factory=ExperimentSpec)
     checks: Mapping[str, Check] = field(default_factory=dict)
 
@@ -96,13 +102,16 @@ class Experiment:
         and ``exact`` reach the runner only when its spec declares
         support; an unsupported ``exact=True`` is silently ignored, as
         the CLI's ``--exact`` has always been for non-exact runners.
+        The runner's ``(lines, data)`` becomes the report under this
+        registration's id and title.
         """
         kwargs = self.spec.validate(overrides)
         if self.spec.accepts_engine and engine is not None:
             kwargs["engine"] = engine
         if self.spec.accepts_exact and exact:
             kwargs["exact"] = True
-        return self.runner(**kwargs)
+        lines, data = self.runner(**kwargs)
+        return ExperimentReport(self.experiment_id, self.title, tuple(lines), data)
 
 
 _REGISTRY: dict[str, Experiment] = {}
@@ -110,7 +119,7 @@ _REGISTRY: dict[str, Experiment] = {}
 
 def _check_declaration(
     experiment_id: str,
-    fn: Callable[..., ExperimentReport],
+    fn: Runner,
     params: tuple[ParamSpec, ...],
 ) -> ExperimentSpec:
     """Cross-check a parameter declaration against the runner signature.
@@ -158,16 +167,16 @@ def register(
     smoke: dict | None = None,
     checks: Mapping[str, Check] | None = None,
 ):
-    """Decorator registering an experiment runner under an id.
+    """Decorator registering an experiment runner under an id and title.
 
-    ``params`` declares the runner's full parameter surface (checked
-    against its signature at import time); ``smoke`` is the small
-    sub-second override set used by smoke tests and ``repro trace``;
-    ``checks`` maps a short name to a paper-claim predicate
-    ``check(data, params)`` (see :meth:`Experiment.verdicts`).
+    The runner returns ``(lines, data)``; ``params`` declares its full
+    parameter surface (checked against its signature at import time);
+    ``smoke`` is the small sub-second override set used by smoke tests
+    and ``repro trace``; ``checks`` maps a short name to a paper-claim
+    predicate ``check(data, params)`` (see :meth:`Experiment.verdicts`).
     """
 
-    def deco(fn: Callable[..., ExperimentReport]) -> Callable[..., ExperimentReport]:
+    def deco(fn: Runner) -> Runner:
         """Validate the declaration and file the experiment."""
         if experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")

@@ -33,7 +33,7 @@ from ..sketches import (
     is_proper_coloring,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .stats import wilson_interval
 from .tables import render_table
 
@@ -107,7 +107,7 @@ def run_robustness(
     trials: int = 6,
     seed: int = 0,
     engine: ExecutionEngine | None = None,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Run the main protocols across standard graph families with Wilson CIs."""
     engine = resolve_engine(engine)
     items = [
@@ -155,9 +155,4 @@ def run_robustness(
         "",
         *table,
     ]
-    return ExperimentReport(
-        experiment_id="ROB",
-        title="Protocol robustness across graph families",
-        lines=tuple(lines),
-        data={"rows": data_rows, "trials": trials},
-    )
+    return lines, {"rows": data_rows, "trials": trials}

@@ -10,8 +10,8 @@ from ..rsgraphs import (
     tripartite_rs_graph,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .registry import register
+from .tables import render_rows, render_table
 
 
 def _sum_class(data: dict) -> list[dict]:
@@ -40,31 +40,15 @@ def _sum_class(data: dict) -> list[dict]:
         ),
     },
 )
-def run_rs_params(ms: list[int] | None = None) -> ExperimentReport:
+def run_rs_params(ms: list[int] | None = None) -> tuple[list[str], dict]:
     """Tabulate achieved (r, t) of the sum-class construction against the
     asymptotic r = N/e^Θ(sqrt(log N)), t = N/3 of Proposition 2.1."""
     if ms is None:
         ms = [4, 8, 16, 32, 64, 128]
     rows = []
-    data_rows = []
     for m in ms:
         _, params = build_catalog_entry(m)
-        r_asym = proposition21_r(params.n)
-        t_asym = proposition21_t(params.n)
         rows.append(
-            (
-                m,
-                params.n,
-                params.ap_free_size,
-                params.r,
-                params.t,
-                params.num_edges,
-                r_asym,
-                t_asym,
-                params.t / t_asym if t_asym else 0.0,
-            )
-        )
-        data_rows.append(
             {
                 "m": m,
                 "n": params.n,
@@ -72,34 +56,34 @@ def run_rs_params(ms: list[int] | None = None) -> ExperimentReport:
                 "r": params.r,
                 "t": params.t,
                 "edges": params.num_edges,
-                "r_asymptotic": r_asym,
-                "t_asymptotic": t_asym,
+                "r_asymptotic": proposition21_r(params.n),
+                "t_asymptotic": proposition21_t(params.n),
             }
         )
+    # The t ratio is printed for the reader; no check reads it.
     table = render_table(
         ["m", "N", "|A|", "r", "t", "edges", "r~N/e^Θ(√logN)", "t~N/3", "t ratio"],
-        rows,
+        [
+            [row[key] for key in ("m", "n", "ap_free", "r", "t", "edges",
+                                  "r_asymptotic", "t_asymptotic")]
+            + [row["t"] / row["t_asymptotic"] if row["t_asymptotic"] else 0.0]
+            for row in rows
+        ],
     )
 
     # The original RS78 tripartite construction, for comparison: same
     # AP-free sets, three matching families, larger N for the same m.
-    tri_rows = []
+    tripartite = []
     for m in ms[: min(4, len(ms))]:
         uni = best_uniform(tripartite_rs_graph(m))
-        tri_rows.append(
-            (m, uni.num_vertices, uni.r, uni.num_matchings,
-             uni.r * uni.num_matchings)
-        )
-        data_rows.append(
+        tripartite.append(
             {"m": m, "construction": "tripartite", "n": uni.num_vertices,
              "r": uni.r, "t": uni.num_matchings,
              "edges": uni.r * uni.num_matchings}
         )
-    tri_table = render_table(["m", "N", "r", "t", "edges"], tri_rows)
-    table = [*table, "", "RS78 tripartite construction (same |A|):", "", *tri_table]
-    return ExperimentReport(
-        experiment_id="P21",
-        title="RS graph parameters (Proposition 2.1)",
-        lines=tuple(table),
-        data={"rows": data_rows},
+    tri_table = render_rows(
+        [("m", "m"), ("N", "n"), ("r", "r"), ("t", "t"), ("edges", "edges")],
+        tripartite,
     )
+    lines = [*table, "", "RS78 tripartite construction (same |A|):", "", *tri_table]
+    return lines, {"rows": rows + tripartite}

@@ -31,8 +31,8 @@ from ..lowerbound import (
 from ..model import PublicCoins
 from ..protocols import FullNeighborhoodMIS, SampledEdgesMatching
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .registry import register
+from .tables import render_rows
 
 
 def _stability_cell(item: tuple) -> dict:
@@ -125,31 +125,20 @@ def run_stability(
     seeds: list[int] | None = None,
     trials: int = 10,
     engine: ExecutionEngine | None = None,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Re-derive the headline conclusions under independent seeds."""
     if seeds is None:
         seeds = [1, 2, 3, 4, 5]
     engine = resolve_engine(engine)
-    data_rows = engine.map(_stability_cell, [(seed, trials) for seed in seeds])
-    rows = [
-        (
-            row["seed"],
-            row["t1b_zero_budget"],
-            row["t1b_full_budget"],
-            row["c31_below_rate"],
-            row["c31_in_rate"],
-            row["t2_recovery"],
-        )
-        for row in data_rows
-    ]
-    table = render_table(
+    rows = engine.map(_stability_cell, [(seed, trials) for seed in seeds])
+    table = render_rows(
         [
-            "seed",
-            "T1b zero-budget",
-            "T1b full-budget",
-            "C31 below-regime",
-            "C31 in-regime",
-            "T2 recovery",
+            ("seed", "seed"),
+            ("T1b zero-budget", "t1b_zero_budget"),
+            ("T1b full-budget", "t1b_full_budget"),
+            ("C31 below-regime", "c31_below_rate"),
+            ("C31 in-regime", "c31_in_rate"),
+            ("T2 recovery", "t2_recovery"),
         ],
         rows,
     )
@@ -160,9 +149,4 @@ def run_stability(
         "",
         *table,
     ]
-    return ExperimentReport(
-        experiment_id="STAB",
-        title="Seed stability of the headline conclusions",
-        lines=tuple(lines),
-        data={"rows": data_rows},
-    )
+    return lines, {"rows": rows}

@@ -30,7 +30,7 @@ from ..streams import (
     stream_to_distributed_sketches,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -53,7 +53,7 @@ from .tables import render_table
 )
 def run_streams(
     n: int = 14, trials: int = 5, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Measure the dynamic-stream / linear-sketch equivalences."""
     rng = random.Random(seed)
     rows = []
@@ -102,16 +102,11 @@ def run_streams(
             "-",
         ),
     ]
-    table = render_table(["measurement", "result", "note"], rows)
-    return ExperimentReport(
-        experiment_id="STR",
-        title="Dynamic streams = linear sketches (§1.1)",
-        lines=tuple(table),
-        data={
-            "forest_ok": forest_ok,
-            "identical": identical,
-            "greedy_ok": greedy_ok,
-            "trials": trials,
-            "mean_l0_matching": sum(l0_sizes) / trials,
-        },
-    )
+    data = {
+        "forest_ok": forest_ok,
+        "identical": identical,
+        "greedy_ok": greedy_ok,
+        "trials": trials,
+        "mean_l0_matching": sum(l0_sizes) / trials,
+    }
+    return render_table(["measurement", "result", "note"], rows), data

@@ -1,13 +1,15 @@
 """Plain-text table rendering for experiment reports.
 
 Every experiment renders its results as an aligned text table (the same
-rows a paper table would carry), so REPORT.md, the CLI and EXPERIMENTS.md
-show identical numbers.
+rows a paper table would carry), so REPORT.md and the CLI show identical
+numbers.  A table whose cells are its data rows' values prints through
+:func:`render_rows`, straight from the rows the run store keeps and the
+checks judge; :func:`render_table` takes cells a data row does not hold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 
 def format_value(value) -> str:
@@ -39,6 +41,20 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
     for row in cells:
         lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return lines
+
+
+def render_rows(
+    columns: Sequence[tuple[str, str]], rows: Sequence[Mapping]
+) -> list[str]:
+    """Render data rows as a table, one ``(header, key)`` pair per column.
+
+    Each cell is its row's value at the column's key; keys no column
+    names are not printed, and a missing key raises ``KeyError``.
+    """
+    return render_table(
+        [header for header, _ in columns],
+        [[row[key] for _, key in columns] for row in rows],
+    )
 
 
 def render_kv(pairs: Sequence[tuple[str, object]]) -> list[str]:

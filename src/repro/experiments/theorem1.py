@@ -23,8 +23,9 @@ from ..lowerbound import (
 from ..lowerbound.bounds import theorem1_behrend_form_bits
 from ..protocols import SampledEdgesMatching
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_kv, render_table
+from .charts import bar_chart
+from .registry import register
+from .tables import render_kv, render_rows, render_table
 
 
 @register(
@@ -48,42 +49,29 @@ from .tables import render_kv, render_table
         ),
     },
 )
-def run_theorem1_landscape(ns: list[int] | None = None) -> ExperimentReport:
+def run_theorem1_landscape(ns: list[int] | None = None) -> tuple[list[str], dict]:
     """Tabulate the analytic bound landscape across n."""
     if ns is None:
         ns = [10**3, 10**6, 10**9, 10**12]
-    rows = []
-    data_rows = []
-    for row in bound_table(ns):
-        behrend = theorem1_behrend_form_bits(row.n)
-        rows.append(
-            (
-                row.n,
-                row.agm_bits,
-                row.theorem1_bits,
-                behrend,
-                row.two_round_bits,
-                row.trivial_bits,
-            )
-        )
-        data_rows.append(
-            {
-                "n": row.n,
-                "agm_log3": row.agm_bits,
-                "theorem1_epsilon_form": row.theorem1_bits,
-                "theorem1_behrend_form": behrend,
-                "two_round_sqrt": row.two_round_bits,
-                "trivial": row.trivial_bits,
-            }
-        )
-    table = render_table(
+    rows = [
+        {
+            "n": row.n,
+            "agm_log3": row.agm_bits,
+            "theorem1_epsilon_form": row.theorem1_bits,
+            "theorem1_behrend_form": theorem1_behrend_form_bits(row.n),
+            "two_round_sqrt": row.two_round_bits,
+            "trivial": row.trivial_bits,
+        }
+        for row in bound_table(ns)
+    ]
+    table = render_rows(
         [
-            "n",
-            "AGM/coloring log^3 n",
-            "LB n^0.45",
-            "LB √n/e^c√ln n",
-            "2-round √n·log n",
-            "trivial n",
+            ("n", "n"),
+            ("AGM/coloring log^3 n", "agm_log3"),
+            ("LB n^0.45", "theorem1_epsilon_form"),
+            ("LB √n/e^c√ln n", "theorem1_behrend_form"),
+            ("2-round √n·log n", "two_round_sqrt"),
+            ("trivial n", "trivial"),
         ],
         rows,
     )
@@ -94,12 +82,7 @@ def run_theorem1_landscape(ns: list[int] | None = None) -> ExperimentReport:
         "",
         *table,
     ]
-    return ExperimentReport(
-        experiment_id="T1a",
-        title="Bound landscape (Theorem 1, analytic)",
-        lines=tuple(lines),
-        data={"rows": data_rows},
-    )
+    return lines, {"rows": rows}
 
 
 @register(
@@ -132,7 +115,7 @@ def run_theorem1_sweep(
     seed: int = 0,
     engine: ExecutionEngine | None = None,
     information: bool = False,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Sweep sampling budgets against D_MM and chart the success threshold.
 
     The sweep's inner Monte-Carlo loops route through the execution
@@ -152,39 +135,24 @@ def run_theorem1_sweep(
         hard, SampledEdgesMatching, knobs, trials=trials, seed=seed, engine=engine
     )
     rows = []
-    data_rows = []
     for p in points:
         r = p.result
-        rows.append(
-            (
-                p.knob,
-                r.max_bits,
-                r.strict_success_rate,
-                r.relaxed_success_rate,
-                r.mean_unique_unique,
-                hard.claim31_threshold,
-            )
-        )
-        data_rows.append(
-            {
-                "knob": p.knob,
-                "max_bits": r.max_bits,
-                "strict_rate": r.strict_success_rate,
-                "relaxed_rate": r.relaxed_success_rate,
-                "mean_unique_unique": r.mean_unique_unique,
-            }
-        )
-    if information:
-        for row_index, p in enumerate(points):
-            mi = empirical_information(
+        row = {
+            "knob": p.knob,
+            "max_bits": r.max_bits,
+            "strict_rate": r.strict_success_rate,
+            "relaxed_rate": r.relaxed_success_rate,
+            "mean_unique_unique": r.mean_unique_unique,
+        }
+        if information:
+            row["plugin_information"] = empirical_information(
                 hard,
                 SampledEdgesMatching(p.knob),
                 trials=trials,
                 seed=seed,
                 engine=engine,
             )
-            rows[row_index] = (*rows[row_index], mi)
-            data_rows[row_index]["plugin_information"] = mi
+        rows.append(row)
     headers = [
         "edges/vertex",
         "max bits",
@@ -195,7 +163,16 @@ def run_theorem1_sweep(
     ]
     if information:
         headers.append("I(J;Π) plug-in")
-    table = render_table(headers, rows)
+    # The kr/4 column is the instance's constant, not a data key.
+    table = render_table(
+        headers,
+        [
+            [row["knob"], row["max_bits"], row["strict_rate"], row["relaxed_rate"],
+             row["mean_unique_unique"], hard.claim31_threshold]
+            + ([row["plugin_information"]] if information else [])
+            for row in rows
+        ],
+    )
     info = render_kv(
         [
             ("distribution", f"m={m}, k={k}: N={hard.N}, r={hard.r}, t={hard.t}, n={hard.n}"),
@@ -204,18 +181,10 @@ def run_theorem1_sweep(
             ("trials per point", trials),
         ]
     )
-    from .charts import bar_chart
-
     chart = bar_chart(
-        labels=[f"b={row[1]} bits" for row in rows],
-        values=[row[2] for row in rows],
+        labels=[f"b={row['max_bits']} bits" for row in rows],
+        values=[row["strict_rate"] for row in rows],
         maximum=1.0,
     )
-    return ExperimentReport(
-        experiment_id="T1b",
-        title="Adversarial budget sweep (Theorem 1, empirical)",
-        lines=tuple(
-            [*info, "", *table, "", "strict success vs measured bits:", "", *chart]
-        ),
-        data={"rows": data_rows, "required_bits": chain.required_bits},
-    )
+    lines = [*info, "", *table, "", "strict success vs measured bits:", "", *chart]
+    return lines, {"rows": rows, "required_bits": chain.required_bits}

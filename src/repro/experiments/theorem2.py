@@ -9,12 +9,17 @@ matching lower bound.
 from __future__ import annotations
 
 from ..engine import ExecutionEngine, derive_seed, resolve_engine
-from ..lowerbound import run_reduction, sample_dmm_family, scaled_distribution
+from ..lowerbound import (
+    budget_sweep,
+    run_reduction,
+    sample_dmm_family,
+    scaled_distribution,
+)
 from ..model import PublicCoins
 from ..protocols import FullNeighborhoodMIS, SampledEdgesMIS
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_kv, render_table
+from .registry import register
+from .tables import render_kv, render_rows
 
 
 def _reduction_trial(item: tuple) -> tuple[bool, bool, int]:
@@ -64,7 +69,7 @@ def run_theorem2(
     budgets: list[int] | None = None,
     seed: int = 0,
     engine: ExecutionEngine | None = None,
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Drive MIS protocols through the reduction and attack G directly."""
     engine = resolve_engine(engine)
     hard = scaled_distribution(m=m, k=k)
@@ -72,10 +77,8 @@ def run_theorem2(
         budgets = [0, 1, 2, 4]
     protocols = [FullNeighborhoodMIS()] + [SampledEdgesMIS(b) for b in budgets]
     rows = []
-    data_rows = []
     instances = sample_dmm_family(hard, trials, seed)
     for protocol in protocols:
-        name = protocol.name
         outcomes = engine.map(
             _reduction_trial,
             [
@@ -83,34 +86,26 @@ def run_theorem2(
                 for trial, inst in enumerate(instances)
             ],
         )
-        exact = sum(o[0] for o in outcomes)
-        superset = sum(o[1] for o in outcomes)
-        bits = max((o[2] for o in outcomes), default=0)
         rows.append(
-            (
-                name,
-                bits,
-                exact / trials,
-                superset / trials,
-            )
-        )
-        data_rows.append(
             {
-                "protocol": name,
-                "per_player_bits": bits,
-                "exact_recovery_rate": exact / trials,
-                "superset_recovery_rate": superset / trials,
+                "protocol": protocol.name,
+                "per_player_bits": max((o[2] for o in outcomes), default=0),
+                "exact_recovery_rate": sum(o[0] for o in outcomes) / trials,
+                "superset_recovery_rate": sum(o[1] for o in outcomes) / trials,
             }
         )
-    table = render_table(
-        ["MIS protocol on H", "2b bits/player", "exact recovery", "contains survivors"],
+    table = render_rows(
+        [
+            ("MIS protocol on H", "protocol"),
+            ("2b bits/player", "per_player_bits"),
+            ("exact recovery", "exact_recovery_rate"),
+            ("contains survivors", "superset_recovery_rate"),
+        ],
         rows,
     )
 
     # Complementary view: MIS protocols attacked *directly* on G ~ D_MM
     # (no reduction) — the strict-task failure Theorem 2 also implies.
-    from ..lowerbound import budget_sweep
-
     direct_points = budget_sweep(
         hard,
         make_protocol=SampledEdgesMIS,
@@ -120,19 +115,19 @@ def run_theorem2(
         mis=True,
         engine=engine,
     )
-    direct_rows = [
-        (p.knob, p.result.max_bits, p.result.strict_success_rate)
-        for p in direct_points
-    ]
-    direct_table = render_table(
-        ["MIS budget (edges/vertex)", "max bits", "maximal-MIS success"],
-        direct_rows,
-    )
-    direct_data = [
+    direct = [
         {"knob": p.knob, "bits": p.result.max_bits,
          "strict_rate": p.result.strict_success_rate}
         for p in direct_points
     ]
+    direct_table = render_rows(
+        [
+            ("MIS budget (edges/vertex)", "knob"),
+            ("max bits", "bits"),
+            ("maximal-MIS success", "strict_rate"),
+        ],
+        direct,
+    )
     info = render_kv(
         [
             ("distribution", f"m={m}, k={k}: n={hard.n}, H has {2 * hard.n} vertices"),
@@ -144,12 +139,8 @@ def run_theorem2(
             ),
         ]
     )
-    return ExperimentReport(
-        experiment_id="T2",
-        title="MIS lower bound via reduction (Theorem 2)",
-        lines=tuple(
-            [*info, "", *table, "", "Direct MIS attack on G (no reduction):",
-             "", *direct_table]
-        ),
-        data={"rows": data_rows, "direct_sweep": direct_data},
-    )
+    lines = [
+        *info, "", *table, "", "Direct MIS attack on G (no reduction):", "",
+        *direct_table,
+    ]
+    return lines, {"rows": rows, "direct_sweep": direct}

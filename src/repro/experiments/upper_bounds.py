@@ -29,8 +29,8 @@ from ..sketches import (
 )
 from ..graphs import is_maximal_independent_set
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
-from .tables import render_table
+from .registry import register
+from .tables import render_rows, render_table
 
 
 def _maximal_rates(data: dict, protocol: str) -> list[float]:
@@ -70,12 +70,11 @@ def _maximal_rates(data: dict, protocol: str) -> list[float]:
 )
 def run_agm_contrast(
     ns: list[int] | None = None, trials: int = 5, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Measure AGM spanning-forest bits/success and the footnote-1 protocol."""
     if ns is None:
         ns = [16, 32, 64]
     rows = []
-    data_rows = []
     for n in ns:
         rng = random.Random(seed + n)
         ok = 0
@@ -88,27 +87,26 @@ def run_agm_contrast(
         # Footnote-1 protocol on the motivating two-cluster instance.
         g2, bridge = two_random_components_with_bridge(n // 2, 0.6, rng)
         run2 = run_protocol(g2, CrossingEdgeProtocol(), PublicCoins(seed + n))
-        bridge_found = run2.output.bridge == (min(bridge), max(bridge))
-        rows.append((n, bits, ok / trials, run2.max_bits, bridge_found))
-        data_rows.append(
+        rows.append(
             {
                 "n": n,
                 "agm_bits": bits,
                 "agm_success": ok / trials,
                 "crossing_bits": run2.max_bits,
-                "bridge_found": bridge_found,
+                "bridge_found": run2.output.bridge == (min(bridge), max(bridge)),
             }
         )
-    table = render_table(
-        ["n", "AGM bits", "forest success", "footnote-1 bits", "bridge found"],
+    table = render_rows(
+        [
+            ("n", "n"),
+            ("AGM bits", "agm_bits"),
+            ("forest success", "agm_success"),
+            ("footnote-1 bits", "crossing_bits"),
+            ("bridge found", "bridge_found"),
+        ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="UB-SF",
-        title="AGM spanning forest sketches O(log^3 n)",
-        lines=tuple(table),
-        data={"rows": data_rows},
-    )
+    return table, {"rows": rows}
 
 
 @register(
@@ -134,12 +132,11 @@ def run_agm_contrast(
 )
 def run_coloring_contrast(
     ns: list[int] | None = None, trials: int = 5, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Measure palette-sparsification coloring bits and success across n."""
     if ns is None:
         ns = [16, 32, 64]
     rows = []
-    data_rows = []
     for n in ns:
         rng = random.Random(seed + n)
         ok = 0
@@ -159,21 +156,21 @@ def run_coloring_contrast(
                 g, PrivateCoinColoring(max_degree=delta), PublicCoins(derive_seed(seed, "ub-coloring", trial))
             )
             private_bits = max(private_bits, prun.max_bits)
-        rows.append((n, bits, ok / trials, private_bits, n))
-        data_rows.append(
+        rows.append(
             {"n": n, "coloring_bits": bits, "success": ok / trials,
              "private_coin_bits": private_bits, "trivial_bits": n}
         )
-    table = render_table(
-        ["n", "public-coin bits", "success", "private-coin bits", "trivial bits (n)"],
+    table = render_rows(
+        [
+            ("n", "n"),
+            ("public-coin bits", "coloring_bits"),
+            ("success", "success"),
+            ("private-coin bits", "private_coin_bits"),
+            ("trivial bits (n)", "trivial_bits"),
+        ],
         rows,
     )
-    return ExperimentReport(
-        experiment_id="UB-COL",
-        title="(Δ+1)-coloring sketches O(log^3 n)",
-        lines=tuple(table),
-        data={"rows": data_rows},
-    )
+    return table, {"rows": rows}
 
 
 @register(
@@ -201,7 +198,7 @@ def run_coloring_contrast(
 )
 def run_two_round_contrast(
     n: int = 36, trials: int = 8, seed: int = 0
-) -> ExperimentReport:
+) -> tuple[list[str], dict]:
     """Measure the adaptive MM/MIS protocols per round count."""
     rows = []
     data_rows = []
@@ -292,9 +289,4 @@ def run_two_round_contrast(
         "",
         *dmm_table,
     ]
-    return ExperimentReport(
-        experiment_id="UB-2R",
-        title="Two-round O(√n) MM / adaptive MIS",
-        lines=tuple(lines),
-        data={"rows": data_rows},
-    )
+    return lines, {"rows": data_rows}

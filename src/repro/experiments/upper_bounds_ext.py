@@ -29,7 +29,7 @@ from ..sketches import (
     certificate_min_cut,
 )
 from ..runs.spec import ParamSpec
-from .registry import ExperimentReport, register
+from .registry import register
 from .tables import render_table
 
 
@@ -58,7 +58,7 @@ from .tables import render_table
         ),
     },
 )
-def run_upper_bounds_ext(trials: int = 4, seed: int = 0) -> ExperimentReport:
+def run_upper_bounds_ext(trials: int = 4, seed: int = 0) -> tuple[list[str], dict]:
     """Measure edge connectivity, densest subgraph, and triangle sketches."""
     rows = []
     data: dict = {"connectivity": [], "densest": []}
@@ -160,9 +160,4 @@ def run_upper_bounds_ext(trials: int = 4, seed: int = 0) -> ExperimentReport:
         f"densest subgraph mean relative density error: "
         f"{sum(rel_errors) / len(rel_errors):.3f}",
     ]
-    return ExperimentReport(
-        experiment_id="UB-EXT",
-        title="Connectivity, densest subgraph, triangles, degeneracy",
-        lines=tuple(lines),
-        data=data,
-    )
+    return lines, data

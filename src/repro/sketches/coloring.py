@@ -21,7 +21,7 @@ for (Δ+1)-coloring in sublinear models.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from ..graphs import FrozenGraph, Graph, GraphLike
@@ -66,10 +66,30 @@ def sample_palette(
     return frozenset(rng.sample(range(num_colors), take))
 
 
-class PaletteSparsificationColoring(BatchSketchProtocol):
-    """One-round (Δ+1)-coloring sketch; Δ is a promise parameter."""
+def _list_color(palettes: Mapping[int, Set[int]], conflict: Graph) -> ColoringResult:
+    """The referee's most-constrained-first greedy list coloring
+    (DSATUR-flavored) of the conflict graph from the players' lists."""
+    colors: dict[int, int] = {}
+    failed: set[int] = set()
+    remaining = set(palettes)
+    available = {v: set(palettes[v]) for v in remaining}
+    while remaining:
+        v = min(remaining, key=lambda u: (len(available[u]), u))
+        remaining.remove(v)
+        if available[v]:
+            color = min(available[v])
+            colors[v] = color
+            for u in conflict.neighbors(v):
+                if u in remaining:
+                    available[u].discard(color)
+        else:
+            failed.add(v)
+    return ColoringResult(colors=colors, failed=frozenset(failed))
 
-    name = "palette-sparsification-coloring"
+
+class _ListColoring:
+    """What both coloring protocols share: the promise Δ and the size of
+    each vertex's color list."""
 
     def __init__(self, max_degree: int, list_size: int | None = None) -> None:
         if max_degree < 0:
@@ -82,6 +102,12 @@ class PaletteSparsificationColoring(BatchSketchProtocol):
             return self.list_size
         # Θ(log n) lists; the constant is empirical (ACK19 use c*log n).
         return max(4, 6 * max(1, (max(n, 2) - 1).bit_length()))
+
+
+class PaletteSparsificationColoring(_ListColoring, BatchSketchProtocol):
+    """One-round (Δ+1)-coloring sketch; Δ is a promise parameter."""
+
+    name = "palette-sparsification-coloring"
 
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
         size = self._list_size(view.n)
@@ -125,26 +151,9 @@ class PaletteSparsificationColoring(BatchSketchProtocol):
                 conflict.add_edge(v, u)
 
         palettes = {
-            v: set(sample_palette(v, self.max_degree, size, coins))
-            for v in sketches
+            v: sample_palette(v, self.max_degree, size, coins) for v in sketches
         }
-        colors: dict[int, int] = {}
-        failed: set[int] = set()
-        # Most-constrained-first greedy list coloring (DSATUR-flavored).
-        remaining = set(sketches)
-        available = {v: set(palettes[v]) for v in remaining}
-        while remaining:
-            v = min(remaining, key=lambda u: (len(available[u]), u))
-            remaining.remove(v)
-            if available[v]:
-                color = min(available[v])
-                colors[v] = color
-                for u in conflict.neighbors(v):
-                    if u in remaining:
-                        available[u].discard(color)
-            else:
-                failed.add(v)
-        return ColoringResult(colors=colors, failed=frozenset(failed))
+        return _list_color(palettes, conflict)
 
 
 def is_proper_coloring(graph: GraphLike, colors: dict[int, int], num_colors: int) -> bool:
@@ -157,7 +166,7 @@ def is_proper_coloring(graph: GraphLike, colors: dict[int, int], num_colors: int
     return all(colors[u] != colors[v] for u, v in graph.edges())
 
 
-class PrivateCoinColoring(RowSketchProtocol):
+class PrivateCoinColoring(_ListColoring, RowSketchProtocol):
     """(Δ+1)-coloring WITHOUT the public-coin trick — the [18] contrast.
 
     Related work ([18]) separates private-coin from public-coin
@@ -171,17 +180,6 @@ class PrivateCoinColoring(RowSketchProtocol):
     """
 
     name = "private-coin-coloring"
-
-    def __init__(self, max_degree: int, list_size: int | None = None) -> None:
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        self.max_degree = max_degree
-        self.list_size = list_size
-
-    def _list_size(self, n: int) -> int:
-        if self.list_size is not None:
-            return self.list_size
-        return max(4, 6 * max(1, (max(n, 2) - 1).bit_length()))
 
     def _private_palette(self, vertex: int, n: int, coins: PublicCoins) -> frozenset[int]:
         # Private randomness: a stream other players do not consult (the
@@ -220,20 +218,4 @@ class PrivateCoinColoring(RowSketchProtocol):
             for u in range(n):
                 if reader.read_bit() and u in graph:
                     graph.add_edge(v, u)
-
-        colors: dict[int, int] = {}
-        failed: set[int] = set()
-        remaining = set(sketches)
-        available = {v: set(palettes[v]) for v in remaining}
-        while remaining:
-            v = min(remaining, key=lambda u: (len(available[u]), u))
-            remaining.remove(v)
-            if available[v]:
-                color = min(available[v])
-                colors[v] = color
-                for u in graph.neighbors(v):
-                    if u in remaining:
-                        available[u].discard(color)
-            else:
-                failed.add(v)
-        return ColoringResult(colors=colors, failed=frozenset(failed))
+        return _list_color(palettes, graph)

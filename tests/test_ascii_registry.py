@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.experiments.ascii_art import render_figure1, render_figure2
-from repro.experiments.registry import ExperimentReport, register
+from repro.experiments.registry import Experiment, ExperimentReport, register
 from repro.lowerbound import micro_distribution, sample_dmm, scaled_distribution
 
 
@@ -68,6 +68,19 @@ class TestRegistryEdgeCases:
             @register("F1", "duplicate", "nowhere")
             def dup() -> ExperimentReport:  # pragma: no cover
                 raise AssertionError
+
+    def test_run_stamps_registered_id_and_title(self):
+        """A runner returns ``(lines, data)``; the report takes the
+        experiment's own id and title."""
+        experiment = Experiment(
+            experiment_id="ZZZ",
+            title="test title",
+            paper_reference="nowhere",
+            runner=lambda: (["a", "b"], {"x": 1}),
+        )
+        assert experiment.run() == ExperimentReport(
+            "ZZZ", "test title", ("a", "b"), {"x": 1}
+        )
 
     def test_report_render_includes_header(self):
         report = ExperimentReport(

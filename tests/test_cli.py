@@ -213,19 +213,69 @@ class TestSweepCommand:
         )
         assert "executed 0, skipped 2, remaining 0" in out
 
-    def test_sweep_trials_shorthand_conflict(self, tmp_path):
-        with pytest.raises(SystemExit, match="trials"):
+    def test_sweep_trials_shorthand_conflict(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "sweep", "T1b", "--grid", "trials=2,4", "--trials", "8",
                 "--store", str(tmp_path / "runs"),
             ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: --trials conflicts with a trials axis/--set\n"
+        )
 
-    def test_sweep_unknown_axis(self, tmp_path):
-        with pytest.raises(ValueError, match="declared"):
+    def test_sweep_unknown_axis(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "sweep", "F1", "--grid", "bogus=1,2",
                 "--store", str(tmp_path / "runs"),
             ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: F1: unknown param 'bogus'; declared: ['m', 'k', 'seed']\n"
+        )
+
+
+class TestOverrides:
+    """A malformed experiment override is a usage error: exit 2, one
+    ``repro: error:`` line, nothing on stdout, before anything runs or
+    any store is opened."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "F1", "--kw", "m=abc"], "F1: param 'm': expected int, got 'abc'"),
+            (["run", "F1", "--kw", "nope=3"], "F1: unknown param 'nope'; declared: "),
+            (["run", "F1", "--kw", "m"], "expected key=value, got 'm'"),
+            (["trace", "F1", "--kw", "m=abc"], "F1: param 'm': expected int, got 'abc'"),
+            (["sweep", "F1", "--grid", "nope=1"], "F1: unknown param 'nope'; declared: "),
+            (["sweep", "F1", "--grid", "m=8,x"], "F1: param 'm': expected int, got 'x'"),
+            (["sweep", "F1", "--grid", "m=8", "--set", "zz=1"],
+             "F1: unknown param 'zz'; declared: "),
+            (["sweep", "F1", "--grid", "m="], "empty grid axis 'm'"),
+            (["sweep", "T1b", "--grid", "trials=2,4", "--trials", "8"],
+             "--trials conflicts with a trials axis/--set"),
+        ],
+        ids=[
+            "run-mistyped", "run-unknown", "run-bare", "trace-mistyped",
+            "sweep-unknown-axis", "sweep-mistyped-axis", "sweep-unknown-set",
+            "sweep-empty-axis", "sweep-trials-conflict",
+        ],
+    )
+    def test_malformed_override_is_a_usage_error(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        _refuse_to_run(monkeypatch)
+        if argv[0] == "sweep":
+            argv = [*argv, "--store", str(tmp_path / "runs")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: " + message)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportCommand:

@@ -8,6 +8,7 @@ from repro.experiments import (
     format_value,
     get_experiment,
     render_kv,
+    render_rows,
     render_table,
     run_experiment,
 )
@@ -29,6 +30,21 @@ class TestTables:
         assert format_value(0.0) == "0"
         assert format_value(1234567.0) == "1.235e+06"
         assert format_value(3) == "3"
+
+    def test_render_rows_matches_render_table(self):
+        """Each cell is the row's value at its column's key, in column
+        order; keys no column names are ignored, a missing one raises."""
+        rows = [
+            {"n": 16, "bits": 0.25, "ok": True, "unused": "x"},
+            {"n": 1024, "bits": 123456.0, "ok": False, "unused": "y"},
+        ]
+        columns = [("success", "ok"), ("n", "n"), ("max bits", "bits")]
+        assert render_rows(columns, rows) == render_table(
+            ["success", "n", "max bits"],
+            [[True, 16, 0.25], [False, 1024, 123456.0]],
+        )
+        with pytest.raises(KeyError):
+            render_rows([*columns, ("missing", "absent")], rows)
 
     def test_render_kv(self):
         lines = render_kv([("key", 1), ("longer-key", 2.5)])

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.experiments import all_experiments
+from repro.experiments import all_experiments, get_experiment
 from repro.runs import ensure_json_data
 
 EXACT_CAPABLE = ["L33", "L34", "L35"]
@@ -26,8 +26,6 @@ def _experiment_ids():
 
 def _run_smoke(experiment_id: str, **extra):
     """Run one experiment with its declared smoke overrides."""
-    from repro.experiments import get_experiment
-
     exp = get_experiment(experiment_id)
     return exp.run(**dict(exp.spec.smoke), **extra)
 
@@ -35,6 +33,9 @@ def _run_smoke(experiment_id: str, **extra):
 @pytest.mark.parametrize("experiment_id", _experiment_ids())
 def test_data_roundtrips_losslessly(experiment_id):
     report = _run_smoke(experiment_id)
+    # The report carries its registration's id and title.
+    assert report.experiment_id == experiment_id
+    assert report.title == get_experiment(experiment_id).title
     data = ensure_json_data(report.data, experiment_id)
     assert data == json.loads(json.dumps(data))
     assert json.loads(json.dumps(report.data)) == data
