@@ -207,15 +207,24 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
 
 
 def _check_overrides(experiment: Experiment, overrides: dict) -> None:
-    """Check overrides against the experiment's declared spec.
+    """Check command-line overrides against the experiment's declared spec.
 
-    An unknown name or a mistyped value is a usage error, raised before
-    the engine is built or anything runs.
+    An unknown name, a mistyped value, or any value for an ``object``
+    param (a Python object such as C31's ``configs``, which no command
+    line can spell) is a usage error, raised before the engine is built
+    or anything runs.
     """
+    spec = experiment.spec
     try:
-        experiment.spec.validate(overrides)
+        spec.validate(overrides)
     except ValueError as exc:
         _usage_error(f"{experiment.experiment_id}: {exc}")
+    for name in overrides:
+        if spec.param(name).kind == "object":
+            _usage_error(
+                f"{experiment.experiment_id}: param {name!r} takes a Python "
+                "object, not a command-line value"
+            )
 
 
 def _experiments(ids: list[str]) -> list[Experiment]:
@@ -318,7 +327,7 @@ def cmd_run_all(args: argparse.Namespace, experiments: list[Experiment]) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, experiment: Experiment) -> int:
     """Expand a parameter grid, execute the missing points, record them.
 
     Prints one line per point: its axis values and how many of the
@@ -331,6 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if "trials" in base or "trials" in grid:
             _usage_error("--trials conflicts with a trials axis/--set")
         base["trials"] = args.trials
+    _check_overrides(experiment, base)
     try:
         plan_sweep(args.experiment_id, grid, base, exact=args.exact)
     except ValueError as exc:
@@ -471,9 +481,9 @@ def cmd_trace(args: argparse.Namespace, experiment: Experiment) -> int:
         write_trace,
     )
 
-    overrides = dict(experiment.spec.smoke)
-    overrides.update(_parse_kwargs(args.kw))
-    _check_overrides(experiment, overrides)
+    kw = _parse_kwargs(args.kw)
+    _check_overrides(experiment, kw)
+    overrides = {**experiment.spec.smoke, **kw}
     engine = _build_engine(args)
     start = time.time()
     with recording(TelemetryRecorder()) as recorder:
@@ -649,9 +659,9 @@ def main(argv: list[str] | None = None) -> int:
         with _tracing(args.trace):
             return cmd_run_all(args, experiments)
     if args.command == "sweep":
-        _experiments([args.experiment_id])
+        (experiment,) = _experiments([args.experiment_id])
         with _tracing(args.trace):
-            return cmd_sweep(args)
+            return cmd_sweep(args, experiment)
     if args.command == "trace":
         (experiment,) = _experiments([args.experiment_id])
         return cmd_trace(args, experiment)

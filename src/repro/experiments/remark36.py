@@ -73,8 +73,9 @@ def run_remark36(m: int = 10, k: int = 3, seed: int = 0) -> tuple[list[str], dic
     # public blocks.
     h = build_reduction_graph(inst)
     n = hard.n
+    public = inst.public_labels
     cross_ok = all(
-        (u in inst.public_labels and (v - n) in inst.public_labels)
+        (u in public and (v - n) in public)
         for u, v in h.edges()
         if u < n <= v
     )

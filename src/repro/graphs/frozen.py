@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, filterfalse, islice
 
 from .graph import Edge, Graph, normalize_edge
 
@@ -103,7 +103,6 @@ class FrozenGraph:
         # fast constructors use.
         other = FrozenGraph.from_edges(vertices, edges)
         self._adopt(other._verts, other._offsets, other._nbrs, other._index)
-        self._adjacency = other._adjacency
 
     # ------------------------------------------------------------------
     # Construction
@@ -192,9 +191,9 @@ class FrozenGraph:
 
         This is the assembly hot path for every freeze, so all the
         per-entry work stays at C level (set dedupe, ``sorted``, one
-        array per buffer) — and the shared adjacency view is prefilled
-        from the same sorted rows while they are in hand, which is
-        strictly cheaper than re-boxing the CSR array entries later.
+        array per buffer).  The frozenset :meth:`adjacency` view is not
+        built here: a graph that only the CSR readers see (batch
+        sketches, ``has_edge``, the cover test) never pays for it.
         """
         verts = sorted(lists)
         rows = [
@@ -208,7 +207,6 @@ class FrozenGraph:
             array(_WORD, list(chain.from_iterable(rows))),
             dict(zip(verts, range(len(verts)))),
         )
-        self._adjacency = dict(zip(verts, map(frozenset, rows)))
         return self
 
     # ------------------------------------------------------------------
@@ -262,9 +260,10 @@ class FrozenGraph:
     def adjacency(self) -> dict[int, frozenset[int]]:
         """The whole adjacency structure as a read-only shared dict.
 
-        Vertices appear in ascending order (the CSR order), so view
-        construction — and anything iterating the returned dict — is
-        deterministic regardless of how the graph was built.
+        Built from the CSR rows on first use and cached for the graph's
+        lifetime.  Vertices appear in ascending order (the CSR order),
+        so view construction — and anything iterating the returned dict
+        — is deterministic regardless of how the graph was built.
         """
         adj = self._adjacency
         if adj is None:
@@ -316,6 +315,21 @@ class FrozenGraph:
         for j in range(self._offsets[i], self._offsets[i + 1]):
             u = self._nbrs[j]
             yield (v, u) if v < u else (u, v)
+
+    def is_vertex_cover(self, vertices: Iterable[int]) -> bool:
+        """True iff every edge has at least one endpoint in the set.
+
+        Read from the uncovered side: each vertex outside the set must
+        have all its neighbors inside it, so only those vertices' CSR
+        rows are read, and the :meth:`adjacency` view is never built.
+        """
+        chosen = set(vertices)
+        index, offsets, nbrs = self._index, self._offsets, self._nbrs
+        for v in filterfalse(chosen.__contains__, self._verts):
+            i = index[v]
+            if not chosen.issuperset(nbrs[offsets[i] : offsets[i + 1]]):
+                return False
+        return True
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True iff no edge of the graph joins two of the given vertices."""

@@ -147,6 +147,14 @@ class Graph:
                 sub.add_edge(u, v)
         return sub
 
+    def is_vertex_cover(self, vertices: Iterable[int]) -> bool:
+        """True iff every edge has at least one endpoint in the set: each
+        vertex outside it has all its neighbors inside it."""
+        chosen = set(vertices)
+        return all(
+            nbrs <= chosen for v, nbrs in self._adj.items() if v not in chosen
+        )
+
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True iff no edge of the graph joins two of the given vertices."""
         chosen = set(vertices)

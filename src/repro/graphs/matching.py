@@ -52,13 +52,10 @@ def is_vertex_cover(graph: GraphLike, vertices: Iterable[int]) -> bool:
     """True iff every edge has at least one endpoint in the set.
 
     Read from the uncovered side: every vertex outside the set must have
-    all its neighbors inside it, so only those neighborhoods are read,
-    from the graph's shared ``adjacency()`` view.
+    all its neighbors inside it, so only those neighborhoods are read
+    (the CSR rows of a frozen graph, the neighbor sets of a builder).
     """
-    chosen = set(vertices)
-    return all(
-        nbrs <= chosen for v, nbrs in graph.adjacency().items() if v not in chosen
-    )
+    return graph.is_vertex_cover(vertices)
 
 
 def is_maximal_matching(graph: GraphLike, edges: Iterable[Edge]) -> bool:

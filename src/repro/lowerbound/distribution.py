@@ -55,29 +55,33 @@ class DMMInstance:
 
     # ------------------------------------------------------------------
     # Vertex bookkeeping
+    #
+    # A cached instance keeps its defining data (j*, sigma, the indicator
+    # table) plus two values built on first use: ``graph`` and the role
+    # table behind ``player_roles``.  Every other view below is rebuilt
+    # from sigma and j* when it is read and is not kept, so the
+    # construction cache, which counts instances rather than bytes,
+    # holds little per instance.
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def v_star(self) -> tuple[int, ...]:
         """The 2r RS vertices incident on the special matching, ascending."""
         return tuple(sorted(self.hard.rs.matching_endpoints(self.j_star)))
 
-    @cached_property
+    @property
     def public_rs_vertices(self) -> tuple[int, ...]:
         """RS vertices outside V*, ascending (slot order of step 4a)."""
-        star = set(self.v_star)
+        star = self.hard.rs.matching_endpoints(self.j_star)
         return tuple(v for v in sorted(self.hard.rs.graph.vertices) if v not in star)
-
-    @cached_property
-    def _public_slot(self) -> dict[int, int]:
-        return {v: slot for slot, v in enumerate(self.public_rs_vertices)}
-
-    @cached_property
-    def _star_slot(self) -> dict[int, int]:
-        return {v: slot for slot, v in enumerate(self.v_star)}
 
     def _check_copy(self, i: int) -> None:
         if not 0 <= i < self.hard.k:
             raise ValueError("copy index out of range")
+
+    def _star_offset(self, i: int) -> int:
+        """Where copy i's V* slots start in sigma: its 2r unique labels
+        are ``sigma[offset : offset + 2r]``, in V* order (step 4b)."""
+        return self.hard.num_public + 2 * self.hard.r * i
 
     def label_in_copy(self, i: int, rs_vertex: int) -> int:
         """The G-label of RS vertex ``rs_vertex`` as it appears in copy i.
@@ -85,36 +89,19 @@ class DMMInstance:
         Public vertices share one label across copies (step 4a); V*
         vertices get fresh labels per copy (step 4b).
         """
-        self._check_copy(i)
-        if rs_vertex in self._public_slot:
-            return self.sigma[self._public_slot[rs_vertex]]
-        base = self.hard.num_public
-        return self.sigma[base + i * 2 * self.hard.r + self._star_slot[rs_vertex]]
-
-    @cached_property
-    def _copy_labels(self) -> tuple[dict[int, int], ...]:
-        public = {
-            v: self.sigma[slot] for slot, v in enumerate(self.public_rs_vertices)
-        }
-        out = []
-        for i in range(self.hard.k):
-            offset = self.hard.num_public + i * 2 * self.hard.r
-            labels = dict(public)
-            for slot, v in enumerate(self.v_star):
-                labels[v] = self.sigma[offset + slot]
-            out.append(labels)
-        return tuple(out)
+        return self.copy_labels(i)[rs_vertex]
 
     def copy_labels(self, i: int) -> dict[int, int]:
         """Copy i's whole RS-vertex -> G-label map (``label_in_copy`` for
-        every RS vertex at once), built once per instance from sigma.
-
-        Shared across calls: treat it as read-only.
-        """
+        every RS vertex at once), built from sigma on each call: the
+        public slots, then copy i's V* slots."""
         self._check_copy(i)
-        return self._copy_labels[i]
+        offset = self._star_offset(i)
+        labels = dict(zip(self.public_rs_vertices, self.sigma))
+        labels.update(zip(self.v_star, self.sigma[offset : offset + 2 * self.hard.r]))
+        return labels
 
-    @cached_property
+    @property
     def public_labels(self) -> frozenset[int]:
         """Labels of the public vertices of G."""
         return frozenset(self.sigma[: self.hard.num_public])
@@ -122,19 +109,17 @@ class DMMInstance:
     def unique_labels(self, i: int) -> frozenset[int]:
         """Labels of the unique vertices of copy i."""
         self._check_copy(i)
-        base = self.hard.num_public
-        r2 = 2 * self.hard.r
-        return frozenset(self.sigma[base + i * r2 : base + (i + 1) * r2])
+        offset = self._star_offset(i)
+        return frozenset(self.sigma[offset : offset + 2 * self.hard.r])
 
-    @cached_property
+    @property
     def all_unique_labels(self) -> frozenset[int]:
-        out: set[int] = set()
-        for i in range(self.hard.k):
-            out |= self.unique_labels(i)
-        return frozenset(out)
+        """Labels of the unique vertices of every copy."""
+        return frozenset(self.sigma[self.hard.num_public :])
 
     def is_unique_label(self, label: int) -> bool:
-        return label in self.all_unique_labels
+        """True iff ``label`` is a label of G and not a public one."""
+        return 0 <= label < self.hard.n and self._roles[label] != "public"
 
     # ------------------------------------------------------------------
     # Edges
@@ -155,18 +140,24 @@ class DMMInstance:
 
         Frozen CSR form: the instance is immutable, so the graph is
         built once — deterministic edge order, digest-addressed, and
-        cheap per-player neighbor slices for ``views_of``.  Each
+        cheap per-player neighbor slices for batch sketches.  One
+        RS-vertex -> label map serves every copy: it holds the public
+        labels, and each copy overwrites only its V* slots.  Each
         surviving edge (a set bit of an indicator mask) adds its two
         labels straight into per-vertex neighbor sets, which also
         collapse the public-public edges several copies share; the
         graph equals ``FrozenGraph.from_edges`` over every copy's
         :meth:`copy_edges`.
         """
-        neighbors: list[set[int]] = [set() for _ in range(self.hard.n)]
-        matchings = self.hard.rs.matchings
-        for i in range(self.hard.k):
-            labels = self.copy_labels(i)
-            for matching, mask in zip(matchings, self.indicators[i]):
+        hd, sigma = self.hard, self.sigma
+        neighbors: list[set[int]] = [set() for _ in range(hd.n)]
+        matchings = hd.rs.matchings
+        star, r2 = self.v_star, 2 * hd.r
+        labels = dict(zip(self.public_rs_vertices, sigma))
+        for i, row in enumerate(self.indicators):
+            offset = self._star_offset(i)
+            labels.update(zip(star, sigma[offset : offset + r2]))
+            for matching, mask in zip(matchings, row):
                 while mask:
                     low = mask & -mask
                     u, v = matching[low.bit_length() - 1]
@@ -176,14 +167,26 @@ class DMMInstance:
                     mask ^= low
         return FrozenGraph.from_neighbor_lists(dict(enumerate(neighbors)))
 
+    def _special_slots(self) -> list[tuple[int, int]]:
+        """Each special-matching edge as its endpoints' two positions in
+        V*: copy i labels position p with ``sigma[_star_offset(i) + p]``."""
+        position = {v: p for p, v in enumerate(self.v_star)}
+        return [
+            (position[u], position[v])
+            for u, v in self.hard.rs.matchings[self.j_star]
+        ]
+
+    def _copy_special_pairs(
+        self, i: int, slots: list[tuple[int, int]]
+    ) -> list[Edge]:
+        sigma, offset = self.sigma, self._star_offset(i)
+        return [normalize_edge(sigma[offset + a], sigma[offset + b]) for a, b in slots]
+
     def special_slot_pairs(self, i: int) -> list[Edge]:
         """M^RS_{i,j*} of Section 4: the labeled pairs of the special
         matching in copy i *before* subsampling (all r slots)."""
-        labels = self.copy_labels(i)
-        return [
-            normalize_edge(labels[u], labels[v])
-            for (u, v) in self.hard.rs.matchings[self.j_star]
-        ]
+        self._check_copy(i)
+        return self._copy_special_pairs(i, self._special_slots())
 
     def special_surviving_edges(self, i: int) -> list[Edge]:
         """The surviving special-matching edges of copy i (the M_i of
@@ -192,48 +195,54 @@ class DMMInstance:
         mask = self.indicators[i][self.j_star]
         return [pairs[e] for e in range(self.hard.r) if (mask >> e) & 1]
 
-    @cached_property
+    @property
     def union_special_matching(self) -> set[Edge]:
         """∪_i M_i: all surviving special edges across copies (disjoint
-        vertex sets, so their union is a matching)."""
+        vertex sets, so their union is a matching).  A fresh set per
+        read; V*'s layout is read once for all k copies."""
+        slots = self._special_slots()
         out: set[Edge] = set()
-        for i in range(self.hard.k):
-            out.update(self.special_surviving_edges(i))
+        for i, row in enumerate(self.indicators):
+            mask = row[self.j_star]
+            if mask:
+                pairs = self._copy_special_pairs(i, slots)
+                out.update(pairs[e] for e in range(self.hard.r) if (mask >> e) & 1)
         return out
 
     @cached_property
-    def _role_labels(self) -> dict[str, frozenset[int]]:
-        # The endpoints of union_special_matching, without caching that
-        # edge set on every instance a recorder sees.
-        special = frozenset(
-            v
-            for i in range(self.hard.k)
-            for edge in self.special_surviving_edges(i)
-            for v in edge
-        )
-        return {
-            "public": self.public_labels,
-            "special": special,
-            "unique": self.all_unique_labels - special,
-        }
+    def _roles(self) -> tuple[str, ...]:
+        roles = ["unique"] * self.hard.n
+        for label in self.sigma[: self.hard.num_public]:
+            roles[label] = "public"
+        for u, v in self.union_special_matching:
+            roles[u] = roles[v] = "special"
+        return tuple(roles)
 
-    def player_roles(self) -> dict[str, frozenset[int]]:
-        """The labels of each player role in the §3.1 accounting.
+    def player_roles(self) -> tuple[str, ...]:
+        """The role of each label in the §3.1 accounting, indexed by label.
 
-        ``special``: the endpoints of the surviving special edges
-        (:attr:`union_special_matching`); ``unique``: the other unique
-        labels; ``public``: the public labels.  The three sets partition
-        the n labels.  Pass the bound method as ``roles=`` to the
-        runner: the sets are built on the first call, which only a
-        telemetry recorder makes, and are shared afterwards (read-only).
+        ``special``: an endpoint of a surviving special edge
+        (:attr:`union_special_matching`); ``unique``: any other unique
+        label; ``public``: a public label.  Pass the bound method as
+        ``roles=`` to the runner.  The table is built on the first call
+        (by a telemetry recorder or the unique-unique count) and shared
+        afterwards (read-only).
         """
-        return self._role_labels
+        return self._roles
 
     def unique_unique_edges(self, edges) -> list[Edge]:
         """Filter a pair list to those with both endpoints unique —
-        the M^U accounting of Claims 3.1/3.2."""
-        uniq = self.all_unique_labels
-        return [e for e in edges if e[0] in uniq and e[1] in uniq]
+        the M^U accounting of Claims 3.1/3.2.  An id that is not a label
+        of G is not unique."""
+        roles, n = self._roles, self.hard.n
+        return [
+            (u, v)
+            for u, v in edges
+            if 0 <= u < n
+            and 0 <= v < n
+            and roles[u] != "public"
+            and roles[v] != "public"
+        ]
 
 
 def sample_dmm(hard: HardDistribution, rng: random.Random) -> DMMInstance:

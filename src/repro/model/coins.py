@@ -7,10 +7,14 @@ named random streams — two players deriving the stream "l0/level/3" get
 bit-identical randomness, which is exactly the public-coin semantics.
 
 Derivation uses SHA-256 of (seed, label), not Python's salted ``hash``,
-so streams are stable across processes and runs.  The digest for each
-``(seed, label)`` pair is memoized process-wide: under the batched sketch
-runtime every player of a graph consults the *same* handful of labels,
-so the hash is paid once per label instead of once per player per label.
+so streams are stable across processes and runs.  The shared L0 labels
+that every player of a graph consults are memoized further up, per
+family (``_derived_params``, ``_family_params``); most streams derived
+here are per player (``sampled-mm/17``).  The same ``(seed, label)``
+recurs when a run repeats a trial's coins, as each knob of a budget
+sweep does, so the last few thousand stream seeds are memoized: a hit
+saves one SHA-256, and the bound keeps a long process from holding
+every stream it ever derived.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _stream_seed(seed: int, label: str) -> int:
     """The memoized SHA-256-derived seed of stream ``label``.
 

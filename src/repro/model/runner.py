@@ -12,7 +12,7 @@ player is Ω(sqrt n / e^Θ(sqrt(log n)))") refers to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Callable, Sequence
 
 from .. import obs
 from ..engine import ExecutionEngine, derive_seed, resolve_engine
@@ -32,20 +32,21 @@ def charge_transcript(
     transcript: "Transcript",
     protocol_name: str,
     round_index: int | None = None,
-    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
+    roles: Callable[[], Sequence[str]] | None = None,
 ) -> None:
     """Emit the communication counters of one referee delivery.
 
     Charged at the runner boundary (not inside ``Transcript``, which
     analysis code also constructs) so telemetry counts exactly the bits
     a protocol execution sent against the referee.  Players are grouped
-    by role: ``roles()`` maps each role label to its players (disjoint
-    sets covering every player), and without it every player is
-    :data:`ALL_ROLE`.  Each (protocol, role[, round]) key gets the
-    role's message count, its bit sum, and a summary entry holding the
-    per-player max and a log2-bucket histogram, all read from the
-    transcript's per-player ``bits``.  A no-op when telemetry is disabled;
-    ``roles`` is only called when a recorder is installed.
+    by role: ``roles()`` is a table indexed by player, ``roles()[v]``
+    naming player v's role, and without it every player is
+    :data:`ALL_ROLE`.  A player outside the table (a negative one
+    included) raises ``ValueError``.  Each (protocol, role[, round]) key
+    gets the role's message count, its bit sum, and a summary entry
+    holding the per-player max and a log2-bucket histogram, all read
+    from the transcript's per-player ``bits``.  A no-op when telemetry
+    is disabled; ``roles`` is only called when a recorder is installed.
     """
     recorder = obs.active()
     if recorder is None:
@@ -54,12 +55,12 @@ def charge_transcript(
     if roles is None:
         by_role = {ALL_ROLE: list(counts.values())}
     else:
-        by_role = {
-            role: list(map(counts.__getitem__, counts.keys() & players))
-            for role, players in roles().items()
-        }
-        if sum(map(len, by_role.values())) != len(counts):
+        table = roles()
+        if counts and not (0 <= min(counts) and max(counts) < len(table)):
             raise ValueError("roles() must give every player exactly one role")
+        by_role = {}
+        for player, bits in counts.items():
+            by_role.setdefault(table[player], []).append(bits)
     extra = () if round_index is None else (("round", round_index),)
     for role, bits in by_role.items():
         if bits:
@@ -120,16 +121,16 @@ def run_protocol(
     coins: PublicCoins,
     n: int | None = None,
     views: dict[int, VertexView] | None = None,
-    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
+    roles: Callable[[], Sequence[str]] | None = None,
 ) -> ProtocolRun:
     """Execute a one-round protocol.
 
     ``views`` may be supplied to run under a non-standard player model
     (e.g. the public/unique player split of Section 3.1); by default each
     vertex of the graph is one player with its full neighborhood.
-    ``roles`` returns the players of each role for the transcript
-    telemetry (see :func:`charge_transcript`); it is never called when
-    telemetry is off.
+    ``roles`` returns the role table, indexed by player, for the
+    transcript telemetry (see :func:`charge_transcript`); it is never
+    called when telemetry is off.
 
     The path is picked from the inputs alone.  When the graph is
     frozen, the protocol implements
@@ -192,7 +193,7 @@ def run_adaptive_protocol(
     protocol: AdaptiveProtocol,
     coins: PublicCoins,
     n: int | None = None,
-    roles: Callable[[], Mapping[str, Collection[int]]] | None = None,
+    roles: Callable[[], Sequence[str]] | None = None,
 ) -> AdaptiveRun:
     """Execute an adaptive (multi-round) protocol.
 

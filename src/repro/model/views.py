@@ -62,12 +62,13 @@ def views_of(graph: GraphLike, n: int | None = None) -> dict[int, VertexView]:
 
     Accepts either representation.  On a ``FrozenGraph`` — the type the
     hard-instance pipeline hands in — the views dict itself is memoized
-    per ``(graph, n)``: the neighborhood frozensets are the prefilled
-    adjacency view shared at freeze time (never copied), and repeated
-    view builds over the same instance return the *same* dict.  Treat
-    the result as read-only.  On a mutable builder a fresh dict is built
-    per call (the builder's cached adjacency view is invalidated by
-    mutation instead).
+    per ``(graph, n)``: the neighborhood frozensets are the graph's
+    ``adjacency()`` view (built from the CSR rows on its first read and
+    cached with the graph, never copied), and repeated view builds over
+    the same instance return the *same* dict.  Treat the result as
+    read-only.  On a mutable builder a fresh dict is built per call
+    (the builder's cached adjacency view is invalidated by mutation
+    instead).
     """
     if n is None:
         n = graph.num_vertices()

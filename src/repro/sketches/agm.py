@@ -116,7 +116,7 @@ class IncidenceSamplerSketch(BatchSketchProtocol):
     def sketch_batch(
         self, graph: FrozenGraph, n: int, coins: PublicCoins
     ) -> dict[int, Message]:
-        return self._family(n, coins).build_messages(graph, n)
+        return self._family(n, coins).fresh_messages(graph, n)
 
 
 class AGMSpanningForest(IncidenceSamplerSketch):

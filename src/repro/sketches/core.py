@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .. import obs
-from ..engine import construction_cache
 from ..graphs import FrozenGraph
 from ..obs import SKETCH_BYTES, SKETCH_CELLS_PACKED, SKETCH_CELLS_UNPACKED
 from ..model import BitReader, BitWriter, Message, PublicCoins
@@ -563,9 +562,9 @@ class SketchFamily:
     endpoints.  Fingerprint powers r^(u*n+v) are split as r^(u*n) * r^v
     from two per-vertex tables, so the modular exponentiation the
     per-view path pays per (edge, endpoint, label) collapses to one
-    multiply per (edge, label).  ``build_messages`` caches the finished
-    message dict in the engine's construction cache — messages are
-    immutable, so sharing across runs is free.
+    multiply per (edge, label).  ``fresh_messages`` serializes the
+    states; nothing is cached, since no run reads one family's messages
+    on one graph twice.
     """
 
     def __init__(self, params: L0FamilyParams) -> None:
@@ -694,15 +693,6 @@ class SketchFamily:
         historical errors."""
         states = self.build_states(graph, n)
         return self.encode_states(states, check=not self.bounds_cover(graph))
-
-    def build_messages(self, graph: FrozenGraph, n: int) -> dict[int, Message]:
-        """Every player's serialized message, engine-cached per
-        ``(family, n, graph digest)``.  Callers must treat the returned
-        dict as read-only (runs on the same instance share it)."""
-        return construction_cache().get_or_build(
-            ("sketch-batch", self.params, n, graph),
-            lambda: self.fresh_messages(graph, n),
-        )
 
     def read_words(self, sketches: Mapping[int, Message]) -> dict[int, int]:
         """Each player's packed family word, read once for the referee's

@@ -255,11 +255,20 @@ class TestOverrides:
             (["sweep", "F1", "--grid", "m="], "empty grid axis 'm'"),
             (["sweep", "T1b", "--grid", "trials=2,4", "--trials", "8"],
              "--trials conflicts with a trials axis/--set"),
+            (["run", "C31", "--kw", "configs=x"],
+             "C31: param 'configs' takes a Python object, not a command-line value"),
+            (["trace", "C31", "--kw", "configs=x"],
+             "C31: param 'configs' takes a Python object, not a command-line value"),
+            (["sweep", "C31", "--grid", "seed=0", "--set", "configs=x"],
+             "C31: param 'configs' takes a Python object, not a command-line value"),
+            (["sweep", "C31", "--grid", "configs=x"],
+             "C31: param 'configs' is not sweepable"),
         ],
         ids=[
             "run-mistyped", "run-unknown", "run-bare", "trace-mistyped",
             "sweep-unknown-axis", "sweep-mistyped-axis", "sweep-unknown-set",
-            "sweep-empty-axis", "sweep-trials-conflict",
+            "sweep-empty-axis", "sweep-trials-conflict", "run-object",
+            "trace-object", "sweep-object-set", "sweep-object-axis",
         ],
     )
     def test_malformed_override_is_a_usage_error(

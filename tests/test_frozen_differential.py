@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import FrozenGraph, Graph
+from repro.graphs import FrozenGraph, Graph, greedy_maximal_matching
 
 # Small dense label space so random graphs collide, repeat edges, and
 # leave isolated vertices.
@@ -130,6 +130,35 @@ def test_to_builder_inverts_freeze(spec):
 def test_is_independent_set_agrees(spec, candidate):
     g, f = build_pair(spec)
     assert f.is_independent_set(candidate) == g.is_independent_set(candidate)
+
+
+def test_is_vertex_cover_agrees():
+    """The CSR cover test reads only the uncovered vertices' rows; the
+    builder and an edge scan are the oracles."""
+    rng = random.Random(29)
+    answers = set()
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        g = Graph(vertices=range(n))  # vertices no edge touches stay isolated
+        for _ in range(rng.randrange(2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                g.add_edge(u, v)
+        f = g.freeze()
+        matched = {v for e in greedy_maximal_matching(g) for v in e}
+        for chosen in (
+            set(),
+            set(range(n)),
+            matched,
+            matched | {n, -1},  # ids that are not vertices
+            set(rng.sample(range(-2, n + 2), rng.randrange(n + 4))),
+        ):
+            expected = all(u in chosen or v in chosen for u, v in g.edges())
+            assert g.is_vertex_cover(chosen) == expected
+            assert f.is_vertex_cover(chosen) == expected
+            assert f.is_vertex_cover(iter(chosen)) == expected
+            answers.add(expected)
+    assert answers == {True, False}
 
 
 @settings(max_examples=25)

@@ -1,14 +1,16 @@
 """Transcript telemetry by player role, not by vertex.
 
 ``charge_transcript`` groups a delivery's players by the role the caller
-names (``DMMInstance.player_roles`` on the hard distribution: public,
-unique, special; ``all`` without an instance) and records, per
+names (``DMMInstance.player_roles`` on the hard distribution, a table
+indexed by label: public, unique, special; ``all`` without an instance)
+and records, per
 (protocol, role[, round]) key, the message count, the bit sum, and one
 :class:`~repro.obs.Summary` entry: the exact max and a log2-bucket
 histogram.  So a run's telemetry has one series per protocol × role ×
 round, however many players the graph has.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -17,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.engine import ExecutionEngine
+from repro.graphs import FrozenGraph
 from repro.lowerbound import (
     attack_with_adaptive_matching,
     sample_dmm,
@@ -34,6 +37,7 @@ from repro.obs import (
     to_jsonl,
     transcript_rows,
 )
+from repro.lowerbound.adversary import _attack_trial
 from repro.protocols import FilteringMatching, make_protocol
 from repro.runs import execute_run
 
@@ -128,9 +132,19 @@ def instance():
     return sample_dmm(scaled_distribution(m=8, k=2), random.Random(3))
 
 
+def _labels_by_role(table) -> dict[str, set[int]]:
+    """Invert a role table: each role's labels."""
+    out: dict[str, set[int]] = {}
+    for label, role in enumerate(table):
+        out.setdefault(role, set()).add(label)
+    return out
+
+
 class TestRoles:
     def test_player_roles_partition_the_labels(self, instance):
-        roles = instance.player_roles()
+        table = instance.player_roles()
+        assert len(table) == instance.hard.n
+        roles = _labels_by_role(table)
         special = {v for e in instance.union_special_matching for v in e}
         assert special, "the fixture instance must have a surviving special edge"
         assert roles["special"] == special
@@ -149,9 +163,7 @@ class TestRoles:
                 n=instance.hard.n,
                 roles=instance.player_roles,
             )
-        role_of = {
-            v: role for role, labels in instance.player_roles().items() for v in labels
-        }
+        role_of = instance.player_roles()
         bits_by_role: dict[str, list[int]] = {}
         for player, message in run.transcript.sketches.items():
             bits_by_role.setdefault(role_of[player], []).append(message.num_bits)
@@ -177,7 +189,8 @@ class TestRoles:
 
     def test_roles_that_miss_a_player_are_refused(self, instance):
         def public_only():
-            return {"public": instance.public_labels}
+            # A table that stops before the last label misses that player.
+            return ("public",) * (instance.hard.n - 1)
 
         with recording(TelemetryRecorder()):
             with pytest.raises(ValueError, match="exactly one role"):
@@ -208,6 +221,32 @@ class TestRoles:
             n=instance.hard.n,
             roles=refuse,
         )
+
+    def test_a_recorded_attack_trial_keeps_the_instance_compact(
+        self, monkeypatch
+    ):
+        """Charging the roles and scoring the output read the CSR graph
+        and the role table: no frozenset adjacency view is built, and
+        the instance caches nothing beside its graph and role table."""
+        instance = sample_dmm(scaled_distribution(m=8, k=2), random.Random(11))
+        built = []
+        adjacency = FrozenGraph.adjacency
+
+        def spy(graph):
+            built.append(graph)
+            return adjacency(graph)
+
+        monkeypatch.setattr(FrozenGraph, "adjacency", spy)
+        with recording(TelemetryRecorder()) as rec:
+            strict, *_ = _attack_trial(
+                (instance, 5, make_protocol("full"), False)
+            )
+        assert strict  # a maximal matching: the cover test read its rows
+        assert built == []
+        assert len(rec.summaries) == 3  # public, unique, special
+        assert "_copy_labels" not in vars(instance)
+        fields = {f.name for f in dataclasses.fields(instance)}
+        assert set(vars(instance)) - fields == {"graph", "_roles"}
 
     def test_adaptive_rounds_get_their_own_keys(self):
         hard = scaled_distribution(m=8, k=2)

@@ -160,11 +160,21 @@ class TestChargeTranscript:
 
     def test_a_role_map_missing_a_player_is_refused(self, instance):
         transcript = self._run(instance).transcript
-        roles = dict(instance.player_roles())
-        del roles["special"]
+        roles = instance.player_roles()[:-1]
         with recording(TelemetryRecorder()):
             with pytest.raises(ValueError, match="exactly one role"):
                 charge_transcript(transcript, "p", roles=lambda: roles)
+
+    def test_a_negative_player_is_refused(self):
+        # Python would index the table from its end; the charge must not.
+        transcript = Transcript(
+            sketches={-1: EMPTY_SET_MESSAGE, 0: EMPTY_SET_MESSAGE}
+        )
+        with recording(TelemetryRecorder()):
+            with pytest.raises(ValueError, match="exactly one role"):
+                charge_transcript(
+                    transcript, "p", roles=lambda: ("public", "unique")
+                )
 
     def test_role_summaries_equal_summary_of(self, instance):
         transcript = self._run(instance).transcript
@@ -172,9 +182,12 @@ class TestChargeTranscript:
             charge_transcript(
                 transcript, "p", round_index=1, roles=instance.player_roles
             )
-        for role, players in instance.player_roles().items():
+        table = instance.player_roles()
+        for role in set(table):
             bits = [
-                m.num_bits for v, m in transcript.sketches.items() if v in players
+                m.num_bits
+                for v, m in transcript.sketches.items()
+                if table[v] == role
             ]
             labels = (("protocol", "p"), ("role", role), ("round", 1))
             assert rec.summaries[(TRANSCRIPT_BITS, labels)] == Summary.of(bits)
