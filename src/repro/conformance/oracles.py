@@ -35,6 +35,7 @@ import math
 import pickle
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -669,13 +670,20 @@ def _differ(a, b: float, tol: float = _PROB_TOLERANCE) -> bool:
 
 
 def _infotheory_generate(seed: int) -> Case:
+    """Rows of k small values, each with a weight: an int in float mode;
+    in exact mode a ``Fraction`` with its own denominator, kept in the
+    atom as its ``"n/d"`` string (cases round-trip through JSON), so the
+    table's common-denominator path runs."""
     rng = case_rng(seed)
     k = rng.randint(1, 4)
     exact = rng.random() < 0.25
     atoms = []
     for _ in range(rng.randint(1, 12)):
         values = [rng.randrange(_VALUE_DOMAIN) for _ in range(k)]
-        atoms.append(("row", rng.randint(1, 8), *values))
+        weight = rng.randint(1, 8)
+        if exact:
+            weight = str(Fraction(weight, rng.randint(1, 6)))
+        atoms.append(("row", weight, *values))
     return Case(
         pair="infotheory",
         seed=seed,
@@ -694,7 +702,7 @@ def _infotheory_build(case: Case) -> CheckContext:
         if atom[0] != "row":
             continue
         rows.append(tuple(atom[2 : 2 + k]))
-        weights.append(atom[1])
+        weights.append(Fraction(atom[1]) if exact else atom[1])
     ctx.variables = variables
     if not rows:
         ctx.table = None

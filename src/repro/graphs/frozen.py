@@ -331,6 +331,21 @@ class FrozenGraph:
                 return False
         return True
 
+    def is_dominating_set(self, vertices: Iterable[int]) -> bool:
+        """True iff every vertex outside the set has a neighbor in it.
+
+        Like :meth:`is_vertex_cover`, only the CSR rows of the vertices
+        outside the set are read, and the :meth:`adjacency` view is
+        never built.
+        """
+        chosen = set(vertices)
+        index, offsets, nbrs = self._index, self._offsets, self._nbrs
+        for v in filterfalse(chosen.__contains__, self._verts):
+            i = index[v]
+            if chosen.isdisjoint(nbrs[offsets[i] : offsets[i + 1]]):
+                return False
+        return True
+
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True iff no edge of the graph joins two of the given vertices."""
         chosen = set(vertices)

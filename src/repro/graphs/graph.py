@@ -155,6 +155,15 @@ class Graph:
             nbrs <= chosen for v, nbrs in self._adj.items() if v not in chosen
         )
 
+    def is_dominating_set(self, vertices: Iterable[int]) -> bool:
+        """True iff every vertex outside the set has a neighbor in it."""
+        chosen = set(vertices)
+        return all(
+            not chosen.isdisjoint(nbrs)
+            for v, nbrs in self._adj.items()
+            if v not in chosen
+        )
+
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         """True iff no edge of the graph joins two of the given vertices."""
         chosen = set(vertices)

@@ -16,20 +16,19 @@ from .frozen import GraphLike
 def is_independent_set(graph: GraphLike, vertices: Iterable[int]) -> bool:
     """True iff the vertices all exist and no graph edge joins two of them."""
     chosen = set(vertices)
-    if not chosen <= graph.vertices:
+    if not all(map(graph.has_vertex, chosen)):
         return False
     return graph.is_independent_set(chosen)
 
 
 def is_maximal_independent_set(graph: GraphLike, vertices: Iterable[int]) -> bool:
-    """True iff the set is independent and dominating (no vertex addable)."""
+    """True iff the set is independent and dominating (no vertex addable).
+
+    Membership goes through the graph's vertex index and domination
+    through its ``is_dominating_set``, so a frozen graph builds none of
+    its frozenset views."""
     chosen = set(vertices)
-    if not is_independent_set(graph, chosen):
-        return False
-    for v in graph.vertices:
-        if v not in chosen and not (graph.neighbors(v) & chosen):
-            return False
-    return True
+    return is_independent_set(graph, chosen) and graph.is_dominating_set(chosen)
 
 
 def greedy_mis(graph: GraphLike, order: Iterable[int] | None = None) -> set[int]:

@@ -15,7 +15,9 @@ the graph core; the suite also covers divergences.
 Probabilities are floats.  Construction validates normalization within
 :data:`NORMALIZATION_TOLERANCE` and drops zero-probability outcomes, so
 ``support()`` reflects the strictly positive outcomes only; lemma
-comparisons allow the same slack.
+comparisons allow the same slack.  Sums start from int 0, so a pmf of
+``Fraction`` values keeps its marginals, conditionals and event
+probabilities exact: the oracle for the columnar kernel's exact mode.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class JointDistribution:
             if prob < -NORMALIZATION_TOLERANCE:
                 raise ValueError(f"negative probability {prob} for {outcome!r}")
             if prob > 0:
-                cleaned[outcome] = cleaned.get(outcome, 0.0) + prob
+                cleaned[outcome] = cleaned.get(outcome, 0) + prob
         total = math.fsum(cleaned.values())
         if normalize:
             if total <= 0:
@@ -113,7 +115,7 @@ class JointDistribution:
         pmf: dict[Outcome, float] = {}
         for outcome, prob in self.pmf.items():
             key = tuple(outcome[i] for i in idx)
-            pmf[key] = pmf.get(key, 0.0) + prob
+            pmf[key] = pmf.get(key, 0) + prob
         return JointDistribution(names, pmf)
 
     def condition(self, **fixed: Hashable) -> "JointDistribution":
@@ -126,11 +128,11 @@ class JointDistribution:
         keep = [v for v in self.variables if v not in fixed]
         keep_idx = self._indices(keep)
         pmf: dict[Outcome, float] = {}
-        mass = 0.0
+        mass = 0
         for outcome, prob in self.pmf.items():
             if all(outcome[idx[name]] == value for name, value in fixed.items()):
                 key = tuple(outcome[i] for i in keep_idx)
-                pmf[key] = pmf.get(key, 0.0) + prob
+                pmf[key] = pmf.get(key, 0) + prob
                 mass += prob
         if mass <= 0:
             raise ValueError(f"conditioning event {fixed!r} has zero probability")

@@ -12,17 +12,20 @@ as an immutable *outcome table*:
   mapping its outcome values (arbitrary hashables) to dense small-int
   codes, ordered canonically by the value's type-tagged byte encoding;
 * **Columnar storage** — one ``array`` of integer codes per variable
-  plus a single probability column (``array('d')``, or a tuple of
-  ``Fraction`` in exact mode), rows sorted lexicographically by code;
+  plus a single probability column (``array('d')``, or positive ``int``
+  weights over one ``int`` total in exact mode), rows sorted
+  lexicographically by code;
 * **Single-pass grouped kernels** — marginalize / condition / map
   (``push_forward``) walk the columns once, grouping rows by their
   projected code tuples instead of re-hashing value tuples;
 * **Log-space information measures** — entropy and mutual information
   accumulate group masses with a log-sum-exp combiner over a cached
   log-probability column, so deep conditional chains never underflow;
-* **Exact mode** — probabilities as ``Fraction``; marginals,
-  conditionals and event probabilities are exact rationals, information
-  measures are floats of exact group masses;
+* **Exact mode** — each row's probability is an ``int`` weight over one
+  ``int`` total, both divided by their gcd, so the kernels add and
+  compare ints; a ``Fraction`` is made only where a probability leaves
+  the kernel (``probability``, ``pmf``, ``items``, ``get``), and
+  information measures are floats of exact group masses;
 * **Content addressing** — a canonical byte serialization (format
   ``TBLD1``, pinned in ``docs/infotheory.md``) whose SHA-256
   :attr:`~TableDistribution.digest` content-addresses the distribution;
@@ -206,6 +209,16 @@ class Codebook:
         return f"Codebook({len(self._values)} values)"
 
 
+def _exact_column(weights: list[int]) -> tuple[tuple[int, ...], int]:
+    """Positive int weights and their total, both divided by their gcd:
+    the canonical exact probability column, so equal distributions get
+    equal fields, hashes and digests."""
+    g = math.gcd(*weights)
+    if g != 1:
+        weights = [w // g for w in weights]
+    return tuple(weights), sum(weights)
+
+
 def _lse2(a: float, b: float) -> float:
     """log2(2^a + 2^b) without leaving log space."""
     if a < b:
@@ -224,6 +237,10 @@ class TableDistribution:
     condition / support / probability / entropy / mutual_information),
     plus the columnar extras: ``push_forward`` mapping, exact
     ``Fraction`` mode, canonical bytes, and a content digest.
+
+    In exact mode ``_probs`` holds each row's positive ``int`` weight and
+    ``_total`` their sum, the probabilities' common denominator; in
+    float mode ``_probs`` holds the probabilities and ``_total`` is None.
     """
 
     __slots__ = (
@@ -231,7 +248,7 @@ class TableDistribution:
         "_codebooks",
         "_columns",
         "_probs",
-        "_exact",
+        "_total",
         "_bytes",
         "_digest",
         "_logps",
@@ -264,17 +281,19 @@ class TableDistribution:
         codebooks: tuple[Codebook, ...],
         columns: tuple[array, ...],
         probs,
-        exact: bool,
+        total: int | None,
     ) -> "TableDistribution":
         """Trusted constructor from already-canonical columns: codebooks
         sorted by canonical value bytes with every code in use, rows
-        sorted lexicographically, duplicates merged, zero rows dropped."""
+        sorted lexicographically, duplicates merged, zero rows dropped,
+        and exact weights over ``total`` reduced by their gcd (``total``
+        is None for a float column)."""
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_codebooks", codebooks)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_probs", probs)
-        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_total", total)
         object.__setattr__(self, "_bytes", None)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_logps", None)
@@ -302,7 +321,7 @@ class TableDistribution:
         builder = TableBuilder(tuple(variables), exact=exact)
         if weights is None:
             count = 0
-            one = Fraction(1) if exact else 1.0
+            one = 1 if exact else 1.0
             for row in rows:
                 builder.add(row, one)
                 count += 1
@@ -338,8 +357,9 @@ class TableDistribution:
     # ------------------------------------------------------------------
     @property
     def exact(self) -> bool:
-        """True when probabilities are ``Fraction``-backed."""
-        return self._exact
+        """True when probabilities are exact rationals (int weights over
+        one total, ``Fraction``s at the API)."""
+        return self._total is not None
 
     @property
     def num_rows(self) -> int:
@@ -383,14 +403,18 @@ class TableDistribution:
     @property
     def pmf(self) -> dict:
         """Dict view ``outcome tuple -> probability`` (lazily cached) —
-        the compatibility surface shared with the reference oracle."""
+        the compatibility surface shared with the reference oracle.
+        Exact probabilities are ``Fraction``s."""
         if self._pmf is None:
             decoders = [cb._values for cb in self._codebooks]
+            probs = self._probs
+            if self.exact:
+                probs = [Fraction(w, self._total) for w in probs]
             out = {}
-            for codes, p in zip(zip(*self._columns), self._probs):
+            for codes, p in zip(zip(*self._columns), probs):
                 out[tuple(dec[c] for dec, c in zip(decoders, codes))] = p
             if not self._columns:
-                for p in self._probs:
+                for p in probs:
                     out[()] = p
             object.__setattr__(self, "_pmf", out)
         return self._pmf
@@ -412,19 +436,23 @@ class TableDistribution:
     def probability(self, **fixed: Hashable):
         """P[variables = values] for a partial assignment (a ``Fraction``
         in exact mode)."""
-        zero = Fraction(0) if self._exact else 0.0
-        idx = self._indices(list(fixed))
-        want = []
-        for i, (name, value) in zip(idx, fixed.items()):
+        total = 0 if self.exact else 0.0
+        probs = self._probs
+        for row in self._rows_where(fixed) or ():
+            total += probs[row]
+        return Fraction(total, self._total) if self.exact else total
+
+    def _rows_where(self, fixed: Mapping[str, Hashable]):
+        """The rows (in canonical order) where every ``name=value`` of
+        ``fixed`` holds; None when a value is outside the support."""
+        rows = range(self.num_rows)
+        for i, value in zip(self._indices(list(fixed)), fixed.values()):
             code = self._codebooks[i].code(value)
             if code is None:
-                return zero
-            want.append((self._columns[i], code))
-        total = zero
-        for row in range(self.num_rows):
-            if all(col[row] == code for col, code in want):
-                total += self._probs[row]
-        return total
+                return None
+            col = self._columns[i]
+            rows = [row for row in rows if col[row] == code]
+        return rows
 
     # ------------------------------------------------------------------
     # Grouped single-pass kernels
@@ -436,15 +464,11 @@ class TableDistribution:
         cols = [self._columns[i] for i in idx]
         masses: dict = {}
         get = masses.get
-        if self._exact:
-            zero = Fraction(0)
-            for key, p in zip(zip(*cols), self._probs):
-                masses[key] = get(key, zero) + p
-        else:
-            for key, p in zip(zip(*cols), self._probs):
-                masses[key] = get(key, 0.0) + p
+        # Int weights add as ints; a float mass starts as 0 + p == p.
+        for key, p in zip(zip(*cols), self._probs):
+            masses[key] = get(key, 0) + p
         if not cols:
-            masses[()] = sum(self._probs, Fraction(0) if self._exact else 0.0)
+            masses[()] = sum(self._probs)
         return self._regroup(tuple(names), idx, masses)
 
     def _regroup(
@@ -468,12 +492,12 @@ class TableDistribution:
             )
             for pos in range(len(idx))
         )
-        if self._exact:
-            probs = tuple(masses[key] for key in ordered)
+        if self.exact:
+            probs, total = _exact_column([masses[key] for key in ordered])
         else:
-            probs = array("d", (masses[key] for key in ordered))
+            probs, total = array("d", (masses[key] for key in ordered)), None
         return TableDistribution._from_canonical(
-            names, tuple(books), columns, probs, self._exact
+            names, tuple(books), columns, probs, total
         )
 
     def condition(self, **fixed: Hashable) -> "TableDistribution":
@@ -482,44 +506,36 @@ class TableDistribution:
         The fixed variables are removed from the result.  Single pass:
         row filtering preserves canonical order, so no re-sort happens.
         """
-        idx = self._indices(list(fixed))
-        want = []
-        for i, (name, value) in zip(idx, fixed.items()):
-            code = self._codebooks[i].code(value)
-            if code is None:
-                raise ValueError(
-                    f"conditioning event {fixed!r} has zero probability"
-                )
-            want.append((self._columns[i], code))
-        keep_idx = [
-            i for i, name in enumerate(self.variables) if name not in fixed
-        ]
-        keep_names = tuple(self.variables[i] for i in keep_idx)
-        keep_cols = [self._columns[i] for i in keep_idx]
-        rows = [
-            row
-            for row in range(self.num_rows)
-            if all(col[row] == code for col, code in want)
-        ]
+        rows = self._rows_where(fixed)
         if not rows:
             raise ValueError(
                 f"conditioning event {fixed!r} has zero probability"
             )
-        mass = sum(self._probs[row] for row in rows)
-        if not self._exact:
-            mass = math.fsum(self._probs[row] for row in rows)
-        if mass <= 0:
-            raise ValueError(
-                f"conditioning event {fixed!r} has zero probability"
-            )
+        keep_idx = [
+            i for i, name in enumerate(self.variables) if name not in fixed
+        ]
+        keep_names = tuple(self.variables[i] for i in keep_idx)
+        probs = self._probs
+        weights = [probs[row] for row in rows]
+        keys = (
+            zip(*[[self._columns[i][row] for row in rows] for i in keep_idx])
+            if keep_idx
+            else [()] * len(rows)
+        )
         masses: dict = {}
         get = masses.get
-        zero = Fraction(0) if self._exact else 0.0
-        for row in rows:
-            key = tuple(col[row] for col in keep_cols)
-            masses[key] = get(key, zero) + self._probs[row]
-        for key in masses:
-            masses[key] /= mass
+        for key, p in zip(keys, weights):
+            masses[key] = get(key, 0) + p
+        if not self.exact:
+            mass = math.fsum(weights)
+            if mass <= 0:
+                raise ValueError(
+                    f"conditioning event {fixed!r} has zero probability"
+                )
+            for key in masses:
+                masses[key] /= mass
+        # Exact weights need no division: the kept rows' weights over
+        # their own sum are the conditional probabilities.
         return self._regroup(keep_names, keep_idx, masses)
 
     def push_forward(
@@ -534,18 +550,20 @@ class TableDistribution:
         new_variables = tuple(new_variables)
         single = len(new_variables) == 1
         decoders = [cb._values for cb in self._codebooks]
-        builder = TableBuilder(new_variables, exact=self._exact)
+        builder = TableBuilder(new_variables, exact=self.exact)
         for codes, p in zip(zip(*self._columns), self._probs):
             image = func(*(dec[c] for dec, c in zip(decoders, codes)))
             builder.add((image,) if single else tuple(image), p)
-        return builder.build()
+        # Exact weights are counts over ``_total``: normalizing divides
+        # by it.  Float probabilities already sum to 1.
+        return builder.build(normalize=self.exact)
 
     # ------------------------------------------------------------------
     # Information measures (log-space)
     # ------------------------------------------------------------------
     @property
     def _log_probs(self) -> tuple[float, ...]:
-        """Cached log2-probability column (floats even in exact mode)."""
+        """Cached log2-probability column of a float table."""
         if self._logps is None:
             logps = tuple(math.log2(p) for p in self._probs)
             object.__setattr__(self, "_logps", logps)
@@ -557,14 +575,16 @@ class TableDistribution:
         cols = [self._columns[i] for i in idx]
         if not cols:
             return 0.0
-        if self._exact:
+        if self.exact:
             masses: dict = {}
             get = masses.get
-            zero = Fraction(0)
             for key, p in zip(zip(*cols), self._probs):
-                masses[key] = get(key, zero) + p
+                masses[key] = get(key, 0) + p
+            # w / total is the correctly rounded double of the mass, as
+            # float(Fraction(w, total)) is.
+            total = self._total
             return -math.fsum(
-                float(m) * math.log2(m) for m in masses.values() if m > 0
+                q * math.log2(q) for q in (m / total for m in masses.values())
             )
         acc: dict = {}
         get = acc.get
@@ -622,7 +642,7 @@ class TableDistribution:
             return self._bytes
         out = bytearray()
         out += _MAGIC
-        out.append(1 if self._exact else 0)
+        out.append(1 if self.exact else 0)
         out += len(self.variables).to_bytes(4, "little")
         for name, book in zip(self.variables, self._codebooks):
             raw = name.encode("utf-8")
@@ -636,9 +656,12 @@ class TableDistribution:
             width = _typecode_for(len(book))
             out += width.encode("ascii")
             out += array(width, column).tobytes()
-        if self._exact:
-            for p in self._probs:
-                out += _canon_value(p.numerator) + _canon_value(p.denominator)
+        if self.exact:
+            # One reduced numerator/denominator per row.
+            total = self._total
+            for w in self._probs:
+                g = math.gcd(w, total)
+                out += _canon_value(w // g) + _canon_value(total // g)
         else:
             out += array("d", self._probs).tobytes()
         blob = bytes(out)
@@ -700,12 +723,12 @@ class TableDistribution:
                 den = _decode_value(blob[pos : pos + 5 + n])
                 pos += 5 + n
                 probs.append(Fraction(num, den))
-            probs = tuple(probs)
+            probs, total = _exact_column(_over_common_denominator(probs)[0])
         else:
-            probs = array("d")
+            probs, total = array("d"), None
             probs.frombytes(blob[pos : pos + nrows * 8])
         return cls._from_canonical(
-            tuple(names), tuple(books), tuple(columns), probs, exact
+            tuple(names), tuple(books), tuple(columns), probs, total
         )
 
     @property
@@ -732,7 +755,7 @@ class TableDistribution:
             "values": tuple(cb._values for cb in self._codebooks),
             "columns": self._columns,
             "probs": self._probs,
-            "exact": self._exact,
+            "total": self._total,
         }
 
     def __setstate__(self, state):
@@ -744,7 +767,7 @@ class TableDistribution:
         )
         object.__setattr__(self, "_columns", state["columns"])
         object.__setattr__(self, "_probs", state["probs"])
-        object.__setattr__(self, "_exact", state["exact"])
+        object.__setattr__(self, "_total", state["total"])
         object.__setattr__(self, "_bytes", None)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_logps", None)
@@ -758,7 +781,7 @@ class TableDistribution:
             return NotImplemented
         return (
             self.variables == other.variables
-            and self._exact == other._exact
+            and self._total == other._total
             and self._columns == other._columns
             and tuple(self._probs) == tuple(other._probs)
             and tuple(cb._values for cb in self._codebooks)
@@ -771,7 +794,7 @@ class TableDistribution:
         )
 
     def __repr__(self) -> str:
-        mode = "exact" if self._exact else "float"
+        mode = "exact" if self.exact else "float"
         return (
             f"TableDistribution(variables={self.variables}, "
             f"rows={self.num_rows}, {mode}, digest={self.digest[:12]})"
@@ -787,6 +810,13 @@ def _unpickle_table(state) -> TableDistribution:
 # ----------------------------------------------------------------------
 # Incremental builder
 # ----------------------------------------------------------------------
+def _over_common_denominator(weights: list) -> tuple[list[int], int]:
+    """Exact weights (ints and ``Fraction``s) as ints over their least
+    common denominator, and that denominator."""
+    den = math.lcm(*{w.denominator for w in weights})
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
 class TableBuilder:
     """Appends rows column-wise, interning values on the fly.
 
@@ -794,7 +824,10 @@ class TableBuilder:
     builder — per-variable code lists plus one weight list — and
     :meth:`build` canonicalizes once: codebooks re-sorted by canonical
     value bytes, rows sorted lexicographically, duplicates merged, zero
-    rows dropped, weights validated (or normalized).
+    rows dropped, weights validated (or normalized).  Exact weights are
+    put over their least common denominator once, so every later sum is
+    an int sum; counting outcomes with unit weights and
+    ``build(normalize=True)`` makes no ``Fraction`` at all.
     """
 
     def __init__(self, variables: Sequence[str], *, exact: bool = False) -> None:
@@ -818,7 +851,9 @@ class TableBuilder:
             )
         for book, col, value in zip(self._books, self._cols, row):
             col.append(book.intern(value))
-        self._weights.append(Fraction(weight) if self.exact else weight)
+        if self.exact and type(weight) is not int:
+            weight = Fraction(weight)
+        self._weights.append(weight)
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -826,11 +861,15 @@ class TableBuilder:
     def build(self, *, normalize: bool = False) -> TableDistribution:
         """Canonicalize and freeze into a :class:`TableDistribution`."""
         exact = self.exact
-        zero = Fraction(0) if exact else 0.0
         tolerance = 0 if exact else NORMALIZATION_TOLERANCE
         for w in self._weights:
             if w < -tolerance:
                 raise ValueError(f"negative probability {w}")
+        if exact:
+            weights, den = _over_common_denominator(self._weights)
+            zero = 0
+        else:
+            weights, den, zero = self._weights, None, 0.0
         # Canonical code order per variable: sort interned values by
         # their canonical bytes, remap the appended codes.
         remaps = []
@@ -847,28 +886,35 @@ class TableBuilder:
         # Group rows by remapped code tuples (merging duplicates).
         masses: dict = {}
         get = masses.get
-        for codes, w in zip(zip(*self._cols), self._weights):
+        for codes, w in zip(zip(*self._cols), weights):
             if w <= 0:
                 continue
             key = tuple(remap[c] for remap, c in zip(remaps, codes))
             masses[key] = get(key, zero) + w
         if not self.variables:
-            total_weight = sum(
-                (w for w in self._weights if w > 0), zero
-            )
+            total_weight = sum((w for w in weights if w > 0), zero)
             if total_weight > 0:
                 masses[()] = total_weight
         if exact:
-            total = sum(masses.values(), zero)
+            # The weights over ``den`` sum to 1 exactly, or are normalized
+            # by being read over their own sum.
+            total = sum(masses.values())
+            if normalize:
+                if total <= 0:
+                    raise ValueError("cannot normalize an all-zero pmf")
+            elif total != den:
+                raise ValueError(
+                    f"pmf sums to {Fraction(total, den)}, expected 1"
+                )
         else:
             total = math.fsum(masses.values())
-        if normalize:
-            if total <= 0:
-                raise ValueError("cannot normalize an all-zero pmf")
-            for key in masses:
-                masses[key] /= total
-        elif abs(total - 1) > tolerance:
-            raise ValueError(f"pmf sums to {total}, expected 1")
+            if normalize:
+                if total <= 0:
+                    raise ValueError("cannot normalize an all-zero pmf")
+                for key in masses:
+                    masses[key] /= total
+            elif abs(total - 1) > tolerance:
+                raise ValueError(f"pmf sums to {total}, expected 1")
         ordered = sorted(masses)
         # Drop codebook entries no surviving row uses, keeping order.
         books = []
@@ -885,9 +931,10 @@ class TableBuilder:
             for pos in range(len(self.variables))
         )
         if exact:
-            probs = tuple(masses[key] for key in ordered)
+            probs, total = _exact_column([masses[key] for key in ordered])
         else:
             probs = array("d", (float(masses[key]) for key in ordered))
+            total = None
         return TableDistribution._from_canonical(
-            self.variables, tuple(books), columns, probs, exact
+            self.variables, tuple(books), columns, probs, total
         )

@@ -24,7 +24,8 @@ The checkers below compute both sides of each, for any protocol.
 
 The enumeration is split in two.  :func:`exact_outcomes` builds the
 protocol-independent part once per (hard, σ): every outcome's player
-views, special slots and G, with equal values interned.  Each
+views, special slots and G, with equal values interned, and each copy's
+unique views read from that copy's :func:`copy_outcomes` table.  Each
 :func:`analyze_protocol` call then does only protocol work: one
 ``sketch`` per distinct view and one ``decode`` per distinct referee
 transcript.  Views repeat across outcomes because a view depends on only
@@ -33,7 +34,7 @@ a few indicator bits — the locality Lemma 3.5 rests on.
 Lemma 3.5 needs less than the full joint.  Π(U_i) reads only j*, σ and
 copy i's indicator row, so :func:`copy_outcomes` holds copy i's
 t·2^(t·r) (j*, row) outcomes, and :func:`analyze_copies` builds one
-exact table per copy over (J, M_{i,0..t-1}, Π(U_i)).  In ``Fraction``
+exact table per copy over (J, M_{i,0..t-1}, Π(U_i)).  In exact
 arithmetic that table *is* the full joint's marginal on those
 variables, so every Lemma 3.5 quantity comes out bit-identical to
 :func:`analyze_protocol` in exact mode, at t·2^(t·r) outcomes per copy
@@ -60,7 +61,7 @@ from .distribution import (
     identity_sigma,
 )
 from .params import HardDistribution
-from .players import copy_player_views, player_split
+from .players import copy_player_views, public_player_views
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,17 @@ def exact_outcomes(
     """Every (j*, indicator table) outcome of ``hard`` under ``sigma``,
     j*-major in :func:`enumerate_indicator_tables` order.
 
-    Each outcome's views come from one :func:`player_split`; the referee
-    gets the public players plus the unique players of genuinely unique
-    vertices (what :func:`~repro.lowerbound.players.vertex_player_views`
-    reconstructs).  The table is a pure function of ``(hard, sigma)``,
-    so it lives in the engine's construction cache: every protocol
-    analysed on the same micro instance shares one table.  ``sigma``
-    defaults to the identity permutation.
+    Copy i's unique views read only j* and copy i's row, so they are
+    looked up in its :func:`copy_outcomes` table rather than rebuilt per
+    outcome; the public views come from each outcome's graph.  The
+    referee gets the public players plus the unique players of genuinely
+    unique vertices (what
+    :func:`~repro.lowerbound.players.vertex_player_views` reconstructs
+    from a :func:`~repro.lowerbound.players.player_split`).  The table is
+    a pure function of ``(hard, sigma)``, so it lives in the engine's
+    construction cache: every protocol analysed on the same micro
+    instance shares one table.  ``sigma`` defaults to the identity
+    permutation.
     """
     if sigma is None:
         sigma = identity_sigma(hard)
@@ -108,9 +113,17 @@ def exact_outcomes(
             return pool.setdefault(value, value)
 
         def views(by_key: dict) -> tuple[VertexView, ...]:
-            # In key order: label order, or RS-vertex order within a copy.
+            # In key order: label order.
             return intern(tuple(intern(by_key[key]) for key in sorted(by_key)))
 
+        # Copy i's view group (RS-vertex order) by (j*, copy i's row).
+        unique_groups = [
+            {
+                (o.j_star, o.row): intern(tuple(map(intern, o.unique)))
+                for o in copy_outcomes(hard, i, sigma)
+            }
+            for i in range(hard.k)
+        ]
         tables = list(enumerate_indicator_tables(hard))
         outcomes = []
         for j_star in range(hard.t):
@@ -118,12 +131,17 @@ def exact_outcomes(
                 instance = DMMInstance(
                     hard=hard, j_star=j_star, sigma=sigma, indicators=table
                 )
-                split = player_split(instance)
-                unique = split.unique.items()
-                referee = dict(split.public)
-                for _, view in unique:
-                    if instance.is_unique_label(view.vertex):
-                        referee[view.vertex] = view
+                public = public_player_views(instance)
+                unique = tuple(
+                    groups[j_star, row] for groups, row in zip(unique_groups, table)
+                )
+                # A unique player holding a public vertex's copy is
+                # ignored (its label is already a public key); unique
+                # labels are distinct across copies.
+                referee = dict(public)
+                for group in unique:
+                    for view in group:
+                        referee.setdefault(view.vertex, view)
                 slots = frozenset(
                     pair
                     for i in range(hard.k)
@@ -133,11 +151,8 @@ def exact_outcomes(
                     ExactOutcome(
                         j_star=j_star,
                         indicators=table,
-                        public=views(split.public),
-                        unique=tuple(
-                            views({v: u for (c, v), u in unique if c == i})
-                            for i in range(hard.k)
-                        ),
+                        public=views(public),
+                        unique=unique,
                         referee=views(referee),
                         slots=intern(slots),
                         graph=intern(instance.graph),
@@ -399,10 +414,12 @@ def analyze_protocol(
     streams each outcome straight into columnar :class:`TableBuilder`
     rows (interned message codes, no tuple pmf is ever materialized),
     while ``"reference"`` rebuilds the original dict pmf for
-    differential checks.  ``exact`` (table kernel only) keeps every
-    probability a :class:`~fractions.Fraction` — each outcome has exact
-    mass ``1 / (t · 2^(k·t·r))``, so expected values and lemma inputs
-    carry no float rounding.
+    differential checks.  ``exact`` (table kernel only) counts outcomes:
+    each has weight 1 over the t · 2^(k·t·r) total, so the table's
+    probabilities are exact rationals, and ``expected_mu`` and
+    ``error_probability`` are integer sums divided once into a
+    :class:`~fractions.Fraction` — no float rounding reaches the lemma
+    inputs.  Float mode sums each outcome's mass ``1 / (t · 2^(k·t·r))``.
     """
     if exact and kernel != "table":
         raise ValueError("exact mode requires the table kernel")
@@ -416,10 +433,10 @@ def analyze_protocol(
 
     pmf: dict[tuple, float] = {}
     builder = TableBuilder(names, exact=exact) if kernel == "table" else None
-    zero = Fraction(0) if exact else 0.0
-    expected_mu = zero
-    error_prob = zero
-    prob = Fraction(1, len(outcomes)) if exact else 1.0 / len(outcomes)
+    # Exact mode counts outcomes; float mode adds each outcome's mass,
+    # and the stored float results pin that order of additions.
+    prob, zero = (1, 0) if exact else (1.0 / len(outcomes), 0.0)
+    expected_mu = error_prob = zero
 
     # Messages are hashable packed bytes, so they key the decode memo
     # and the pmf directly — no per-bit tuples are ever materialized.
@@ -476,8 +493,11 @@ def analyze_protocol(
     # Every referee view is also a public or unique player's view, so
     # the memo holds exactly the messages of the Section 3.1 players.
     worst_bits = max((m.num_bits for m in sketches.values()), default=0)
+    if exact:
+        expected_mu = Fraction(expected_mu, len(outcomes))
+        error_prob = Fraction(error_prob, len(outcomes))
     if builder is not None:
-        dist = builder.build()
+        dist = builder.build(normalize=exact)
     else:
         dist = JointDistribution(names, pmf)
     return ExactAnalysis(
@@ -495,7 +515,7 @@ class CopyAnalysis(_Lemma35):
 
     ``tables[i]`` is the exact joint of (J, M_{i,0..t-1}, Π(U_i)) over
     copy i's t·2^(t·r) outcomes, each of mass 1/(t·2^(t·r)): the full
-    joint's marginal on those variables, as ``Fraction``s.  The Lemma 3.5
+    joint's marginal on those variables, exactly.  The Lemma 3.5
     quantities use :class:`ExactAnalysis`'s own E_j formula, so they
     equal its exact-mode values bit for bit.
     """
@@ -535,19 +555,18 @@ def analyze_copies(
 
     Each copy's outcomes come from the shared :func:`copy_outcomes`
     table; ``protocol.sketch`` runs once per distinct view across all
-    copies.  Probabilities are ``Fraction``s: the per-copy table equals
-    the full joint's marginal only in exact arithmetic.
+    copies.  The tables are exact, each outcome counted once: the
+    per-copy table equals the full joint's marginal only in exact
+    arithmetic.
     """
     t = hard.t
     send, _ = _memoised_sketch(protocol, coins)
     tables = []
     for i in range(hard.k):
-        outcomes = copy_outcomes(hard, i, sigma)
         names = ["J", *[f"M_{i}_{j}" for j in range(t)], f"PiU_{i}"]
         builder = TableBuilder(names, exact=True)
-        prob = Fraction(1, len(outcomes))
-        for outcome in outcomes:
+        for outcome in copy_outcomes(hard, i, sigma):
             pi_u = tuple(map(send, outcome.unique))
-            builder.add((outcome.j_star, *outcome.row, pi_u), prob)
-        tables.append(builder.build())
+            builder.add((outcome.j_star, *outcome.row, pi_u), 1)
+        tables.append(builder.build(normalize=True))
     return CopyAnalysis(hard=hard, tables=tuple(tables))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.graphs import greedy_maximal_matching
+from repro.graphs import FrozenGraph, greedy_maximal_matching
 from repro.lowerbound import (
     attack_with_matching_protocol,
     attack_with_mis_protocol,
@@ -22,8 +22,9 @@ from repro.lowerbound import (
     matching_relaxed_check,
     matching_strict_check,
     sample_dmm,
+    sample_dmm_family,
 )
-from repro.lowerbound.adversary import score_matching
+from repro.lowerbound.adversary import _attack_trial, score_matching
 from repro.protocols import (
     FullNeighborhoodMIS,
     FullNeighborhoodMatching,
@@ -56,6 +57,28 @@ class TestAttackHarness:
         bad = attack_with_mis_protocol(hd, SampledEdgesMIS(0), trials=4, seed=2)
         assert good.strict_success_rate == 1.0
         assert bad.strict_success_rate < good.strict_success_rate
+
+    def test_t2_direct_trials_build_no_adjacency_view(self, monkeypatch):
+        """Scoring an MIS output on a cached D_MM instance reads the CSR
+        rows: T2's direct sweep at the dmm_trials workload's (m, k) =
+        (20, 4) leaves no frozenset adjacency view on the instances it
+        scores."""
+        hd = scaled_distribution(m=20, k=4)
+        built = []
+        adjacency = FrozenGraph.adjacency
+
+        def spy(graph):
+            built.append(graph)
+            return adjacency(graph)
+
+        monkeypatch.setattr(FrozenGraph, "adjacency", spy)
+        verdicts = {
+            _attack_trial((instance, 5, SampledEdgesMIS(knob), True))[0]
+            for instance in sample_dmm_family(hd, 3, 0)
+            for knob in (0, 2, hd.n)
+        }
+        assert verdicts == {True, False}
+        assert built == []
 
     def test_rejects_zero_trials(self):
         hd = scaled_distribution(m=8, k=2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
+    FrozenGraph,
     Graph,
     all_maximal_independent_sets,
     complete_graph,
@@ -50,6 +51,84 @@ class TestMaximality:
         g = complete_graph(4)
         for v in range(4):
             assert is_maximal_independent_set(g, {v})
+
+    def test_isolated_vertex_must_be_chosen(self):
+        g = Graph(vertices=[0, 1, 2], edges=[(0, 1)])
+        for form in (g, g.freeze()):
+            assert not form.is_dominating_set({0})
+            assert form.is_dominating_set({0, 2})
+            assert is_maximal_independent_set(form, {1, 2})
+
+
+def _edge_scan(vertices, edges, chosen):
+    """(independent, maximal independent) straight from the vertex and
+    edge lists."""
+    independent = chosen <= vertices and not any(
+        u in chosen and v in chosen for u, v in edges
+    )
+    dominating = all(
+        any(v in chosen for u, v in edges if u == x)
+        or any(u in chosen for u, v in edges if v == x)
+        for x in vertices - chosen
+    )
+    return independent, independent and dominating
+
+
+class TestAgainstEdgeScan:
+    def test_both_forms_agree_with_an_edge_scan(self):
+        """Random graphs with isolated vertices and scattered labels;
+        candidate sets are maximal independent sets, perturbed ones and
+        random ones, some holding labels that are not vertices."""
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            vertices = set(rng.sample(range(12), rng.randint(1, 9)))
+            ordered = sorted(vertices)
+            edges = [
+                (u, v)
+                for i, u in enumerate(ordered)
+                for v in ordered[i + 1 :]
+                if rng.random() < 0.3
+            ]
+            builder = Graph(vertices=vertices, edges=edges)
+            frozen = builder.freeze()
+            kind = seed % 4
+            if kind == 0:
+                chosen = greedy_mis(builder, rng.sample(ordered, len(ordered)))
+            elif kind == 1:
+                chosen = greedy_mis(builder) ^ {rng.choice(ordered)}
+            elif kind == 2:
+                chosen = {v for v in ordered if rng.random() < 0.4}
+            else:
+                chosen = greedy_mis(builder) | {rng.randrange(12, 15)}
+            expected = _edge_scan(vertices, edges, chosen)
+            for graph in (builder, frozen):
+                got = (
+                    is_independent_set(graph, chosen),
+                    is_maximal_independent_set(graph, chosen),
+                )
+                assert got == expected, (seed, type(graph).__name__)
+            assert builder.is_dominating_set(chosen) == frozen.is_dominating_set(
+                chosen
+            )
+            seen.update(enumerate(expected))
+        # Both answers occur for both predicates.
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+    def test_mis_checks_never_build_the_adjacency_view(self, monkeypatch):
+        built = []
+        adjacency = FrozenGraph.adjacency
+
+        def spy(graph):
+            built.append(graph)
+            return adjacency(graph)
+
+        monkeypatch.setattr(FrozenGraph, "adjacency", spy)
+        graph = erdos_renyi(20, 0.2, random.Random(3)).freeze()
+        mis = greedy_mis(Graph(graph.vertices, graph.edges()))
+        assert is_maximal_independent_set(graph, mis)
+        assert not is_maximal_independent_set(graph, set(list(mis)[1:]))
+        assert built == []
 
 
 class TestGreedyAndLuby:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.infotheory import (
     Codebook,
+    JointDistribution,
     NORMALIZATION_TOLERANCE,
     TableBuilder,
     TableDistribution,
@@ -175,6 +176,153 @@ class TestExactMode:
             TableDistribution(
                 ("x",), {(0,): Fraction(1, 3), (1,): Fraction(1, 3)}, exact=True
             )
+
+
+def mixed_denominators() -> TableDistribution:
+    pmf = {(0, "x"): Fraction(1, 3), (1, "y"): Fraction(1, 6), (2, "x"): Fraction(1, 2)}
+    return TableDistribution(("a", "b"), pmf, exact=True)
+
+
+def _parent_grouped_entropy(dist, names) -> float:
+    """The exact entropy formula before integer weights: group masses as
+    ``Fraction``s, then ``-fsum(float(m) * log2(m))``."""
+    idx = [dist.variables.index(name) for name in names]
+    if not idx:
+        return 0.0
+    masses: dict = {}
+    for outcome, p in dist.items():
+        key = tuple(outcome[i] for i in idx)
+        masses[key] = masses.get(key, Fraction(0)) + p
+    return -math.fsum(float(m) * math.log2(m) for m in masses.values() if m > 0)
+
+
+def _parent_entropy(dist, names, given) -> float:
+    if not given:
+        return _parent_grouped_entropy(dist, names)
+    joint = list(dict.fromkeys(names + given))
+    return _parent_grouped_entropy(dist, joint) - _parent_grouped_entropy(dist, given)
+
+
+def _parent_mutual_information(dist, a, b, given) -> float:
+    value = _parent_entropy(dist, a, given) - _parent_entropy(
+        dist, a, list(dict.fromkeys(b + given))
+    )
+    return 0.0 if -NORMALIZATION_TOLERANCE < value < 0 else value
+
+
+class TestExactWeights:
+    """Exact tables hold int weights over one total; values that leave
+    the kernel are Fractions, equal to what the Fraction column gave."""
+
+    def test_equal_tables_from_any_weights(self):
+        rows = [(0,), (1,)]
+        tables = [
+            TableDistribution.from_rows(("x",), rows, [Fraction(1, 2)] * 2, exact=True),
+            TableDistribution.from_rows(("x",), rows, [Fraction(2, 4)] * 2, exact=True),
+            TableDistribution.from_rows(("x",), rows, [0.5, 0.5], exact=True),
+            TableDistribution.from_rows(
+                ("x",), rows, [1, 1], normalize=True, exact=True
+            ),
+            TableDistribution.from_rows(
+                ("x",), rows, [6, 6], normalize=True, exact=True
+            ),
+        ]
+        first = tables[0]
+        for table in tables[1:]:
+            assert table == first
+            assert table.digest == first.digest
+            assert hash(table) == hash(first)
+        assert first.pmf == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+
+    def test_mixed_denominators_match_the_oracle(self):
+        table = mixed_denominators()
+        oracle = JointDistribution(table.variables, table.pmf)
+        assert table.pmf == oracle.pmf == {
+            (0, "x"): Fraction(1, 3),
+            (1, "y"): Fraction(1, 6),
+            (2, "x"): Fraction(1, 2),
+        }
+        for fixed in ({"b": "x"}, {"a": 1}, {"a": 2, "b": "x"}, {"b": "z"}, {}):
+            got = table.probability(**fixed)
+            assert isinstance(got, Fraction)
+            assert got == oracle.probability(**fixed)
+        for names in (["b"], ["a"], ["b", "a"]):
+            assert table.marginal(names).pmf == oracle.marginal(names).pmf
+        for fixed in ({"b": "x"}, {"b": "y"}, {"a": 0}):
+            got = table.condition(**fixed)
+            assert got.exact
+            assert got.pmf == oracle.condition(**fixed).pmf
+        assert table.condition(b="x").pmf == {
+            (0,): Fraction(2, 5),
+            (2,): Fraction(3, 5),
+        }
+        assert all(isinstance(p, Fraction) for _, p in table.items())
+        assert table.get((1, "y")) == Fraction(1, 6)
+
+    def test_information_is_bit_identical_to_fraction_masses(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(200):
+            arity = rng.randint(1, 4)
+            names = [f"x{i}" for i in range(arity)]
+            rows = [
+                tuple(rng.randrange(3) for _ in names)
+                for _ in range(rng.randint(1, 12))
+            ]
+            weights = [Fraction(rng.randint(1, 8), rng.randint(1, 6)) for _ in rows]
+            table = TableDistribution.from_rows(
+                names, rows, weights, normalize=True, exact=True
+            )
+            for _ in range(4):
+                shuffled = rng.sample(names, arity)
+                cut = rng.randint(1, arity)
+                a, rest = shuffled[:cut], shuffled[cut:]
+                given = [v for v in rest if rng.random() < 0.5]
+                assert table.entropy(a, given=given) == _parent_entropy(
+                    table, a, given
+                )
+                b = [v for v in rest if v not in given]
+                if b:
+                    got = table.mutual_information(a, b, given=given)
+                    want = _parent_mutual_information(table, a, b, given)
+                    assert got == want
+                    checked += 1
+        assert checked > 100
+
+    def test_digest_is_pinned(self):
+        # Computed with the Fraction-column kernel: TBLD1 bytes unchanged.
+        table = mixed_denominators()
+        assert table.digest == (
+            "228d4f5b5fbc6ef3f8611bb1a6d1d6b00ed29624819310c749a519752c0380ce"
+        )
+        assert table.marginal(["b"]).digest == (
+            "c7f7ad526edc0403ea1a9ffd120762d4457d958a311aa9729fdace84e17b456c"
+        )
+
+    def test_round_trips_keep_the_total(self):
+        table = mixed_denominators()
+        for back in (
+            pickle.loads(pickle.dumps(table)),
+            TableDistribution.from_bytes(table.to_bytes()),
+        ):
+            assert back == table
+            assert back._total == table._total == 6
+            assert back.to_bytes() == table.to_bytes()
+            assert back.condition(b="x") == table.condition(b="x")
+
+    def test_builder_still_refuses_bad_weights(self):
+        builder = TableBuilder(("x",), exact=True)
+        builder.add((0,), Fraction(3, 2))
+        builder.add((1,), Fraction(-1, 2))
+        with pytest.raises(ValueError, match="negative probability -1/2"):
+            builder.build()
+        builder = TableBuilder(("x",), exact=True)
+        builder.add((0,), Fraction(1, 3))
+        builder.add((1,), Fraction(1, 3))
+        with pytest.raises(ValueError, match="pmf sums to 2/3, expected 1"):
+            builder.build()
+        with pytest.raises(ValueError, match="zero probability"):
+            mixed_denominators().condition(b="z")
 
 
 class TestCanonicalBytes:

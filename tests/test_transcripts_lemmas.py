@@ -633,8 +633,10 @@ class TestAgainstReferenceLoop:
 
 class TestExactOutcomes:
     @pytest.mark.parametrize("sigma_seed", [None, 5])
-    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("t", [2, 3, 4])
     def test_records_match_player_split(self, t, sigma_seed):
+        """Every outcome equals a rebuild through ``player_split``,
+        although the table reads its unique views from ``copy_outcomes``."""
         hard = micro_distribution(r=1, t=t, k=2)
         sigma = _sigma(hard, sigma_seed)
         outcomes = exact_outcomes(hard, sigma)
