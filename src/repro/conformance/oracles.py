@@ -63,7 +63,6 @@ from ..model import (
     run_protocol_batch,
     vertex_set_message,
     vertex_set_messages,
-    views_of,
 )
 from ..model.reference import LegacyBitReader, LegacyBitWriter, LegacyMessage
 from ..protocols import make_protocol
@@ -825,14 +824,14 @@ def _sketches_generate(seed: int) -> Case:
 
 def _sketches_build(case: Case) -> CheckContext:
     ctx = CheckContext(case)
-    frozen = _graph_from_atoms(case.atoms).freeze()
+    builder = _graph_from_atoms(case.atoms)
+    frozen = builder.freeze()
     n = max(frozen.vertices, default=0) + 1
     coins = PublicCoins(seed=case.seed)
     protocol = make_protocol(case.params["spec"])
     batch = run_protocol(frozen, protocol, coins, n=n)
-    perview = run_protocol(
-        frozen, protocol, coins, n=n, views=views_of(frozen, n=n)
-    )
+    # The mutable builder takes the per-view path: one sketch per view.
+    perview = run_protocol(builder, protocol, coins, n=n)
     ctx.frozen = frozen
     ctx.n = n
     ctx.coins = coins

@@ -105,45 +105,43 @@ def _filtering_ablation(trials: int, seed: int) -> tuple[list, list[dict]]:
 def _kernel_ablation() -> tuple[list, list[dict]]:
     """Columnar table kernel vs dict oracle on the exact lemma check.
 
-    Times ``analyze_protocol`` + the full Lemma 3.3–3.5 evaluation under
-    both kernels on one micro instance — the in-repo justification for
-    the columnar default.
+    Times the full Lemma 3.3–3.5 evaluation of one micro instance's
+    ``analyze_protocol`` table, and of the dict oracle built over the
+    same rows — the in-repo justification for the columnar default.
     """
     import time
+    from dataclasses import replace
 
+    from ..infotheory import JointDistribution
     from ..lowerbound import analyze_protocol, micro_distribution
-    from ..lowerbound.transcripts import ExactAnalysis
     from ..model import PublicCoins
     from ..protocols import SampledEdgesMatching
 
     hard = micro_distribution(r=1, t=2, k=2)
-    protocol = SampledEdgesMatching(1)
-    coins = PublicCoins(seed=2020)
+    # Enumerate once outside the timer: what's compared is the lemma
+    # evaluation on each kernel.
+    a = analyze_protocol(hard, SampledEdgesMatching(1), PublicCoins(seed=2020))
+    dists = {
+        "table": a.dist,
+        "reference": JointDistribution(a.dist.variables, a.dist.pmf),
+    }
+    num_rows = a.dist.num_rows
     rows, data = [], []
     timings: dict[str, float] = {}
-    num_rows = 0
-    for kernel in ("table", "reference"):
-        # Enumerate once outside the timer — the protocol simulation is
-        # kernel-independent; what's compared is the lemma evaluation.
-        a = analyze_protocol(hard, protocol, coins, kernel=kernel)
-        num_rows = a.dist.num_rows if kernel == "table" else num_rows
+    for kernel, dist in dists.items():
         reps = 5
         start = time.perf_counter()
         for _ in range(reps):
             # Fresh ExactAnalysis per rep defeats the cached_property
             # memoization, so every lemma quantity is recomputed.
-            fresh = ExactAnalysis(
-                hard=a.hard, dist=a.dist, expected_mu=a.expected_mu,
-                error_probability=a.error_probability,
-                worst_case_bits=a.worst_case_bits,
-            )
+            fresh = replace(a, dist=dist)
             fresh.information_revealed
             fresh.lemma33_holds()
             fresh.lemma34_holds()
             fresh.lemma35_all_hold()
         timings[kernel] = (time.perf_counter() - start) / reps
     speedup = timings["reference"] / timings["table"] if timings["table"] else 0.0
-    for kernel in ("table", "reference"):
+    for kernel in dists:
         rows.append(
             (
                 kernel,

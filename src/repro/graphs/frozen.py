@@ -462,7 +462,8 @@ class FrozenGraph:
         offsets = _array_from_le(payload[pos : pos + itemsize * (n + 1)])
         pos += itemsize * (n + 1)
         nbrs = _array_from_le(payload[pos:])
-        if list(offsets) != sorted(offsets) or (n and offsets[-1] != m2):
+        # Rows tile the neighbor buffer: from 0, non-decreasing, to m2.
+        if offsets[0] != 0 or offsets[-1] != m2 or list(offsets) != sorted(offsets):
             raise ValueError("FrozenGraph offsets are not a valid CSR index")
         return cls._from_csr(verts, offsets, nbrs)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import ExecutionEngine, derive_seed, resolve_engine
+from ..engine import ExecutionEngine
 from ..graphs import (
     is_maximal_independent_set,
     is_maximal_matching,
@@ -29,7 +29,7 @@ from ..graphs import (
 from ..infotheory import TableDistribution
 from ..model import PublicCoins, SketchProtocol, run_protocol
 from .claims import count_unique_unique
-from .distribution import DMMInstance, sample_dmm_family
+from .distribution import DMMInstance, map_dmm_trials
 from .params import HardDistribution
 
 
@@ -44,6 +44,21 @@ class AttackResult:
     mean_unique_unique: float
     max_bits: int  # worst message over all players and trials
     mean_bits: float  # mean over trials of the per-player average
+
+    @classmethod
+    def from_trials(cls, protocol_name: str, outcomes: list) -> "AttackResult":
+        """Aggregate per-trial ``(strict, relaxed, unique, max_bits,
+        bits)`` tuples, summed in trial order."""
+        trials = len(outcomes)
+        return cls(
+            protocol_name=protocol_name,
+            trials=trials,
+            strict_successes=sum(o[0] for o in outcomes),
+            relaxed_successes=sum(o[1] for o in outcomes),
+            mean_unique_unique=sum(o[2] for o in outcomes) / trials,
+            max_bits=max((o[3] for o in outcomes), default=0),
+            mean_bits=sum(o[4] for o in outcomes) / trials,
+        )
 
     @property
     def strict_success_rate(self) -> float:
@@ -132,33 +147,11 @@ def _attack_trial(item: tuple) -> tuple[bool, bool, float, int, float]:
 
 
 def _attack(hard, protocol, trials, seed, mis, engine=None) -> AttackResult:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    engine = resolve_engine(engine)
-    # The instance family is content-addressed: every attack over the
-    # same (hard, trials, seed) — e.g. each knob of a budget sweep —
-    # shares one sampled family.  Coin seeds are hash-derived per trial,
-    # independent of the protocol, so knob points stay comparable.
-    instances = sample_dmm_family(hard, trials, seed)
-    items = [
-        (instance, derive_seed(seed, "attack-coins", trial), protocol, mis)
-        for trial, instance in enumerate(instances)
-    ]
-    outcomes = engine.map(_attack_trial, items)
-    strict_ok = sum(o[0] for o in outcomes)
-    relaxed_ok = sum(o[1] for o in outcomes)
-    unique_total = sum(o[2] for o in outcomes)
-    max_bits = max((o[3] for o in outcomes), default=0)
-    bits_total = sum(o[4] for o in outcomes)
-    return AttackResult(
-        protocol_name=protocol.name,
-        trials=trials,
-        strict_successes=strict_ok,
-        relaxed_successes=relaxed_ok,
-        mean_unique_unique=unique_total / trials,
-        max_bits=max_bits,
-        mean_bits=bits_total / trials,
+    outcomes = map_dmm_trials(
+        hard, trials, seed, _attack_trial, "attack-coins", protocol, mis,
+        engine=engine,
     )
+    return AttackResult.from_trials(protocol.name, outcomes)
 
 
 def _information_trial(item: tuple) -> tuple[int, tuple]:
@@ -192,15 +185,10 @@ def empirical_information(
     once into codebook entries, so the estimate scales with the number
     of *distinct* transcripts, not with ``trials``).
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    engine = resolve_engine(engine)
-    instances = sample_dmm_family(hard, trials, seed)
-    items = [
-        (instance, derive_seed(seed, "attack-coins", trial), protocol)
-        for trial, instance in enumerate(instances)
-    ]
-    samples = engine.map(_information_trial, items)
+    samples = map_dmm_trials(
+        hard, trials, seed, _information_trial, "attack-coins", protocol,
+        engine=engine,
+    )
     dist = TableDistribution.from_samples(("J", "Pi"), samples)
     return dist.mutual_information(["J"], ["Pi"])
 
@@ -268,21 +256,8 @@ def attack_with_adaptive_matching(
     measures exactly that (cost = worst-case total bits per player
     across rounds).
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    engine = resolve_engine(engine)
-    instances = sample_dmm_family(hard, trials, seed)
-    items = [
-        (instance, derive_seed(seed, "attack-coins", trial), protocol)
-        for trial, instance in enumerate(instances)
-    ]
-    outcomes = engine.map(_adaptive_attack_trial, items)
-    return AttackResult(
-        protocol_name=protocol.name,
-        trials=trials,
-        strict_successes=sum(o[0] for o in outcomes),
-        relaxed_successes=sum(o[1] for o in outcomes),
-        mean_unique_unique=sum(o[2] for o in outcomes) / trials,
-        max_bits=max((o[3] for o in outcomes), default=0),
-        mean_bits=sum(o[4] for o in outcomes) / trials,
+    outcomes = map_dmm_trials(
+        hard, trials, seed, _adaptive_attack_trial, "attack-coins", protocol,
+        engine=engine,
     )
+    return AttackResult.from_trials(protocol.name, outcomes)

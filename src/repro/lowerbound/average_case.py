@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import ExecutionEngine, derive_seed, resolve_engine
+from ..engine import ExecutionEngine
 from ..model import PublicCoins, SketchProtocol, run_protocol
-from .distribution import sample_dmm_family
+from .distribution import map_dmm_trials
 from .params import HardDistribution
 
 
@@ -80,16 +80,12 @@ def symmetrized_cost_profile(
     derived seeds) and run through the engine; totals are reduced in
     trial order, so the profile is backend-independent.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    engine = resolve_engine(engine)
-    instances = sample_dmm_family(hard, trials, seed)
-    items = [
-        (instance, derive_seed(seed, "profile-coins", trial), protocol)
-        for trial, instance in enumerate(instances)
-    ]
+    per_trial = map_dmm_trials(
+        hard, trials, seed, _profile_trial, "profile-coins", protocol,
+        engine=engine,
+    )
     totals: dict[int, float] = {v: 0.0 for v in range(hard.n)}
-    for per_player in engine.map(_profile_trial, items):
+    for per_player in per_trial:
         for v, bits in per_player.items():
             totals[v] += bits
     return CostProfile(

@@ -20,9 +20,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..graphs import Edge, FrozenGraph, normalize_edge
 from .params import HardDistribution
+
+if TYPE_CHECKING:  # only for annotations; keeps the import graph flat
+    from ..engine import ExecutionEngine
 
 #: indicators[i][j] is an r-bit mask: bit e set iff edge e of matching j
 #: survived in copy i.
@@ -287,6 +291,38 @@ def sample_dmm_family(
     return construction_cache().get_or_build(
         ("dmm-family", hard.cache_token, trials, base_seed), build
     )
+
+
+def map_dmm_trials(
+    hard: HardDistribution,
+    trials: int,
+    seed: int,
+    trial: Callable[[tuple], Any],
+    namespace: str,
+    *extra: Any,
+    engine: "ExecutionEngine | None" = None,
+) -> list:
+    """``trial`` over the cached family ``sample_dmm_family(hard, trials,
+    seed)``, through the engine, in trial order.
+
+    Trial ``i`` gets the item ``(instance_i, derive_seed(seed,
+    namespace, i), *extra)``: coin seeds are hash-derived per trial and
+    independent of the protocol, so every run over the same ``(hard,
+    trials, seed)`` — each knob of a budget sweep, say — shares one
+    sampled family and one set of coins.  ``trial`` must be module-level
+    so process pools can run it.
+    """
+    from ..engine import derive_seed, resolve_engine
+
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    engine = resolve_engine(engine)
+    instances = sample_dmm_family(hard, trials, seed)
+    items = [
+        (instance, derive_seed(seed, namespace, index), *extra)
+        for index, instance in enumerate(instances)
+    ]
+    return engine.map(trial, items)
 
 
 def identity_sigma(hard: HardDistribution) -> tuple[int, ...]:

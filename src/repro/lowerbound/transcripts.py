@@ -268,11 +268,14 @@ class _Lemma35:
 class ExactAnalysis(_Lemma35):
     """The exact joint distribution plus derived lemma quantities.
 
-    ``dist`` is a columnar :class:`TableDistribution` by default (the
-    dict :class:`JointDistribution` oracle when built with
-    ``kernel="reference"``); both expose the same API, so every lemma
-    quantity below is kernel-agnostic.  In exact mode ``expected_mu``
-    and ``error_probability`` are :class:`~fractions.Fraction`.
+    :func:`analyze_protocol` always builds ``dist`` as a columnar
+    :class:`TableDistribution`; there is no ``kernel=`` switch.  Every
+    lemma quantity below reads ``dist`` through the API the dict
+    :class:`JointDistribution` oracle shares, so a comparison builds the
+    oracle over the table's rows where it is made:
+    ``replace(a, dist=JointDistribution(a.dist.variables, a.dist.pmf))``.
+    In exact mode ``expected_mu`` and ``error_probability`` are
+    :class:`~fractions.Fraction`.
     """
 
     hard: HardDistribution
@@ -397,7 +400,6 @@ def analyze_protocol(
     coins: PublicCoins,
     sigma: tuple[int, ...] | None = None,
     *,
-    kernel: str = "table",
     exact: bool = False,
 ) -> ExactAnalysis:
     """Enumerate the joint distribution of one deterministic protocol.
@@ -410,29 +412,22 @@ def analyze_protocol(
     (§2.1), so ``protocol.sketch`` runs once per distinct view and
     ``protocol.decode`` once per distinct referee transcript.
 
-    ``kernel`` selects the distribution implementation — ``"table"``
-    streams each outcome straight into columnar :class:`TableBuilder`
-    rows (interned message codes, no tuple pmf is ever materialized),
-    while ``"reference"`` rebuilds the original dict pmf for
-    differential checks.  ``exact`` (table kernel only) counts outcomes:
-    each has weight 1 over the t · 2^(k·t·r) total, so the table's
-    probabilities are exact rationals, and ``expected_mu`` and
-    ``error_probability`` are integer sums divided once into a
-    :class:`~fractions.Fraction` — no float rounding reaches the lemma
-    inputs.  Float mode sums each outcome's mass ``1 / (t · 2^(k·t·r))``.
+    Each outcome streams straight into columnar :class:`TableBuilder`
+    rows (interned message codes, no tuple pmf is ever materialized).
+    ``exact`` counts outcomes: each has weight 1 over the t · 2^(k·t·r)
+    total, so the table's probabilities are exact rationals, and
+    ``expected_mu`` and ``error_probability`` are integer sums divided
+    once into a :class:`~fractions.Fraction` — no float rounding reaches
+    the lemma inputs.  Float mode sums each outcome's mass
+    ``1 / (t · 2^(k·t·r))``.
     """
-    if exact and kernel != "table":
-        raise ValueError("exact mode requires the table kernel")
-    if kernel not in ("table", "reference"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     k, t, n = hard.k, hard.t, hard.n
     outcomes = exact_outcomes(hard, sigma)
 
     m_names = [f"M_{i}_{j}" for i in range(k) for j in range(t)]
     names = ["J", *m_names, "PiP", *[f"PiU_{i}" for i in range(k)], "O", "MU"]
 
-    pmf: dict[tuple, float] = {}
-    builder = TableBuilder(names, exact=exact) if kernel == "table" else None
+    builder = TableBuilder(names, exact=exact)
     # Exact mode counts outcomes; float mode adds each outcome's mass,
     # and the stored float results pin that order of additions.
     prob, zero = (1, 0) if exact else (1.0 / len(outcomes), 0.0)
@@ -482,13 +477,10 @@ def analyze_protocol(
             1 if correct else 0,
             mu,
         )
-        if builder is not None:
-            # Every (j*, indicator table) pair is a distinct row (the
-            # indicators are part of the outcome), so rows stream in
-            # with uniform weight and merge trivially at build().
-            builder.add(row, prob)
-        else:
-            pmf[row] = pmf.get(row, 0.0) + prob
+        # Every (j*, indicator table) pair is a distinct row (the
+        # indicators are part of the outcome), so rows stream in with
+        # uniform weight and merge trivially at build().
+        builder.add(row, prob)
 
     # Every referee view is also a public or unique player's view, so
     # the memo holds exactly the messages of the Section 3.1 players.
@@ -496,13 +488,9 @@ def analyze_protocol(
     if exact:
         expected_mu = Fraction(expected_mu, len(outcomes))
         error_prob = Fraction(error_prob, len(outcomes))
-    if builder is not None:
-        dist = builder.build(normalize=exact)
-    else:
-        dist = JointDistribution(names, pmf)
     return ExactAnalysis(
         hard=hard,
-        dist=dist,
+        dist=builder.build(normalize=exact),
         expected_mu=expected_mu,
         error_probability=error_prob,
         worst_case_bits=worst_bits,

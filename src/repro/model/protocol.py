@@ -61,11 +61,13 @@ class BatchSketchProtocol(SketchProtocol):
 
         ``sketch_batch(graph, n, coins)[v] == sketch(views_of(graph, n)[v], coins)``
 
-    for all players v.  The runner takes the per-view path for mutable
-    builders or caller-supplied views.  The oracle registry's
-    ``sketches`` pair and tests/test_sketch_core.py fuzz the equality,
-    and the golden vectors pin it on fixed instances.  Where the two
-    paths are written separately (the batch path draws a shared palette,
+    for all players v.  :func:`~repro.model.runner.run_protocol` has no
+    switch between the paths (there is no ``views=``): passing the
+    mutable builder (``graph.to_builder()``) selects the per-view one.
+    The oracle registry's ``sketches`` pair and
+    tests/test_sketch_core.py fuzz the equality, and the golden vectors
+    pin it on fixed instances.  Where the two paths are written
+    separately (the batch path draws a shared palette,
     priority or sampler family once, or builds another sampler
     structure), the per-view ``sketch`` is the differential oracle.  A
     protocol whose message is a function of the player's own row alone

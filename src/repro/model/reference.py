@@ -3,9 +3,9 @@
 This is the original implementation of ``repro.model.messages``: every
 bit is one Python ``int`` in a ``list``/``tuple``.  It is *not* part of
 the public API and no protocol uses it — it exists so that the oracle
-registry's ``codec`` pair (``repro.conformance.oracles``) and the
-property tests in ``tests/test_codec_fuzz.py`` can fuzz arbitrary op
-sequences against an independent implementation of the same bit format.
+registry's ``codec`` pair (``repro.conformance.oracles``, run by name
+from ``tests/test_codec_fuzz.py``) can fuzz arbitrary op sequences
+against an independent implementation of the same bit format.
 
 The bit format (MSB-first fixed-width fields, 8-bit varint groups with
 a leading continuation bit, two's-complement signed fields) is the

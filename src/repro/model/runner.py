@@ -21,7 +21,7 @@ from ..obs import TRANSCRIPT_BITS, TRANSCRIPT_MESSAGES
 from .coins import PublicCoins
 from .messages import Message, assert_packed_accounting
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
-from .views import VertexView, views_of
+from .views import views_of
 
 #: The one role of every player when the caller names none (a graph
 #: with no hard instance behind it).
@@ -120,43 +120,37 @@ def run_protocol(
     protocol: SketchProtocol,
     coins: PublicCoins,
     n: int | None = None,
-    views: dict[int, VertexView] | None = None,
     roles: Callable[[], Sequence[str]] | None = None,
 ) -> ProtocolRun:
     """Execute a one-round protocol.
 
-    ``views`` may be supplied to run under a non-standard player model
-    (e.g. the public/unique player split of Section 3.1); by default each
-    vertex of the graph is one player with its full neighborhood.
+    Each vertex of the graph is one player with its full neighborhood.
     ``roles`` returns the role table, indexed by player, for the
     transcript telemetry (see :func:`charge_transcript`); it is never
     called when telemetry is off.
 
-    The path is picked from the inputs alone.  When the graph is
-    frozen, the protocol implements
-    :class:`~repro.model.protocol.BatchSketchProtocol`, and no ``views``
-    are supplied, all players' messages are built in one batched pass
-    over the CSR buffers.  Otherwise each player's message is one
-    ``sketch(view, coins)`` call — the model's definition, and the
-    reference the batch path is checked against: pass
-    ``views=views_of(graph, n)`` to force it.  Batch and per-view
-    messages are bit-identical by contract, so the transcript (and
-    therefore every downstream cost or lemma computation) is unchanged.
+    The path is picked from the inputs alone.  A frozen graph with a
+    protocol that implements
+    :class:`~repro.model.protocol.BatchSketchProtocol` builds all
+    players' messages in one batched pass over the CSR buffers.
+    Anything else runs one ``sketch(view, coins)`` call per player — the
+    model's definition, and the reference the batch path is checked
+    against: pass the mutable builder (``graph.to_builder()``) to select
+    it, as there is no ``views=`` switch.  Batch and per-view messages
+    are bit-identical by contract, so the transcript (and therefore
+    every downstream cost or lemma computation) is unchanged.
     """
     if n is None:
         n = graph.num_vertices()
     with obs.span("protocol.sketch", protocol=protocol.name, players=n):
-        if (
-            views is None
-            and isinstance(graph, FrozenGraph)
-            and isinstance(protocol, BatchSketchProtocol)
+        if isinstance(graph, FrozenGraph) and isinstance(
+            protocol, BatchSketchProtocol
         ):
             sketches = protocol.sketch_batch(graph, n, coins)
         else:
-            if views is None:
-                views = views_of(graph, n=n)
             sketches = {
-                v: protocol.sketch(view, coins) for v, view in views.items()
+                v: protocol.sketch(view, coins)
+                for v, view in views_of(graph, n=n).items()
             }
     with obs.span("protocol.transcript", protocol=protocol.name):
         transcript = Transcript(sketches=sketches)

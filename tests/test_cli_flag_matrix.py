@@ -5,24 +5,21 @@ pool vs serial, Fraction vs float probability kernel) without touching
 the math.  This matrix pins that contract through the real CLI: the same
 attack/run invocation under every flag combination prints identical
 stable output lines.  Batched vs per-view sketch construction is not a
-flag: ``run_protocol`` takes the per-view path when ``views=`` is
-passed, and the transcripts of the two paths must be bit-identical.
+flag, and ``run_protocol`` has no ``views=`` switch: it batches on a
+frozen graph, and passing the mutable builder selects the per-view
+path.  The transcripts of the two paths must be bit-identical.
 
 ``_build_engine`` installs process-global state (default engine and
 cache); the autouse fixture restores both so the matrix cannot leak
 configuration into other test files.
 """
 
-import random
-
 import pytest
 
 from repro.cli import main
 from repro.engine import ExecutionEngine, configure_cache, set_default_engine
-from repro.graphs.builders import erdos_renyi
-from repro.model import PublicCoins, run_protocol
-from repro.model.views import views_of
-from repro.protocols import make_protocol
+
+from .pair_runner import check_pair
 
 #: The one registry protocol the whole matrix runs.
 SPEC = "sampled:2"
@@ -116,18 +113,7 @@ class TestExactMatrix:
 class TestTranscriptBitIdentity:
     def test_batched_and_per_view_transcripts_match(self):
         # The CLI matrix compares rendered reports; this pins the raw
-        # wire bits underneath: batched CSR construction vs the per-view
-        # path must serialize every player's message identically.
-        graph = erdos_renyi(10, 0.4, random.Random(3)).freeze()
-        protocol = make_protocol(SPEC)
-        coins = PublicCoins(seed=2020)
-        batched = run_protocol(graph, protocol, coins)
-        per_view = run_protocol(graph, protocol, coins, views=views_of(graph, n=10))
-        a = batched.transcript.sketches
-        b = per_view.transcript.sketches
-        assert set(a) == set(b)
-        for v in a:
-            assert a[v].to_bytes() == b[v].to_bytes()
-            assert a[v].num_bits == b[v].num_bits
-        assert batched.output == per_view.output
-        assert batched.max_bits == per_view.max_bits
+        # wire bits underneath: the registry's sketches pair runs the
+        # matrix's protocol on a frozen graph and on its builder, and
+        # every player's bytes, bits and the referee output must agree.
+        check_pair("sketches", 3, "differential", "charged-bits", spec=SPEC)

@@ -1,8 +1,11 @@
-"""Hypothesis fuzzing of the bit codec — the trusted cost-accounting layer.
+"""The bit codec — the trusted cost-accounting layer.
 
 Every protocol's communication cost rests on BitWriter/BitReader being
-exact, so we fuzz arbitrary interleavings of the codecs and assert
-perfect roundtrips and exact bit accounting.
+exact.  The op-interleaving ids run the registry's ``codec`` pair, whose
+cases mix bits, uints up to 33 bits, uint arrays, varints (biased to the
+7/14/21-bit group edges) and signed ints: the packed writer and reader
+must match the per-bit-list legacy codec bit for bit, read every op
+back, and charge exactly the ops' widths.
 """
 
 import pytest
@@ -10,78 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import (
-    BitReader,
     BitWriter,
     Message,
     decode_vertex_set,
     encode_vertex_set,
 )
-from repro.model.reference import LegacyBitWriter
 
-# One codec operation: (kind, value, width) with the width only
-# meaningful for fixed-width kinds.
-_ops = st.one_of(
-    st.tuples(st.just("bit"), st.integers(0, 1), st.just(1)),
-    st.tuples(st.just("uint"), st.integers(0, 2**20 - 1), st.just(20)),
-    st.tuples(st.just("uint"), st.integers(0, 1), st.just(1)),
-    st.tuples(st.just("varint"), st.integers(0, 2**40), st.just(0)),
-    st.tuples(st.just("int"), st.integers(-(2**15), 2**15 - 1), st.just(16)),
-)
+from .pair_runner import check_pair
 
 
-@given(st.lists(_ops, max_size=60))
-@settings(max_examples=120, deadline=None)
-def test_roundtrip_arbitrary_interleaving(ops):
-    writer = BitWriter()
-    for kind, value, width in ops:
-        if kind == "bit":
-            writer.write_bit(value)
-        elif kind == "uint":
-            writer.write_uint(value, width)
-        elif kind == "varint":
-            writer.write_varint(value)
-        else:
-            writer.write_int(value, width)
-    message = writer.to_message()
-    reader = message.reader()
-    for kind, value, width in ops:
-        if kind == "bit":
-            assert reader.read_bit() == value
-        elif kind == "uint":
-            assert reader.read_uint(width) == value
-        elif kind == "varint":
-            assert reader.read_varint() == value
-        else:
-            assert reader.read_int(width) == value
-    assert reader.remaining == 0
+def test_roundtrip_arbitrary_interleaving():
+    check_pair("codec", 120, "differential")
 
 
-@given(st.lists(_ops, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_bit_accounting_exact(ops):
+def test_bit_accounting_exact():
     """num_bits equals the sum of the component encodings' widths."""
-    writer = BitWriter()
-    expected = 0
-    for kind, value, width in ops:
-        if kind == "bit":
-            writer.write_bit(value)
-            expected += 1
-        elif kind == "uint":
-            writer.write_uint(value, width)
-            expected += width
-        elif kind == "varint":
-            writer.write_varint(value)
-            groups = 1
-            v = value >> 7
-            while v:
-                groups += 1
-                v >>= 7
-            expected += 8 * groups
-        else:
-            writer.write_int(value, width)
-            expected += width
-    assert writer.num_bits == expected
-    assert writer.to_message().num_bits == expected
+    check_pair("codec", 60, "differential", "charged-bits")
 
 
 @given(
@@ -99,105 +46,18 @@ def test_vertex_set_roundtrip_fuzz(vertices, repeats):
     assert reader.remaining == 0
 
 
-@given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
-@settings(max_examples=60, deadline=None)
-def test_raw_bits_roundtrip(bits):
-    writer = BitWriter()
-    for b in bits:
-        writer.write_bit(b)
-    message = writer.to_message()
-    assert list(message.bits) == bits
-    reader = BitReader(message)
-    assert [reader.read_bit() for _ in bits] == bits
+def test_raw_bits_roundtrip():
+    check_pair("codec", 60, "differential", "roundtrip")
 
 
-# ----------------------------------------------------------------------
-# Cross-representation: packed writer vs the per-bit-list oracle
-# ----------------------------------------------------------------------
-
-# Values straddling the varint group edges: every 7-bit group boundary
-# (7/14/21 bits) with its -1/0/+1 neighborhood.
-_varint_edges = sorted(
-    {0, 1, *(v + d for v in ((1 << 7), (1 << 14), (1 << 21)) for d in (-1, 0, 1))}
-)
-
-_xops = st.one_of(
-    _ops,
-    st.tuples(st.just("varint"), st.sampled_from(_varint_edges), st.just(0)),
-    st.tuples(
-        st.just("uint_array"),
-        st.lists(st.integers(0, 2**12 - 1), max_size=8),
-        st.just(12),
-    ),
-)
-
-
-def _apply(writer, ops, array_as_loop: bool):
-    """Replay an op sequence; the oracle lacks bulk ops, so arrays become
-    per-element write_uint loops (the bulk helpers' defined semantics)."""
-    for kind, value, width in ops:
-        if kind == "bit":
-            writer.write_bit(value)
-        elif kind == "uint":
-            writer.write_uint(value, width)
-        elif kind == "varint":
-            writer.write_varint(value)
-        elif kind == "uint_array":
-            if array_as_loop:
-                for v in value:
-                    writer.write_uint(v, width)
-            else:
-                writer.write_uint_array(value, width)
-        else:
-            writer.write_int(value, width)
-
-
-@given(st.lists(_xops, max_size=60))
-@settings(max_examples=120, deadline=None)
-def test_packed_matches_legacy_oracle(ops):
+def test_packed_matches_legacy_oracle():
     """The packed writer and the historical per-bit-list reference emit
     identical bit strings, lengths, and roundtrips for any op sequence."""
-    packed = BitWriter()
-    _apply(packed, ops, array_as_loop=False)
-    legacy = LegacyBitWriter()
-    _apply(legacy, ops, array_as_loop=True)
-
-    message = packed.to_message()
-    oracle = legacy.to_message()
-    assert packed.num_bits == legacy.num_bits
-    assert message.num_bits == oracle.num_bits
-    assert message.bits == oracle.bits
-    assert message == Message.from_bits(oracle.bits)
-    assert message.to_bytes() == Message.from_bits(oracle.bits).payload
-
-    reader = message.reader()
-    oracle_reader = oracle.reader()
-    for kind, value, width in ops:
-        if kind == "bit":
-            assert reader.read_bit() == oracle_reader.read_bit() == value
-        elif kind == "uint":
-            assert reader.read_uint(width) == oracle_reader.read_uint(width) == value
-        elif kind == "varint":
-            assert reader.read_varint() == oracle_reader.read_varint() == value
-        elif kind == "uint_array":
-            got = reader.read_uint_array(len(value), width)
-            assert got == [oracle_reader.read_uint(width) for _ in value]
-            assert got == list(value)
-        else:
-            assert reader.read_int(width) == oracle_reader.read_int(width) == value
-    assert reader.remaining == oracle_reader.remaining == 0
+    check_pair("codec", 120, "differential", "roundtrip")
 
 
-@given(st.integers(0, 2**24))
-@settings(max_examples=120, deadline=None)
-def test_varint_group_boundaries_match_oracle(value):
-    packed = BitWriter()
-    packed.write_varint(value)
-    legacy = LegacyBitWriter()
-    legacy.write_varint(value)
-    assert packed.to_message().bits == legacy.to_message().bits
-    groups = max(1, -(-max(value.bit_length(), 1) // 7))
-    assert packed.num_bits == 8 * groups
+def test_varint_group_boundaries_match_oracle():
+    check_pair("codec", 120, "differential", "charged-bits")
 
 
 # ----------------------------------------------------------------------

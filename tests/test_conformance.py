@@ -1,13 +1,15 @@
 """Conformance subsystem: registry, laws, fuzz driver, shrinker, bundles.
 
-``test_registry_cases_conform`` is the one place the test suite compares
-fast paths with their references: every oracle pair's own generator,
-differential and laws, on Hypothesis-drawn seeds.  The rest of this file
-tests the *machinery* — that case generation is deterministic and
-replayable, that the budget splitter and law registry are complete, and
-(the load-bearing part) that an injected fault in a fast implementation
-is caught, shrunk to a 1-minimal counterexample, and survives a bundle
-round-trip.
+The registry is the one place fast paths are compared with their
+references.  ``test_registry_cases_conform`` runs every oracle pair's
+own generator, differential and laws on Hypothesis-drawn seeds; the
+per-file differential ids run pairs on their seed-0 streams through
+``tests/pair_runner.py``.  The rest of this file tests the *machinery*
+— that case generation is deterministic and replayable, that the budget
+splitter and law registry are complete, that the pair runner cannot
+pass vacuously, and (the load-bearing part) that an injected fault in a
+fast implementation is caught, shrunk to a 1-minimal counterexample,
+and survives a bundle round-trip.
 """
 
 import json
@@ -33,6 +35,8 @@ from repro.conformance import (
     shrink_case,
 )
 from repro.graphs import FrozenGraph
+
+from .pair_runner import check_pair
 
 
 @pytest.mark.parametrize("pair", all_pairs(), ids=lambda pair: pair.name)
@@ -234,3 +238,29 @@ class TestFaultInjection:
             case = pair.case_for(0, 0).replace_atoms(())
             verdicts = pair.check(case)
             assert isinstance(verdicts, list)
+
+
+class TestPairRunner:
+    """The runner behind the per-file differential ids cannot pass
+    vacuously: each id names verdicts its pair must emit and pass."""
+
+    def test_a_law_the_pair_emits_passes(self):
+        check_pair("graphs", 2, "differential", "relabel-invariance")
+        check_pair("sketches", 1, "charged-bits", spec="mis-full")
+
+    @pytest.mark.parametrize(
+        "pair, law",
+        [("graphs", "relabel-invariant"), ("codec", "relabel-invariance")],
+    )
+    def test_a_law_the_pair_does_not_emit_fails(self, pair, law):
+        with pytest.raises(AssertionError, match="no verdict named"):
+            check_pair(pair, 1, "differential", law)
+
+    def test_a_spec_the_pair_never_draws_fails(self):
+        with pytest.raises(AssertionError, match="0 of 1 cases"):
+            check_pair("sketches", 1, "differential", spec="low-degree:99")
+
+    def test_a_fault_fails_the_named_verdict(self, monkeypatch):
+        _LyingDegree(monkeypatch)
+        with pytest.raises(AssertionError, match="graphs/differential"):
+            check_pair("graphs", 30, "differential")

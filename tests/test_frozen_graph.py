@@ -187,6 +187,14 @@ class TestTransforms:
 # ----------------------------------------------------------------------
 # Canonical serialization & content address
 # ----------------------------------------------------------------------
+def _payload(verts, offsets, nbrs) -> bytes:
+    """A hand-made payload: header, then the three int64 buffers."""
+    words = (*verts, *offsets, *nbrs)
+    return _HEADER.pack(_MAGIC, len(verts), len(nbrs)) + b"".join(
+        x.to_bytes(8, "little", signed=True) for x in words
+    )
+
+
 class TestSerialization:
     def test_bytes_roundtrip(self):
         f = petersen_builder().freeze()
@@ -223,20 +231,21 @@ class TestSerialization:
             FrozenGraph.from_bytes(payload[:3])
 
     def test_non_monotone_offsets_rejected(self):
-        # Handcraft a payload with a decreasing offsets array.
-        itemsize = 8
-        verts = (0).to_bytes(itemsize, "little", signed=True) + (
-            1
-        ).to_bytes(itemsize, "little", signed=True)
-        offsets = b"".join(
-            x.to_bytes(itemsize, "little", signed=True) for x in (2, 0, 2)
-        )
-        nbrs = (1).to_bytes(itemsize, "little", signed=True) + (
-            0
-        ).to_bytes(itemsize, "little", signed=True)
-        payload = _HEADER.pack(_MAGIC, 2, 2) + verts + offsets + nbrs
         with pytest.raises(ValueError, match="offsets"):
-            FrozenGraph.from_bytes(payload)
+            FrozenGraph.from_bytes(_payload([0, 1], [2, 0, 2], [1, 0]))
+
+    def test_offsets_must_run_from_zero_to_the_neighbor_count(self):
+        # The canonical payload of the edge (0, 1), and of no vertices.
+        assert FrozenGraph.from_bytes(_payload([0, 1], [0, 1, 2], [1, 0])) == (
+            FrozenGraph.from_edges(edges=[(0, 1)])
+        )
+        assert FrozenGraph.from_bytes(_payload([], [0], [])).num_vertices() == 0
+        # No vertices, yet two neighbor entries: one phantom edge.
+        with pytest.raises(ValueError, match="offsets"):
+            FrozenGraph.from_bytes(_payload([], [0], [0, 1]))
+        # Row 0 starts at entry 1, so vertex 0 would neighbor itself.
+        with pytest.raises(ValueError, match="offsets"):
+            FrozenGraph.from_bytes(_payload([0, 1], [1, 2, 2], [1, 0]))
 
     def test_pickle_roundtrip_digest_stable(self):
         f = petersen_builder().freeze()

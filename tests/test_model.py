@@ -167,12 +167,6 @@ class TestRunner:
         assert t.max_bits == 0
         assert t.average_bits == 0.0
 
-    def test_custom_views(self):
-        g = path_graph(3)
-        views = {1: views_of(g)[1]}  # only the middle player reports
-        run = run_protocol(g, _DegreeProtocol(), PublicCoins(0), views=views)
-        assert run.output == 1  # 2 // 2
-
     def test_estimate_success_probability(self):
         prob = estimate_success_probability(
             make_graph=lambda i: path_graph(4),

@@ -10,7 +10,8 @@ Three layers of guarantees, all against executable oracles:
   word: its sums equal the decoded state's, its recovery agrees with
   the historical per-level ``L0Sampler`` object chain on identical
   update streams, and the AGM referee unpacks only the columns it sums.
-* For every protocol in the registry and every sketch family,
+* For every protocol in the registry (run through the oracle
+  registry's ``sketches`` pair) and every sketch family,
   ``sketch_batch`` on a frozen graph is bit-identical to the per-view
   ``sketch`` oracle, player by player — the wire contract of
   :class:`repro.model.BatchSketchProtocol`.  The eleven
@@ -20,7 +21,8 @@ Three layers of guarantees, all against executable oracles:
   other rows fails it.
 
 ``run_protocol`` picks the batched or the per-view path from its inputs
-alone; the counting-wrapper test pins that rule.
+alone (the mutable builder takes the per-view one); the counting-wrapper
+test pins that rule.
 """
 
 import random
@@ -51,7 +53,6 @@ from repro.protocols import (
     SampledEdgesMatching,
     SampledEdgesMIS,
 )
-from repro.protocols.registry import make_protocol
 from repro.sketches import (
     AGMConnectivity,
     AGMSpanningForest,
@@ -70,6 +71,8 @@ from repro.sketches import (
     derive_family,
     edge_coordinate,
 )
+
+from .pair_runner import check_pair
 
 # Small dense label space so random graphs collide and repeat edges.
 labels = st.integers(0, 9)
@@ -345,11 +348,9 @@ def assert_batch_matches_oracle(protocol, graph, coins):
 
 
 @pytest.mark.parametrize("spec", REGISTRY_SPECS)
-@given(graph_spec, seeds)
-@settings(max_examples=15, deadline=None)
-def test_registry_batch_bit_identical(spec, graph_spec_value, seed):
-    graph = build_frozen(graph_spec_value)
-    assert_batch_matches_oracle(make_protocol(spec), graph, PublicCoins(seed=seed))
+def test_registry_batch_bit_identical(spec):
+    """The registry's ``sketches`` pair on its cases of ``spec``."""
+    check_pair("sketches", 15, "differential", "charged-bits", spec=spec)
 
 
 FAMILY_PROTOCOLS = [
@@ -461,7 +462,7 @@ def test_run_protocol_fast_path_matches_slow_path(spec, seed):
     coins = PublicCoins(seed=seed)
     protocol = AGMSpanningForest()
     fast = run_protocol(graph, protocol, coins, n=n)
-    slow = run_protocol(graph, protocol, coins, n=n, views=views_of(graph, n))
+    slow = run_protocol(graph.to_builder(), protocol, coins, n=n)
     assert fast.output == slow.output
     assert fast.max_bits == slow.max_bits
     for v in graph.sorted_vertices():
@@ -498,14 +499,14 @@ def test_run_protocol_picks_its_path_from_its_inputs():
         builder.add_edge(u, v)
     frozen = builder.freeze()
     coins = PublicCoins(seed=7)
-    # (batch calls, per-view calls) for each way of calling run_protocol.
-    for graph, views, expected in (
-        (frozen, None, (1, 0)),
-        (frozen, views_of(frozen, 6), (0, 6)),
-        (builder, None, (0, 6)),
+    # (batch calls, per-view calls) for each form of the graph.
+    for graph, expected in (
+        (frozen, (1, 0)),
+        (builder, (0, 6)),
+        (frozen.to_builder(), (0, 6)),
     ):
         protocol = CountingProtocol(AGMSpanningForest())
-        run_protocol(graph, protocol, coins, n=6, views=views)
+        run_protocol(graph, protocol, coins, n=6)
         assert (protocol.batch_calls, protocol.sketch_calls) == expected
 
 

@@ -31,7 +31,6 @@ from repro.model import (
     run_protocol,
     vertex_set_message,
     vertex_set_messages,
-    views_of,
 )
 from repro.model.runner import charge_transcript
 from repro.obs import (
@@ -117,8 +116,9 @@ class TestTranscriptCounts:
         else:
             protocol = make_protocol(spec)
         assert isinstance(protocol, BatchSketchProtocol)
-        views = views_of(graph, n) if path == "per-view" else None
-        run = run_protocol(graph, protocol, PublicCoins(seed=3), n=n, views=views)
+        if path == "per-view":
+            graph = graph.to_builder()
+        run = run_protocol(graph, protocol, PublicCoins(seed=3), n=n)
         transcript = run.transcript
         bits = _recount(transcript)
         assert transcript.bits == bits

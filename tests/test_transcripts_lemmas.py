@@ -485,10 +485,11 @@ class TestExactVsMonteCarlo:
 # ----------------------------------------------------------------------
 # The outcome table and the work-once protocol loop
 # ----------------------------------------------------------------------
-def _reference_analysis(hard, protocol, coins, sigma, *, kernel, exact):
+def _reference_analysis(hard, protocol, coins, sigma, *, oracle, exact):
     """The enumeration before the outcome table: every outcome rebuilds
     its instance, calls ``player_split`` and then ``vertex_player_views``,
-    and sketches every player of both once."""
+    and sketches every player of both once.  With ``oracle`` it sums the
+    rows into a dict :class:`JointDistribution`, else into a table."""
     k, t, n = hard.k, hard.t, hard.n
     names = [
         "J",
@@ -499,7 +500,7 @@ def _reference_analysis(hard, protocol, coins, sigma, *, kernel, exact):
         "MU",
     ]
     pmf = {}
-    builder = TableBuilder(names, exact=exact) if kernel == "table" else None
+    builder = None if oracle else TableBuilder(names, exact=exact)
     expected_mu = error_prob = Fraction(0) if exact else 0.0
     worst_bits = 0
     tables = list(enumerate_indicator_tables(hard))
@@ -573,10 +574,11 @@ PROTOCOLS = {
     "padded": lambda: Padded(SampledEdgesMatching(1)),
     "label-padded": lambda: LabelPadded(SampledEdgesMatching(1)),
 }
+#: mode -> (compare through the dict oracle, exact)
 MODES = {
-    "table": ("table", False),
-    "reference": ("reference", False),
-    "exact": ("table", True),
+    "table": (False, False),
+    "reference": (True, False),
+    "exact": (False, True),
 }
 
 
@@ -589,18 +591,19 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("t", [2, 3])
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_identical_to_reference(self, name, t, sigma_seed, mode):
-        kernel, exact = MODES[mode]
+        oracle, exact = MODES[mode]
         hard = micro_distribution(r=1, t=t, k=2)
         sigma = _sigma(hard, sigma_seed)
         protocol = PROTOCOLS[name]()
-        got = analyze_protocol(hard, protocol, COINS, sigma, kernel=kernel, exact=exact)
+        got = analyze_protocol(hard, protocol, COINS, sigma, exact=exact)
         dist, mu, err, bits = _reference_analysis(
-            hard, protocol, COINS, sigma, kernel=kernel, exact=exact
+            hard, protocol, COINS, sigma, oracle=oracle, exact=exact
         )
-        if kernel == "table":
-            assert got.dist.to_bytes() == dist.to_bytes()
+        if oracle:
+            # The dict oracle over the table's rows equals the old loop's.
+            assert JointDistribution(got.dist.variables, got.dist.pmf).pmf == dist.pmf
         else:
-            assert got.dist.pmf == dist.pmf
+            assert got.dist.to_bytes() == dist.to_bytes()
         assert got.expected_mu == mu
         assert got.error_probability == err
         assert type(got.expected_mu) is type(mu)
