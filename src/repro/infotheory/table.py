@@ -11,6 +11,8 @@ as an immutable *outcome table*:
 * **Interned codebooks** — each variable owns a :class:`Codebook`
   mapping its outcome values (arbitrary hashables) to dense small-int
   codes, ordered canonically by the value's type-tagged byte encoding;
+  a :class:`TableBuilder` takes rows of those codes, and a derived
+  codebook builds its value→code dict only on a lookup by value;
 * **Columnar storage** — one ``array`` of integer codes per variable
   plus a single probability column (``array('d')``, or positive ``int``
   weights over one ``int`` total in exact mode), rows sorted
@@ -169,28 +171,49 @@ class Codebook:
     hot append path); canonicalization later re-sorts codes by
     :func:`_canon_value` bytes so equal distributions built in any
     insertion order produce identical columns and digests.
+
+    A codebook derived from another (by ``build``'s compaction,
+    ``marginal``, ``condition`` or unpickling) takes values already
+    known distinct and hashes none of them: its value→code dict is built
+    on the first lookup by value.
     """
 
     __slots__ = ("_values", "_codes")
 
     def __init__(self, values: Iterable[Hashable] = ()) -> None:
         self._values: list = []
-        self._codes: dict = {}
+        self._codes: dict | None = {}
         for value in values:
             self.intern(value)
 
+    @classmethod
+    def _distinct(cls, values: Iterable[Hashable]) -> "Codebook":
+        """The codebook of ``values``, distinct and in code order."""
+        self = object.__new__(cls)
+        self._values = list(values)
+        self._codes = None
+        return self
+
+    def _lookup(self) -> dict:
+        """The value→code dict, built on first use."""
+        if self._codes is None:
+            self._codes = {value: code for code, value in enumerate(self._values)}
+        return self._codes
+
     def intern(self, value: Hashable) -> int:
         """The code for ``value``, allocating the next code if new."""
-        code = self._codes.get(value)
-        if code is None:
-            code = len(self._values)
-            self._codes[value] = code
-            self._values.append(value)
+        codes = self._codes
+        if codes is None:
+            codes = self._lookup()
+        values = self._values
+        code = codes.setdefault(value, len(values))
+        if code == len(values):
+            values.append(value)
         return code
 
     def code(self, value: Hashable) -> int | None:
         """The existing code for ``value``, or None if never interned."""
-        return self._codes.get(value)
+        return self._lookup().get(value)
 
     def value(self, code: int):
         return self._values[code]
@@ -203,7 +226,7 @@ class Codebook:
         return len(self._values)
 
     def __contains__(self, value) -> bool:
-        return value in self._codes
+        return value in self._lookup()
 
     def __repr__(self) -> str:
         return f"Codebook({len(self._values)} values)"
@@ -482,7 +505,7 @@ class TableDistribution:
         for pos, i in enumerate(idx):
             used = sorted({key[pos] for key in ordered})
             old = self._codebooks[i]
-            book = Codebook(old._values[c] for c in used)
+            book = Codebook._distinct(old._values[c] for c in used)
             books.append(book)
             remaps.append({c: new for new, c in enumerate(used)})
         columns = tuple(
@@ -763,7 +786,7 @@ class TableDistribution:
         object.__setattr__(
             self,
             "_codebooks",
-            tuple(Codebook(values) for values in state["values"]),
+            tuple(Codebook._distinct(values) for values in state["values"]),
         )
         object.__setattr__(self, "_columns", state["columns"])
         object.__setattr__(self, "_probs", state["probs"])
@@ -818,16 +841,20 @@ def _over_common_denominator(weights: list) -> tuple[list[int], int]:
 
 
 class TableBuilder:
-    """Appends rows column-wise, interning values on the fly.
+    """Appends coded rows, then canonicalizes them once into a table.
 
-    The lemma checkers stream enumeration outcomes straight into the
-    builder — per-variable code lists plus one weight list — and
-    :meth:`build` canonicalizes once: codebooks re-sorted by canonical
-    value bytes, rows sorted lexicographically, duplicates merged, zero
-    rows dropped, weights validated (or normalized).  Exact weights are
-    put over their least common denominator once, so every later sum is
-    an int sum; counting outcomes with unit weights and
-    ``build(normalize=True)`` makes no ``Fraction`` at all.
+    Each variable owns a :class:`Codebook` (:attr:`codebooks`); a row is
+    a tuple of codes those codebooks issued, one per variable.  A caller
+    that meets the same value many times interns it once and appends its
+    code — the lemma checkers stream enumeration outcomes in this way,
+    so no outcome value is hashed per row — and :meth:`add` is the
+    one-row case: intern each value, then :meth:`append`.  :meth:`build`
+    canonicalizes once: codebooks re-sorted by canonical value bytes,
+    rows sorted lexicographically, duplicates merged, zero rows dropped,
+    weights validated (or normalized).  Exact weights are put over their
+    least common denominator once, so every later sum is an int sum;
+    counting outcomes with unit weights and ``build(normalize=True)``
+    makes no ``Fraction`` at all.
     """
 
     def __init__(self, variables: Sequence[str], *, exact: bool = False) -> None:
@@ -837,23 +864,35 @@ class TableBuilder:
                 f"duplicate variable names in {self.variables!r}"
             )
         self.exact = exact
-        self._books = tuple(Codebook() for _ in self.variables)
-        self._cols: tuple[list[int], ...] = tuple([] for _ in self.variables)
+        self.codebooks = tuple(Codebook() for _ in self.variables)
+        self._rows: list[tuple[int, ...]] = []
         self._weights: list = []
 
+    def append(self, codes: tuple[int, ...], weight=1.0) -> None:
+        """Append one row of codes with the given probability weight.
+
+        ``codes[i]`` must have been issued by ``codebooks[i]``; the codes
+        are range-checked once, by :meth:`build`.
+        """
+        if len(codes) != len(self.variables):
+            raise ValueError(
+                f"row {codes!r} has {len(codes)} codes, expected "
+                f"{len(self.variables)} for variables {self.variables!r}"
+            )
+        self._rows.append(codes)
+        if self.exact and type(weight) is not int:
+            weight = Fraction(weight)
+        self._weights.append(weight)
+
     def add(self, row: Outcome, weight=1.0) -> None:
-        """Append one outcome row with the given probability weight."""
+        """Append one outcome row of values with the given weight."""
         row = tuple(row)
         if len(row) != len(self.variables):
             raise ValueError(
                 f"outcome {row!r} has arity {len(row)}, expected "
                 f"{len(self.variables)} for variables {self.variables!r}"
             )
-        for book, col, value in zip(self._books, self._cols, row):
-            col.append(book.intern(value))
-        if self.exact and type(weight) is not int:
-            weight = Fraction(weight)
-        self._weights.append(weight)
+        self.append(tuple(map(Codebook.intern, self.codebooks, row)), weight)
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -870,26 +909,28 @@ class TableBuilder:
             zero = 0
         else:
             weights, den, zero = self._weights, None, 0.0
+        columns = list(zip(*self._rows)) or [()] * len(self.variables)
         # Canonical code order per variable: sort interned values by
-        # their canonical bytes, remap the appended codes.
-        remaps = []
+        # their canonical bytes, remap the appended codes column-wise.
+        remapped = []
         sorted_values = []
-        for book in self._books:
+        for name, book, column in zip(self.variables, self.codebooks, columns):
+            if column and (min(column) < 0 or max(column) >= len(book)):
+                raise ValueError(f"a code of {name!r} that its codebook never issued")
             order = sorted(
                 range(len(book)), key=lambda c: _canon_value(book._values[c])
             )
             remap = [0] * len(book)
             for new, old in enumerate(order):
                 remap[old] = new
-            remaps.append(remap)
+            remapped.append([remap[c] for c in column])
             sorted_values.append([book._values[c] for c in order])
         # Group rows by remapped code tuples (merging duplicates).
         masses: dict = {}
         get = masses.get
-        for codes, w in zip(zip(*self._cols), weights):
+        for key, w in zip(zip(*remapped), weights):
             if w <= 0:
                 continue
-            key = tuple(remap[c] for remap, c in zip(remaps, codes))
             masses[key] = get(key, zero) + w
         if not self.variables:
             total_weight = sum((w for w in weights if w > 0), zero)
@@ -921,7 +962,7 @@ class TableBuilder:
         final_remaps = []
         for pos, values in enumerate(sorted_values):
             used = sorted({key[pos] for key in ordered})
-            books.append(Codebook(values[c] for c in used))
+            books.append(Codebook._distinct(values[c] for c in used))
             final_remaps.append({c: new for new, c in enumerate(used)})
         columns = tuple(
             array(

@@ -26,10 +26,12 @@ The enumeration is split in two.  :func:`exact_outcomes` builds the
 protocol-independent part once per (hard, σ): every outcome's player
 views, special slots and G, with equal values interned, and each copy's
 unique views read from that copy's :func:`copy_outcomes` table.  Each
-:func:`analyze_protocol` call then does only protocol work: one
-``sketch`` per distinct view and one ``decode`` per distinct referee
-transcript.  Views repeat across outcomes because a view depends on only
-a few indicator bits — the locality Lemma 3.5 rests on.
+:func:`analyze_protocol` call then does only protocol work, on small-int
+codes keyed by those interned objects: one ``sketch`` per distinct view,
+one ``decode`` per distinct referee transcript and one maximality check
+per distinct (G, transcript).  Views repeat across outcomes because a
+view depends on only a few indicator bits — the locality Lemma 3.5
+rests on.
 
 Lemma 3.5 needs less than the full joint.  Π(U_i) reads only j*, σ and
 copy i's indicator row, so :func:`copy_outcomes` holds copy i's
@@ -48,11 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from ..engine import construction_cache
 from ..graphs import Edge, FrozenGraph, is_maximal_matching, normalize_edge
-from ..infotheory import JointDistribution, TableBuilder, TableDistribution
-from ..model import Message, PublicCoins, SketchProtocol, VertexView
+from ..infotheory import Codebook, JointDistribution, TableBuilder, TableDistribution
+from ..model import PublicCoins, SketchProtocol, VertexView
 from .distribution import (
     DMMInstance,
     IndicatorTable,
@@ -70,7 +73,8 @@ class ExactOutcome:
     protocol loop reads, nothing protocol-specific.
 
     Equal views, view groups, slot sets and graphs are shared objects
-    across the outcomes of one :func:`exact_outcomes` table.
+    across the outcomes of one :func:`exact_outcomes` table, so the
+    enumeration's memos key on their identity.
     """
 
     j_star: int
@@ -379,19 +383,54 @@ class ExactAnalysis(_Lemma35):
         return self.worst_case_bits * (hd.num_public + hd.k * hd.N / hd.t)
 
 
-def _memoised_sketch(protocol: SketchProtocol, coins: PublicCoins):
-    """``send(view)``, running ``protocol.sketch`` once per distinct view,
-    and the memo it fills.  Sound because a message is a function of the
-    player's view and the public coins (§2.1)."""
-    sketches: dict[VertexView, Message] = {}
+def _by_identity(make):
+    """``make`` memoised by object identity.
 
-    def send(view: VertexView) -> Message:
-        message = sketches.get(view)
-        if message is None:
-            message = sketches[view] = protocol.sketch(view, coins)
-        return message
+    The outcome tables intern equal views, view groups, graphs and
+    indicator tables, so one entry per object is one entry per distinct
+    value, and no value is hashed.  Each entry keeps its object alive,
+    so no id is reused while the memo lives; a table that did not intern
+    would cost more calls, never a different result.
+    """
+    memo: dict[int, tuple] = {}
 
-    return send, sketches
+    def call(obj):
+        hit = memo.get(id(obj))
+        if hit is None:
+            hit = memo[id(obj)] = (obj, make(obj))
+        return hit[1]
+
+    return call
+
+
+def _message_codes(protocol: SketchProtocol, coins: PublicCoins):
+    """``codes(group)``, a view group's messages as codes of ``messages``.
+
+    A message is a function of the player's view and the public coins
+    (§2.1), so ``protocol.sketch`` runs once per distinct view, and
+    equal messages share one code.  A view is looked up by value once
+    per view object: the k :func:`copy_outcomes` tables intern apart, so
+    an equal view may be another object in another copy's table.
+    """
+    messages = Codebook()
+    sketched: dict[VertexView, int] = {}
+
+    def sketch(view: VertexView) -> int:
+        code = sketched.get(view)
+        if code is None:
+            code = sketched[view] = messages.intern(protocol.sketch(view, coins))
+        return code
+
+    code = _by_identity(sketch)
+    return _by_identity(lambda group: tuple(map(code, group))), messages
+
+
+def _group_column(book: Codebook, codes, messages: Codebook):
+    """``column(group)``, the code in ``book`` of a view group's message
+    tuple: the tuple is hashed once per distinct group."""
+    return _by_identity(
+        lambda group: book.intern(tuple(map(messages.value, codes(group))))
+    )
 
 
 def analyze_protocol(
@@ -409,17 +448,21 @@ def analyze_protocol(
     shared :func:`exact_outcomes` table; this call only runs the
     protocol.  A message is a function of the player's view and the
     coins, and the referee's output of the transcript and the coins
-    (§2.1), so ``protocol.sketch`` runs once per distinct view and
-    ``protocol.decode`` once per distinct referee transcript.
+    (§2.1), so ``protocol.sketch`` runs once per distinct view,
+    ``protocol.decode`` once per distinct referee transcript, and
+    :func:`~repro.graphs.is_maximal_matching` once per distinct (G,
+    referee transcript).
 
-    Each outcome streams straight into columnar :class:`TableBuilder`
-    rows (interned message codes, no tuple pmf is ever materialized).
-    ``exact`` counts outcomes: each has weight 1 over the t · 2^(k·t·r)
-    total, so the table's probabilities are exact rationals, and
-    ``expected_mu`` and ``error_probability`` are integer sums divided
-    once into a :class:`~fractions.Fraction` — no float rounding reaches
-    the lemma inputs.  Float mode sums each outcome's mass
-    ``1 / (t · 2^(k·t·r))``.
+    Each outcome streams into :class:`TableBuilder` as a row of integer
+    codes: equal messages share a code, a view group's messages are a
+    tuple of codes, and the memos are keyed by those ints or by the
+    table's interned objects, so no view, message or message tuple is
+    hashed per outcome.  ``exact`` counts outcomes: each has weight 1
+    over the t · 2^(k·t·r) total, so the table's probabilities are exact
+    rationals, and ``expected_mu`` and ``error_probability`` are integer
+    sums divided once into a :class:`~fractions.Fraction` — no float
+    rounding reaches the lemma inputs.  Float mode sums each outcome's
+    mass ``1 / (t · 2^(k·t·r))``.
     """
     k, t, n = hard.k, hard.t, hard.n
     outcomes = exact_outcomes(hard, sigma)
@@ -428,31 +471,38 @@ def analyze_protocol(
     names = ["J", *m_names, "PiP", *[f"PiU_{i}" for i in range(k)], "O", "MU"]
 
     builder = TableBuilder(names, exact=exact)
+    books = builder.codebooks
+    j_book, m_books = books[0], books[1 : 1 + k * t]
+    o_book, mu_book = books[-2:]
     # Exact mode counts outcomes; float mode adds each outcome's mass,
     # and the stored float results pin that order of additions.
     prob, zero = (1, 0) if exact else (1.0 / len(outcomes), 0.0)
     expected_mu = error_prob = zero
 
-    # Messages are hashable packed bytes, so they key the decode memo
-    # and the pmf directly — no per-bit tuples are ever materialized.
-    send, sketches = _memoised_sketch(protocol, coins)
-    outputs: dict[tuple[Message, ...], tuple[tuple[Edge, ...], frozenset[Edge]]] = {}
+    codes, messages = _message_codes(protocol, coins)
+    public = _group_column(books[1 + k * t], codes, messages)
+    unique = [_group_column(book, codes, messages) for book in books[2 + k * t : -2]]
+    indicators = _by_identity(
+        lambda table: tuple(map(Codebook.intern, m_books, chain.from_iterable(table)))
+    )
+    # Referee transcripts, as tuples of message codes.
+    transcripts = Codebook()
+    referee = _by_identity(lambda group: transcripts.intern(codes(group)))
+    outputs: dict[int, tuple[tuple[Edge, ...], frozenset[Edge]]] = {}
+    # (id(G), transcript) -> maximal; the table holds every G meanwhile.
+    verdicts: dict[tuple[int, int], bool] = {}
 
     for outcome in outcomes:
-        pi_p = tuple(map(send, outcome.public))
-        pi_u = [tuple(map(send, group)) for group in outcome.unique]
         # Referee: the ordinary-model players (Remark: extra copies of
         # public vertices are ignored), plus free (sigma, j*).
-        transcript = tuple(map(send, outcome.referee))
+        transcript = referee(outcome.referee)
         decoded = outputs.get(transcript)
         if decoded is None:
-            output = tuple(
-                protocol.decode(
-                    n,
-                    {view.vertex: m for view, m in zip(outcome.referee, transcript)},
-                    coins,
-                )
-            )
+            sketches = {
+                view.vertex: messages.value(code)
+                for view, code in zip(outcome.referee, transcripts.value(transcript))
+            }
+            output = tuple(protocol.decode(n, sketches, coins))
             # Correctness reads the raw pairs, as the adversary's
             # score_matching does: a self-loop or a pair given twice
             # makes the output invalid.  Only proper pairs can hit a slot.
@@ -461,30 +511,34 @@ def analyze_protocol(
                 frozenset(normalize_edge(u, v) for u, v in output if u != v),
             )
         output_pairs, slot_pairs = decoded
+        key = (id(outcome.graph), transcript)
+        correct = verdicts.get(key)
+        if correct is None:
+            correct = verdicts[key] = is_maximal_matching(outcome.graph, output_pairs)
         mu = len(slot_pairs & outcome.slots)
-        correct = is_maximal_matching(outcome.graph, output_pairs)
 
         expected_mu += prob * mu
         if not correct:
             error_prob += prob
 
-        table = outcome.indicators
-        row = (
-            outcome.j_star,
-            *(table[i][j] for i in range(k) for j in range(t)),
-            pi_p,
-            *pi_u,
-            1 if correct else 0,
-            mu,
-        )
         # Every (j*, indicator table) pair is a distinct row (the
         # indicators are part of the outcome), so rows stream in with
         # uniform weight and merge trivially at build().
-        builder.add(row, prob)
+        builder.append(
+            (
+                j_book.intern(outcome.j_star),
+                *indicators(outcome.indicators),
+                public(outcome.public),
+                *[column(group) for column, group in zip(unique, outcome.unique)],
+                o_book.intern(1 if correct else 0),
+                mu_book.intern(mu),
+            ),
+            prob,
+        )
 
     # Every referee view is also a public or unique player's view, so
-    # the memo holds exactly the messages of the Section 3.1 players.
-    worst_bits = max((m.num_bits for m in sketches.values()), default=0)
+    # the codebook holds exactly the messages of the Section 3.1 players.
+    worst_bits = max((m.num_bits for m in messages.values), default=0)
     if exact:
         expected_mu = Fraction(expected_mu, len(outcomes))
         error_prob = Fraction(error_prob, len(outcomes))
@@ -548,13 +602,17 @@ def analyze_copies(
     arithmetic.
     """
     t = hard.t
-    send, _ = _memoised_sketch(protocol, coins)
+    codes, messages = _message_codes(protocol, coins)
     tables = []
     for i in range(hard.k):
         names = ["J", *[f"M_{i}_{j}" for j in range(t)], f"PiU_{i}"]
         builder = TableBuilder(names, exact=True)
+        *books, unique_book = builder.codebooks
+        unique = _group_column(unique_book, codes, messages)
         for outcome in copy_outcomes(hard, i, sigma):
-            pi_u = tuple(map(send, outcome.unique))
-            builder.add((outcome.j_star, *outcome.row, pi_u), 1)
+            values = (outcome.j_star, *outcome.row)
+            builder.append(
+                (*map(Codebook.intern, books, values), unique(outcome.unique)), 1
+            )
         tables.append(builder.build(normalize=True))
     return CopyAnalysis(hard=hard, tables=tuple(tables))

@@ -19,16 +19,22 @@ from repro.model import (
     encode_vertex_set,
 )
 
-from .pair_runner import check_pair
+from .pair_runner import PairRun
 
 
-def test_roundtrip_arbitrary_interleaving():
-    check_pair("codec", 120, "differential")
+@pytest.fixture(scope="module")
+def codec():
+    """One run of the ``codec`` pair's first 120 cases for every id here."""
+    return PairRun("codec", 120)
 
 
-def test_bit_accounting_exact():
+def test_roundtrip_arbitrary_interleaving(codec):
+    codec.check(120, "differential")
+
+
+def test_bit_accounting_exact(codec):
     """num_bits equals the sum of the component encodings' widths."""
-    check_pair("codec", 60, "differential", "charged-bits")
+    codec.check(60, "differential", "charged-bits")
 
 
 @given(
@@ -46,18 +52,18 @@ def test_vertex_set_roundtrip_fuzz(vertices, repeats):
     assert reader.remaining == 0
 
 
-def test_raw_bits_roundtrip():
-    check_pair("codec", 60, "differential", "roundtrip")
+def test_raw_bits_roundtrip(codec):
+    codec.check(60, "differential", "roundtrip")
 
 
-def test_packed_matches_legacy_oracle():
+def test_packed_matches_legacy_oracle(codec):
     """The packed writer and the historical per-bit-list reference emit
     identical bit strings, lengths, and roundtrips for any op sequence."""
-    check_pair("codec", 120, "differential", "roundtrip")
+    codec.check(120, "differential", "roundtrip")
 
 
-def test_varint_group_boundaries_match_oracle():
-    check_pair("codec", 120, "differential", "charged-bits")
+def test_varint_group_boundaries_match_oracle(codec):
+    codec.check(120, "differential", "charged-bits")
 
 
 # ----------------------------------------------------------------------

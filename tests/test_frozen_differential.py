@@ -8,45 +8,53 @@ The vertex-cover test keeps its own seeded loop.
 
 import random
 
+import pytest
+
 from repro.graphs import Graph, greedy_maximal_matching
 
-from .pair_runner import check_pair
+from .pair_runner import PairRun
 
 
-def test_observables_agree():
-    check_pair("graphs", 100, "differential")
+@pytest.fixture(scope="module")
+def graphs():
+    """One run of the ``graphs`` pair's first 100 cases for every id here."""
+    return PairRun("graphs", 100)
 
 
-def test_edges_sorted_and_complete():
-    check_pair("graphs", 100, "differential")
+def test_observables_agree(graphs):
+    graphs.check(100, "differential")
 
 
-def test_edges_order_insertion_independent():
-    check_pair("graphs", 100, "differential")
+def test_edges_sorted_and_complete(graphs):
+    graphs.check(100, "differential")
 
 
-def test_induced_subgraph_commutes_with_freeze():
-    check_pair("graphs", 100, "differential")
+def test_edges_order_insertion_independent(graphs):
+    graphs.check(100, "differential")
 
 
-def test_union_commutes_with_freeze():
-    check_pair("graphs", 100, "differential")
+def test_induced_subgraph_commutes_with_freeze(graphs):
+    graphs.check(100, "differential")
 
 
-def test_relabel_commutes_with_freeze():
-    check_pair("graphs", 100, "relabel-invariance")
+def test_union_commutes_with_freeze(graphs):
+    graphs.check(100, "differential")
 
 
-def test_pickle_and_bytes_roundtrip():
-    check_pair("graphs", 100, "roundtrip")
+def test_relabel_commutes_with_freeze(graphs):
+    graphs.check(100, "relabel-invariance")
 
 
-def test_to_builder_inverts_freeze():
-    check_pair("graphs", 100, "differential", "roundtrip")
+def test_pickle_and_bytes_roundtrip(graphs):
+    graphs.check(100, "roundtrip")
 
 
-def test_is_independent_set_agrees():
-    check_pair("graphs", 100, "differential")
+def test_to_builder_inverts_freeze(graphs):
+    graphs.check(100, "differential", "roundtrip")
+
+
+def test_is_independent_set_agrees(graphs):
+    graphs.check(100, "differential")
 
 
 def test_is_vertex_cover_agrees():
@@ -78,5 +86,5 @@ def test_is_vertex_cover_agrees():
     assert answers == {True, False}
 
 
-def test_from_edges_equals_freeze_path():
-    check_pair("graphs", 25, "differential")
+def test_from_edges_equals_freeze_path(graphs):
+    graphs.check(25, "differential")

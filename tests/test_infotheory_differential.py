@@ -25,7 +25,7 @@ from repro.infotheory import (
     total_variation,
 )
 
-from .pair_runner import check_pair
+from .pair_runner import PairRun
 
 ABS = 1e-9
 
@@ -44,27 +44,34 @@ def random_pmf(seed: int, arity: int, values: int) -> dict:
     return {o: w / total for o, w in weights.items()}
 
 
+@pytest.fixture(scope="module")
+def infotheory():
+    """One run of the ``infotheory`` pair's first 40 cases for every id
+    of :class:`TestDistributionEquivalence`."""
+    return PairRun("infotheory", 40)
+
+
 class TestDistributionEquivalence:
     """Runs of the registry's ``infotheory`` pair: random tables (float,
     or exact with per-row Fraction weights) against the dict oracle."""
 
-    def test_pmf_and_support(self):
-        check_pair("infotheory", 40, "differential")
+    def test_pmf_and_support(self, infotheory):
+        infotheory.check(40, "differential")
 
-    def test_marginals(self):
-        check_pair("infotheory", 40, "differential")
+    def test_marginals(self, infotheory):
+        infotheory.check(40, "differential")
 
-    def test_conditionals(self):
-        check_pair("infotheory", 40, "differential")
+    def test_conditionals(self, infotheory):
+        infotheory.check(40, "differential")
 
-    def test_entropies(self):
-        check_pair("infotheory", 40, "differential")
+    def test_entropies(self, infotheory):
+        infotheory.check(40, "differential")
 
-    def test_mutual_information(self):
-        check_pair("infotheory", 40, "differential")
+    def test_mutual_information(self, infotheory):
+        infotheory.check(40, "differential")
 
-    def test_probability_queries(self):
-        check_pair("infotheory", 30, "differential")
+    def test_probability_queries(self, infotheory):
+        infotheory.check(30, "differential")
 
 
 class TestDivergenceEquivalence:

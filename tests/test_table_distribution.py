@@ -388,6 +388,173 @@ class TestCanonicalBytes:
         assert back.probability(m=msg, x=0) == pytest.approx(0.5)
 
 
+def _messages(rng, count: int) -> list:
+    from repro.model import Message
+
+    return [
+        Message(bits=[rng.randrange(2) for _ in range(rng.randrange(1, 12))])
+        for _ in range(count)
+    ]
+
+
+def _random_rows(rng, exact: bool):
+    """Rows of an int, a string and a message tuple, with repeats, and
+    their weights (ints and Fractions, or floats)."""
+    messages = _messages(rng, 5)
+    pools = (
+        list(range(-3, 6)),
+        ["", "a", "b", "ab", "é"],
+        [tuple(rng.sample(messages, rng.randrange(4))) for _ in range(6)],
+    )
+    rows = [
+        tuple(rng.choice(pool) for pool in pools) for _ in range(rng.randrange(1, 40))
+    ]
+    if exact:
+        weights = [rng.choice([1, 2, Fraction(1, 3), Fraction(5, 7)]) for _ in rows]
+    else:
+        weights = [rng.random() + 0.01 for _ in rows]
+    return rows, weights
+
+
+class Counted:
+    """A value that counts the times it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        Counted.hashes += 1
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return isinstance(other, Counted) and self.key == other.key
+
+    def __repr__(self):
+        return f"Counted({self.key!r})"
+
+
+class TestCodedRows:
+    """``append`` takes rows of codes; ``add`` interns, then appends."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coded_append_equals_add(self, seed, exact):
+        rng = random.Random(seed)
+        names = ("i", "s", "m")
+        rows, weights = _random_rows(rng, exact)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        rows = [rows[r] for r in order]
+        weights = [weights[r] for r in order]
+        added = TableBuilder(names, exact=exact)
+        for row, w in zip(rows, weights):
+            added.add(row, w)
+        coded = TableBuilder(names, exact=exact)
+        # Codes issued in another order than add's first-seen one.
+        for book, column in zip(coded.codebooks, zip(*rows)):
+            values = list(dict.fromkeys(column))
+            rng.shuffle(values)
+            for value in values:
+                book.intern(value)
+        for row, w in zip(rows, weights):
+            coded.append(tuple(map(Codebook.code, coded.codebooks, row)), w)
+        a, b = added.build(normalize=True), coded.build(normalize=True)
+        assert a.to_bytes() == b.to_bytes()
+        assert a.digest == b.digest
+        assert len(added) == len(coded) == len(rows)
+
+    def test_exact_tables_equal_in_any_row_order(self):
+        rng = random.Random(3)
+        rows, weights = _random_rows(rng, exact=True)
+        digests = set()
+        for _ in range(4):
+            pairs = list(zip(rows, weights))
+            rng.shuffle(pairs)
+            builder = TableBuilder(("i", "s", "m"), exact=True)
+            for row, w in pairs:
+                builder.append(tuple(map(Codebook.intern, builder.codebooks, row)), w)
+            digests.add(builder.build(normalize=True).digest)
+        assert len(digests) == 1
+
+    def test_wrong_arity_raises(self):
+        builder = TableBuilder(("a", "b"))
+        builder.codebooks[0].intern("x")
+        with pytest.raises(ValueError, match=r"1 codes, expected 2"):
+            builder.append((0,), 1.0)
+        with pytest.raises(ValueError, match=r"arity 3"):
+            builder.add(("x", "y", "z"), 1.0)
+        assert len(builder) == 0
+
+    @pytest.mark.parametrize("code", [1, 7, -1])
+    def test_code_never_issued_raises(self, code):
+        builder = TableBuilder(("a", "b"))
+        builder.codebooks[0].intern("x")
+        builder.codebooks[1].intern("y")
+        builder.append((0, 0), 0.5)
+        builder.append((0, code), 0.5)
+        with pytest.raises(ValueError, match="'b'.*never issued"):
+            builder.build()
+
+    def test_derived_codebooks_hash_nothing_until_looked_up(self):
+        rng = random.Random(5)
+        rows = [
+            (rng.randrange(3), Counted(rng.randrange(6)), Counted(rng.randrange(4)))
+            for _ in range(40)
+        ]
+        Counted.hashes = 0
+        builder = TableBuilder(("a", "b", "c"))
+        for row in rows:
+            builder.append(tuple(map(Codebook.intern, builder.codebooks, row)), 1.0)
+        interned = Counted.hashes
+        table = builder.build(normalize=True)
+        derived = table.marginal(["a", "b"]).condition(a=1)
+        assert Counted.hashes == interned
+        # The first lookup by value builds the dict: each value once.
+        book = derived.codebook("b")
+        assert book.value(0) in book
+        assert Counted.hashes == interned + len(book) + 1
+        value = table.codebook("b").value(0)
+        assert table.condition(b=value).num_rows > 0
+        assert Counted.hashes > interned
+
+    def test_derived_codebooks_answer_like_eager_ones(self):
+        rng = random.Random(9)
+        messages = _messages(rng, 4)
+        rows = [
+            (rng.randrange(3), tuple(rng.sample(messages, 2)), rng.choice("xyz"))
+            for _ in range(30)
+        ]
+        table = TableDistribution.from_rows(("a", "m", "s"), rows, exact=True)
+        absent = (messages[0],) * 3
+        for derived in (table, table.marginal(["m", "s"]), table.condition(a=0)):
+            eager = TableDistribution._from_canonical(
+                derived.variables,
+                tuple(Codebook(derived.codebook(v).values) for v in derived.variables),
+                derived._columns,
+                derived._probs,
+                derived._total,
+            )
+            unpickled = pickle.loads(pickle.dumps(derived))
+            assert unpickled == derived == eager
+            for name in derived.variables:
+                lazy_book, eager_book = derived.codebook(name), eager.codebook(name)
+                books = (lazy_book, pickle.loads(pickle.dumps(lazy_book)),
+                         unpickled.codebook(name))
+                for book in books:
+                    assert book.values == eager_book.values
+                    for value in (*eager_book.values, absent):
+                        assert book.code(value) == eager_book.code(value)
+                        assert (value in book) == (value in eager_book)
+            for value in derived.codebook("m").values:
+                assert (
+                    derived.condition(m=value).to_bytes()
+                    == eager.condition(m=value).to_bytes()
+                    == unpickled.condition(m=value).to_bytes()
+                )
+
+
 class TestRandomizedAgainstDirectFormulas:
     def test_entropy_matches_direct_sum(self):
         rng = random.Random(11)

@@ -15,9 +15,12 @@ import pytest
 from repro.engine import configure_cache, construction_cache
 from repro.graphs import is_maximal_matching, normalize_edge
 from repro.infotheory import JointDistribution, TableBuilder, TableDistribution
+from repro.lowerbound import transcripts
 from repro.lowerbound import (
     DMMInstance,
+    analyze_copies,
     analyze_protocol,
+    copy_outcomes,
     enumerate_indicator_tables,
     exact_outcomes,
     identity_sigma,
@@ -632,6 +635,43 @@ class TestAgainstReferenceLoop:
         assert set(counting.decoded) == transcripts
         # The point of the table: far fewer views than player slots.
         assert len(views) < len(outcomes)
+
+    @pytest.mark.parametrize("sigma_seed", [None, 11])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_copies_sketch_once_per_view(self, name, t, sigma_seed):
+        hard = micro_distribution(r=1, t=t, k=2)
+        sigma = _sigma(hard, sigma_seed)
+        counting = Counting(PROTOCOLS[name]())
+        analyze_copies(hard, counting, COINS, sigma)
+        views = {
+            view
+            for i in range(hard.k)
+            for outcome in copy_outcomes(hard, i, sigma)
+            for view in outcome.unique
+        }
+        assert len(counting.sketched) == len(set(counting.sketched))
+        assert set(counting.sketched) == views
+        assert counting.decoded == []
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_maximality_once_per_graph_and_transcript(self, name, monkeypatch):
+        hard = micro_distribution(r=1, t=3, k=2)
+        calls = []
+
+        def counted(graph, edges):
+            calls.append((graph, edges))
+            return is_maximal_matching(graph, edges)
+
+        monkeypatch.setattr(transcripts, "is_maximal_matching", counted)
+        protocol = PROTOCOLS[name]()
+        analyze_protocol(hard, protocol, COINS)
+        outcomes = exact_outcomes(hard)
+        pairs = {
+            (outcome.graph, tuple(protocol.sketch(v, COINS) for v in outcome.referee))
+            for outcome in outcomes
+        }
+        assert (len(calls), len(pairs), len(outcomes)) == (16, 16, 192)
 
 
 class TestExactOutcomes:
